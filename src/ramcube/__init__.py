@@ -4,17 +4,17 @@ girth bounds."""
 
 __version__ = "0.1.0"
 
-from .arithmetic import (GeneratorSystem, GirthResult, RewriteResult,
-                         build_complex, find_valid_level, girth, girth_bound,
-                         irreducibility_report, rewrite)
+from .arithmetic import (GeneratorSystem, GirthResult, build_complex,
+                         find_valid_level, girth, girth_bound,
+                         irreducibility_report)
 from .complexes import (CubicalComplex, LinkGraph, box_complex,
                         complete_graph_complex, connected_components,
                         cycle_complex, disjoint_union, export_dot,
                         graph_complex, infer_parities, link_graph, product,
                         verify_axioms, verify_parities)
 from .errors import (CentralConditionError, ConfigError, ConstructionError,
-                     GeneratorCountError, InvalidModulusError, RamcubeError,
-                     VerificationError)
+                     GeneratorCountError, InvalidModulusError,
+                     LevelRejectedError, RamcubeError, VerificationError)
 from .harmonics import (Harmonics, RamanujanVerdict, SpectrumReport,
                         classify_ramanujan, cohomology_dims,
                         eigenspace_transfer_check, hodge_project, laplacian,
@@ -25,6 +25,5 @@ from .localsystems import (LocalSystem, SymmWeight, build_symm_system,
                            central_condition_check, external_product,
                            symm_rep, trivial_system, verify_flatness,
                            verify_unitarity)
-from .quaternions import (Quaternion, ResiduePair, build_group, conjugate,
-                          embed, enumerate_generators, multiply, norm,
-                          solve_residue)
+from .quaternions import (Quaternion, ResiduePair, build_group, embed,
+                          enumerate_generators, solve_residue)

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import quaternions as quat
 from .complexes import CubeTable, CubicalComplex, dirs_of, verify_axioms, verify_parities
-from .errors import ConstructionError, InvalidModulusError
+from .errors import ConstructionError, InvalidModulusError, LevelRejectedError
 from .quaternions import Quaternion
 
 
@@ -44,15 +44,13 @@ class GeneratorSystem:
         self.primes = primes
         self.g = len(primes)
         self.n1 = n1
+        self.gens: list[list[Quaternion]] = [quat.enumerate_generators(p) for p in primes]
         self.group = quat.build_group(primes, 2, n1)
-        self.gens: list[list[Quaternion]] = []
         self.iota: list[list[int]] = []
         self.images: list[list[int]] = []
         self.images_fine: list[list[int]] = []
         G = self.group
-        for j, p in enumerate(primes):
-            gens = quat.enumerate_generators(p)
-            self.gens.append(gens)
+        for p, gens in zip(primes, self.gens):
             self.iota.append([gens.index(q.conjugate()) for q in gens])
             img, img_f = [], []
             for q in gens:
@@ -63,6 +61,7 @@ class GeneratorSystem:
                 img_f.append(G.index_fine[G.canonical_fine(m)])
             self.images.append(img)
             self.images_fine.append(img_f)
+        self._conj_coeffs = [[q.conjugate().coeffs() for q in gens] for gens in self.gens]
         self._rewrite_memo: dict = {}
 
     @property
@@ -89,9 +88,14 @@ class GeneratorSystem:
         distinct; dst_dirs is a permutation of those directions.  Returns
         (indices, u) with u = +-1 such that the word equals
         u * prod(generator(d, i) for d, i in zip(dst_dirs, indices)),
-        exactly as integer quaternions.  The match is unique; the search
-        scans the whole candidate space and fails loudly on zero or two
-        matches.
+        exactly as integer quaternions.
+
+        The factors are peeled off the product Q from the left: the factor
+        of direction d is the generator a with conj(a) * Q = 0 (mod p_d) in
+        every coefficient, and Q becomes conj(a) * Q / p_d.  Unique
+        factorization of odd-norm Lipschitz quaternions makes that
+        generator unique and leaves exactly +-1; anything else (no
+        candidate, two candidates, another leftover) fails loudly.
         """
         word = tuple(word)
         dst_dirs = tuple(dst_dirs)
@@ -99,43 +103,28 @@ class GeneratorSystem:
         hit = self._rewrite_memo.get(key)
         if hit is not None:
             return hit
-        lhs = self.word_product(word)
-        neg_lhs = -lhs
-        matches = []
-        for combo in itertools.product(*(range(len(self.gens[d - 1])) for d in dst_dirs)):
-            rhs = self.word_product(zip(dst_dirs, combo))
-            if rhs == lhs:
-                matches.append((combo, 1))
-            elif rhs == neg_lhs:
-                matches.append((combo, -1))
-        if not matches:
-            raise ConstructionError(f"no rewriting of {word} into order {dst_dirs}")
-        if len(matches) > 1:
-            raise ConstructionError(f"rewriting of {word} is not unique: {matches}")
-        self._rewrite_memo[key] = matches[0]
-        return matches[0]
-
-
-@dataclass(frozen=True)
-class RewriteResult:
-    indices: tuple[int, ...]
-    unit: int
-
-
-def rewrite(order, indices, gens: GeneratorSystem) -> RewriteResult:
-    """Reorder the product of one generator per direction into ascending
-    direction order.
-
-    order is a permutation of (1..g); the m-th factor of the input word is
-    generator indices[m] of direction order[m].  Returns the ascending-order
-    indices and the sign u with
-
-        prod_m gen(order[m], indices[m]) = u * prod_j gen(j, result[j-1]).
-    """
-    word = tuple(zip(order, indices))
-    dst = tuple(sorted(order))
-    combo, u = gens.reorder(word, dst)
-    return RewriteResult(combo, u)
+        q = self.word_product(word).coeffs()
+        indices = []
+        for d in dst_dirs:
+            p = self.primes[d - 1]
+            found = []
+            for i, a_bar in enumerate(self._conj_coeffs[d - 1]):
+                rest = quat.hamilton(a_bar, q)
+                if not any(c % p for c in rest):
+                    found.append((i, rest))
+            if len(found) != 1:
+                raise ConstructionError(
+                    f"rewriting of {word} into order {dst_dirs}: {len(found)} left "
+                    f"divisors in direction {d}, expected exactly one")
+            i, rest = found[0]
+            indices.append(i)
+            q = tuple(c // p for c in rest)
+        if q not in ((1, 0, 0, 0), (-1, 0, 0, 0)):
+            raise ConstructionError(
+                f"rewriting of {word} into order {dst_dirs} leaves {q}, not a sign")
+        result = (tuple(indices), q[0])
+        self._rewrite_memo[key] = result
+        return result
 
 
 @dataclass
@@ -145,14 +134,24 @@ class ArithData:
     primes: tuple[int, ...]
     n1: int
     gens: GeneratorSystem
-    vertex_keys: list  # (coarse group element index, parity tuple)
-    vertex_index: dict
+    vertex_group: np.ndarray  # coarse group element index of each vertex
+    parities: np.ndarray  # (vertex, direction - 1) -> parity bit
     vstep: list[list[np.ndarray]]  # [direction-1][generator] -> vertex permutation
     cover_index: int  # vertex count / group order
 
     @property
     def group(self):
         return self.gens.group
+
+    @cached_property
+    def vertex_keys(self) -> list:
+        """(coarse group element index, parity tuple) of each vertex."""
+        return list(zip(self.vertex_group.tolist(), map(tuple, self.parities.tolist())))
+
+    @cached_property
+    def vertex_index(self) -> dict:
+        """Vertex number of each key in vertex_keys."""
+        return {v: i for i, v in enumerate(self.vertex_keys)}
 
 
 def _tuple_rank(dirs, regular, tup):
@@ -173,35 +172,36 @@ def build_complex(primes, n1: int) -> CubicalComplex:
     r = gens.regularities
     G = gens.group
 
-    # vertex group: closure of (identity, 0) under (generator image, e_j)
-    start = (G.identity, (0,) * g)
-    vertex_index = {start: 0}
-    vertex_keys = [start]
-    dq = deque([start])
-    while dq:
-        h, c = dq.popleft()
-        for j in range(g):
-            for img in gens.images[j]:
-                c2 = list(c)
-                c2[j] ^= 1
-                v = (G.mul(h, img), tuple(c2))
-                if v not in vertex_index:
-                    vertex_index[v] = len(vertex_keys)
-                    vertex_keys.append(v)
-                    dq.append(v)
-    n = len(vertex_keys)
+    # vertex group: closure of (identity, 0) under (generator image, e_j),
+    # breadth first, on vertex codes h * 2^g + parity bits (bit j-1 for
+    # direction j).  Each level lists its new vertices in order of first
+    # discovery: the previous level in order, the steps of each vertex by
+    # direction, then generator.
+    right = [[G.right_multiplication(img) for img in imgs] for imgs in gens.images]
 
-    vstep = []
-    for j in range(g):
-        cols = []
-        for img in gens.images[j]:
-            col = np.empty(n, dtype=np.int64)
-            for vi, (h, c) in enumerate(vertex_keys):
-                c2 = list(c)
-                c2[j] ^= 1
-                col[vi] = vertex_index[(G.mul(h, img), tuple(c2))]
-            cols.append(col)
-        vstep.append(cols)
+    def neighbours(codes):
+        h, c = codes >> g, codes & ((1 << g) - 1)
+        return [(rm[h] << g) | (c ^ (1 << j)) for j in range(g) for rm in right[j]]
+
+    vertex_of = np.full(G.order << g, -1, dtype=np.int64)
+    level = np.array([G.identity << g], dtype=np.int64)
+    vertex_of[level] = 0
+    levels, n = [], 1
+    while level.size:
+        levels.append(level)
+        reached = np.stack(neighbours(level), axis=1).ravel()
+        reached = reached[vertex_of[reached] < 0]
+        _, first = np.unique(reached, return_index=True)
+        level = reached[np.sort(first)]
+        vertex_of[level] = np.arange(n, n + level.size)
+        n += level.size
+    codes = np.concatenate(levels)
+
+    steps = [vertex_of[c] for c in neighbours(codes)]
+    offsets = np.cumsum((0,) + r)
+    vstep = [steps[offsets[j]:offsets[j + 1]] for j in range(g)]
+    vertex_group = codes >> g
+    parities = ((codes[:, None] >> np.arange(g)) & 1).astype(np.uint8)
 
     tables: dict[int, CubeTable] = {0: CubeTable(n)}
     verts = np.arange(n)
@@ -236,37 +236,45 @@ def build_complex(primes, n1: int) -> CubicalComplex:
                 t.inv[j][rows] = vstep[j - 1][f] * T + _tuple_rank(dirs, r, itup)
         tables[mask] = t
 
-    parities = np.array([c for _, c in vertex_keys], dtype=np.uint8)
-    labels = ["{},{},{},{}|{}".format(*G.elements[h], "".join(map(str, c)))
-              for h, c in vertex_keys]
+    bits = ["".join(str((c >> j) & 1) for j in range(g)) for c in range(1 << g)]
+    labels = ["{},{},{},{}|{}".format(*G.elements[h], bits[c])
+              for h, c in zip(vertex_group.tolist(), (codes & ((1 << g) - 1)).tolist())]
     X = CubicalComplex(g, r, tables, parities, labels)
-    X.arith = ArithData(gens.primes, n1, gens, vertex_keys, vertex_index,
-                        vstep, n // G.order)
+    X.arith = ArithData(gens.primes, n1, gens, vertex_group, parities, vstep, n // G.order)
 
     report = verify_axioms(X)
     if not report.passed:
         f = report.failures[0]
-        raise ConstructionError(
+        raise LevelRejectedError(
             f"level n1={n1} rejected: axiom {f.axiom} fails at mask {f.mask} "
             f"index {f.index} ({f.detail}); the congruence level is too shallow")
     ok, witness = verify_parities(X)
     if not ok:
-        raise ConstructionError(
+        raise LevelRejectedError(
             f"level n1={n1} rejected: parity relation fails at {witness}")
     return X
 
 
 def find_valid_level(primes, start: int = 3, limit: int = 10000) -> int:
     """Smallest odd prime level coprime to the primes that builds cleanly."""
-    n1 = start
-    while n1 <= limit:
+    return _find_level(primes, start, limit)[0]
+
+
+def _find_level(primes, start: int = 3, limit: int = 10000):
+    """The level find_valid_level picks, with the complex built there.
+
+    A prime without a generator alphabet fails here with
+    GeneratorCountError before any level is tried; only levels the builder
+    rejects as too shallow are skipped.
+    """
+    for p in primes:
+        quat.enumerate_generators(p)
+    for n1 in range(start, limit + 1, 2):
         if quat.is_prime(n1) and n1 % 2 == 1 and all(p % n1 != 0 for p in primes):
             try:
-                build_complex(primes, n1)
-                return n1
-            except ConstructionError:
+                return n1, build_complex(primes, n1)
+            except LevelRejectedError:
                 pass
-        n1 += 2
     raise InvalidModulusError(f"no valid level found below {limit}")
 
 

@@ -19,11 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arithmetic import build_complex, find_valid_level, girth, girth_bound, \
-    irreducibility_report
+from .arithmetic import _find_level, build_complex, girth, irreducibility_report
+# not called here; kept importable as cli.find_valid_level, the name
+# perfbench/tracer.py wraps
+from .arithmetic import find_valid_level  # noqa: F401
 from .complexes import dirs_of, export_dot, link_graph
 from .errors import (CentralConditionError, ConfigError, ConstructionError,
-                     RamcubeError, VerificationError)
+                     GeneratorCountError, RamcubeError, VerificationError)
 from .harmonics import Harmonics, spectrum_report
 from .localsystems import (build_symm_system, central_condition_check,
                            trivial_system, verify_flatness, verify_unitarity)
@@ -141,12 +143,16 @@ def run(cfg: RunConfig, command: str, out_dir=None, link_spec=None):
 def _pipeline(cfg: RunConfig, command: str, out: Path, report: dict, link_spec):
     # stage: build
     if cfg.n1 == "auto":
-        n1 = find_valid_level(cfg.primes)
+        try:
+            n1, X = _find_level(cfg.primes)
+        except GeneratorCountError as e:
+            raise ConfigError(
+                f"N1=\"auto\" needs a generator alphabet for every prime: {e}") from e
         report["auto_N1"] = True
     else:
         n1 = cfg.n1
         report["auto_N1"] = False
-    X = build_complex(cfg.primes, n1)
+        X = build_complex(cfg.primes, n1)
     G = X.arith.group
     report["complex"] = {
         "primes": list(cfg.primes),

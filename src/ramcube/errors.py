@@ -17,6 +17,10 @@ class GeneratorCountError(ConstructionError):
     """Quaternion generator enumeration did not produce p + 1 elements."""
 
 
+class LevelRejectedError(ConstructionError):
+    """The level is too shallow: the built complex fails an axiom or parity check."""
+
+
 class InvalidModulusError(ConstructionError):
     """The chosen level is incompatible with the prime set."""
 

@@ -156,38 +156,28 @@ def build_symm_system(X: CubicalComplex, k: int, perturb_section=None) -> LocalS
             f"modulo {2 * ar.n1}, so the center acts nontrivially")
     G = ar.group
     gens = ar.gens
-    lift = list(G.section)
+    lift = np.array(G.section)
     if perturb_section is not None and G.kernel_order == 2:
-        alt = G.alt_section()
-        for h in range(G.order):
-            if perturb_section[h]:
-                lift[h] = alt[h]
-
-    reps = [[symm_rep(gens.quaternion(j, i).conjugate(), k)
-             for i in range(gens.regularities[j - 1])]
-            for j in range(1, X.g + 1)]
+        lift = np.where(perturb_section, G.alt_section(), lift)
 
     m = k + 1
+    h = ar.vertex_group
     trans = []
     eps_all = []
     for j in range(1, X.g + 1):
-        rj = gens.regularities[j - 1]
-        n_edges = X.tables[1 << (j - 1)].n
-        tr = np.empty((n_edges, m, m), dtype=np.complex128)
-        eps = np.empty(n_edges, dtype=np.int8)
-        for v, (h, _) in enumerate(ar.vertex_keys):
-            base = v * rj
-            for i in range(rj):
-                h_top = G.mul(h, gens.images[j - 1][i])
-                plus = G.mul_fine(lift[h], gens.images_fine[j - 1][i])
-                e = 1 if plus == lift[h_top] else -1
-                eps[base + i] = e
-                tr[base + i] = (e ** k) * reps[j - 1][i]
+        reps = np.stack([symm_rep(q.conjugate(), k) for q in gens.gens[j - 1]])
+        eps = np.empty((len(h), len(reps)), dtype=np.int8)
+        for i, (img, img_f) in enumerate(zip(gens.images[j - 1], gens.images_fine[j - 1])):
+            h_top = G.right_multiplication(img)[h]
+            plus = G.right_multiplication(img_f, fine=True)[lift[h]]
+            eps[:, i] = np.where(plus == lift[h_top], 1, -1)
+        eps = eps.ravel()  # edge (v, i) is row v * r_j + i
+        sign = (eps.astype(np.int64) ** k).astype(np.complex128)
+        tr = np.tile(reps, (len(h), 1, 1)) * sign[:, None, None]
         # store opposite edges as exact conjugate transposes
         invmap = X.tables[1 << (j - 1)].inv[j]
-        for e in range(n_edges):
-            if e < invmap[e]:
-                tr[invmap[e]] = tr[e].conj().T
+        first = np.flatnonzero(np.arange(len(invmap)) < invmap)
+        tr[invmap[first]] = tr[first].conj().transpose(0, 2, 1)
         trans.append(tr)
         eps_all.append(eps)
     return LocalSystem(m, trans, f"symm({k})", eps_all, k)

@@ -12,7 +12,8 @@ relations i^2 = j^2 = k^2 = -1 and ij = k.  The module provides
     generated by the primes, divided by two scalar subgroups, together
     with the canonical section between the two quotients.
 
-2x2 matrices over Z/N1 are stored as 4-tuples (m00, m01, m10, m11).
+2x2 matrices over Z/N1 are stored as 4-tuples (m00, m01, m10, m11), and in
+bulk as integer codes (see mat_code) or as arrays of entries.
 """
 
 from __future__ import annotations
@@ -21,9 +22,23 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import GeneratorCountError, InvalidModulusError
 
 MAT_IDENTITY = (1, 0, 0, 1)
+
+
+def hamilton(a, b) -> tuple[int, int, int, int]:
+    """Hamilton product of two quaternions given as coefficient 4-tuples."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (
+        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+    )
 
 
 @dataclass(frozen=True)
@@ -36,14 +51,7 @@ class Quaternion:
     a3: int
 
     def __mul__(self, other: "Quaternion") -> "Quaternion":
-        a0, a1, a2, a3 = self.a0, self.a1, self.a2, self.a3
-        b0, b1, b2, b3 = other.a0, other.a1, other.a2, other.a3
-        return Quaternion(
-            a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-        )
+        return Quaternion(*hamilton(self.coeffs(), other.coeffs()))
 
     def __neg__(self) -> "Quaternion":
         return Quaternion(-self.a0, -self.a1, -self.a2, -self.a3)
@@ -60,18 +68,6 @@ class Quaternion:
 
 
 QUATERNION_ONE = Quaternion(1, 0, 0, 0)
-
-
-def norm(q: Quaternion) -> int:
-    return q.norm()
-
-
-def conjugate(q: Quaternion) -> Quaternion:
-    return q.conjugate()
-
-
-def multiply(q1: Quaternion, q2: Quaternion) -> Quaternion:
-    return q1 * q2
 
 
 def is_prime(n: int) -> bool:
@@ -196,6 +192,29 @@ def _cyclic_subgroup(generators: list[int], n1: int) -> frozenset[int]:
     return frozenset(seen)
 
 
+def mat_code(m, n1: int):
+    """Integer code m00*n1^3 + m01*n1^2 + m10*n1 + m11 of a matrix with
+    entries in [0, n1); code order is the lexicographic order of the
+    entry tuples.  Works entrywise on arrays of entries."""
+    return ((m[0] * n1 + m[1]) * n1 + m[2]) * n1 + m[3]
+
+
+def _least_code(m, scalars, n1: int) -> np.ndarray:
+    """Least code among the scalar multiples s*m, s in scalars, of each of
+    the matrices whose entries are the arrays m[0..3]."""
+    best = None
+    for s in scalars:
+        code = mat_code([(s * e) % n1 for e in m], n1)
+        best = code if best is None else np.minimum(best, code, out=best)
+    return best
+
+
+def _decode(codes: np.ndarray, n1: int) -> np.ndarray:
+    """Entries (4, len(codes)) of the matrices with the given codes."""
+    powers = n1 ** np.arange(3, -1, -1, dtype=np.int64)
+    return (codes // powers[:, None]) % n1
+
+
 class MatrixGroupPair:
     """The two finite vertex groups and the section between them.
 
@@ -206,31 +225,35 @@ class MatrixGroupPair:
       * the fine group divides by B' = <p_1, ..., p_g>.
 
     Elements are stored as canonical coset representatives: the
-    lexicographically least entry tuple among all scalar multiples.  The
-    canonical section sends a coarse representative to the identical matrix
-    viewed in the fine group (a coarse-canonical tuple is automatically
-    fine-canonical).  The quotient fine -> coarse has kernel of order 1 or 2.
+    lexicographically least entry tuple among all scalar multiples, indexed
+    in increasing order, with their sorted integer codes in codes and
+    codes_fine.  The canonical section sends a coarse representative to the
+    identical matrix viewed in the fine group (a coarse-canonical tuple is
+    automatically fine-canonical).  The quotient fine -> coarse has kernel
+    of order 1 or 2.
     """
 
     def __init__(self, primes: tuple[int, ...], n1: int, residue: ResiduePair,
                  A: frozenset[int], B: frozenset[int], B_prime: frozenset[int],
-                 elements: list[Mat], elements_fine: list[Mat]):
+                 codes: np.ndarray, codes_fine: np.ndarray):
         self.primes = primes
         self.n1 = n1
         self.residue = residue
         self.A = A
         self.B = B
         self.B_prime = B_prime
-        self.elements = elements
-        self.elements_fine = elements_fine
-        self.index = {m: i for i, m in enumerate(elements)}
-        self.index_fine = {m: i for i, m in enumerate(elements_fine)}
+        self.codes = codes
+        self.codes_fine = codes_fine
+        self.elements: list[Mat] = list(zip(*_decode(codes, n1).tolist()))
+        self.elements_fine: list[Mat] = list(zip(*_decode(codes_fine, n1).tolist()))
+        self.index = {m: i for i, m in enumerate(self.elements)}
+        self.index_fine = {m: i for i, m in enumerate(self.elements_fine)}
         self.identity = self.index[MAT_IDENTITY]
         self.identity_fine = self.index_fine[MAT_IDENTITY]
-        self.kernel_order = len(elements_fine) // len(elements)
+        self.kernel_order = len(codes_fine) // len(codes)
         # coarse-canonical representatives are fine-canonical, so the
         # canonical section is the identity on representatives
-        self.section = [self.index_fine[m] for m in elements]
+        self.section = np.searchsorted(codes_fine, codes).tolist()
         self._alt_section = None
 
     @property
@@ -256,6 +279,16 @@ class MatrixGroupPair:
         return self.index_fine[
             self.canonical_fine(mat_mul(self.elements_fine[i], self.elements_fine[j], self.n1))
         ]
+
+    def right_multiplication(self, g: int, fine: bool = False) -> np.ndarray:
+        """The permutation h -> h*g of the coarse group (of the fine group
+        when fine is set), as an index array over all elements h."""
+        if fine:
+            codes, scalars, m = self.codes_fine, self.B_prime, self.elements_fine[g]
+        else:
+            codes, scalars, m = self.codes, self.B, self.elements[g]
+        product = mat_mul(_decode(codes, self.n1), m, self.n1)
+        return np.searchsorted(codes, _least_code(product, scalars, self.n1))
 
     def inv(self, i: int) -> int:
         m = self.elements[i]
@@ -300,7 +333,16 @@ class MatrixGroupPair:
 
 
 def build_group(primes, n0: int = 2, n1: int | None = None) -> MatrixGroupPair:
-    """Enumerate the coarse/fine vertex groups for a prime set and level n1."""
+    """Enumerate the coarse/fine vertex groups for a prime set and level n1.
+
+    A matrix with determinant in A is a canonical representative exactly
+    when its code is the least among its scalar multiples (scalars in B keep
+    the determinant in A).  The scan runs one leading entry m00 at a time,
+    over the n1^3 remaining entry tuples in increasing code order, so the
+    representatives come out sorted and no array of size n1^4 is formed.
+    Only the m00 = 0 slice needs the scalar multiples entry by entry; a
+    nonzero m00 decides by itself.
+    """
     if n0 != 2:
         raise ValueError("only the n0 = 2 normalization is supported")
     if n1 is None:
@@ -315,12 +357,20 @@ def build_group(primes, n0: int = 2, n1: int | None = None) -> MatrixGroupPair:
     A = _cyclic_subgroup([p % n1 for p in primes], n1)
     B = _cyclic_subgroup([p % n1 for p in primes] + [n1 - 1], n1)
     B_prime = A
-    coarse = set()
-    fine = set()
-    rng = range(n1)
-    for m in itertools.product(rng, rng, rng, rng):
-        if mat_det(m, n1) in A:
-            coarse.add(min(tuple((s * e) % n1 for e in m) for s in B))
-            fine.add(min(tuple((s * e) % n1 for e in m) for s in B_prime))
+    in_A = np.zeros(n1, dtype=bool)
+    in_A[list(A)] = True
+    rest = np.indices((n1, n1, n1), dtype=np.int64).reshape(3, -1)
+    coarse, fine = [], []
+    for m00 in range(n1):
+        m = (m00, *rest)
+        code = mat_code(m, n1)
+        det_ok = in_A[mat_det(m, n1)]
+        for scalars, out in ((B, coarse), (B_prime, fine)):
+            if m00 == 0:
+                out.append(code[det_ok & (code == _least_code(m, scalars, n1))])
+            elif m00 == min((s * m00) % n1 for s in scalars):
+                # s * m00 = m00 only for s = 1, so the leading entry alone
+                # makes every matrix of this slice the least of its orbit
+                out.append(code[det_ok])
     return MatrixGroupPair(primes, n1, residue, A, B, B_prime,
-                           sorted(coarse), sorted(fine))
+                           np.concatenate(coarse), np.concatenate(fine))

@@ -1,5 +1,10 @@
+import itertools
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ramcube as rc
 from ramcube.arithmetic import GeneratorSystem
@@ -12,11 +17,30 @@ def gens513():
     return GeneratorSystem([5, 13], 3)
 
 
+@pytest.fixture(scope="module")
+def gens51317():
+    return GeneratorSystem([5, 13, 17], 3)
+
+
+def scan_reorder(gens, word, dst_dirs):
+    """Reference rewriting: scan every candidate word in the target order."""
+    lhs = gens.word_product(word)
+    matches = []
+    for combo in itertools.product(*(range(len(gens.gens[d - 1])) for d in dst_dirs)):
+        rhs = gens.word_product(zip(dst_dirs, combo))
+        if rhs == lhs:
+            matches.append((combo, 1))
+        elif rhs == -lhs:
+            matches.append((combo, -1))
+    if len(matches) != 1:
+        raise ConstructionError(f"{len(matches)} rewritings of {word} into {dst_dirs}")
+    return matches[0]
+
+
 def test_rewrite_identity_for_one_direction():
     gens = GeneratorSystem([5], 13)
     for i in range(6):
-        res = rc.rewrite((1,), (i,), gens)
-        assert res.indices == (i,) and res.unit == 1
+        assert gens.reorder(((1, i),), (1,)) == ((i,), 1)
 
 
 def test_rewrite_all_transposed_pairs(gens513):
@@ -25,10 +49,10 @@ def test_rewrite_all_transposed_pairs(gens513):
     count = 0
     for a, w2 in enumerate(g13):
         for b, w1 in enumerate(g5):
-            res = rc.rewrite((2, 1), (a, b), gens513)
+            indices, unit = gens513.reorder(((2, a), (1, b)), (1, 2))
             lhs = w2 * w1
-            rhs = g5[res.indices[0]] * g13[res.indices[1]]
-            if res.unit == -1:
+            rhs = g5[indices[0]] * g13[indices[1]]
+            if unit == -1:
                 rhs = -rhs
             assert lhs == rhs
             assert lhs.norm() == 65 == rhs.norm()
@@ -40,8 +64,82 @@ def test_rewrite_units_both_signs(gens513):
     units = set()
     for a in range(14):
         for b in range(6):
-            units.add(rc.rewrite((2, 1), (a, b), gens513).unit)
+            units.add(gens513.reorder(((2, a), (1, b)), (1, 2))[1])
     assert units == {1, -1}
+
+
+def test_reorder_matches_candidate_scan_on_every_pair(gens513):
+    for a, b in itertools.product(range(6), range(14)):
+        for word in (((1, a), (2, b)), ((2, b), (1, a))):
+            for dst in ((1, 2), (2, 1)):
+                assert gens513.reorder(word, dst) == scan_reorder(gens513, word, dst)
+    for d, size in ((1, 6), (2, 14)):
+        for i in range(size):
+            assert gens513.reorder(((d, i),), (d,)) == scan_reorder(gens513, ((d, i),), (d,))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.permutations((1, 2, 3)), st.permutations((1, 2, 3)),
+       st.tuples(st.integers(0, 5), st.integers(0, 13), st.integers(0, 17)),
+       st.integers(1, 3))
+def test_reorder_matches_candidate_scan_on_three_primes(gens51317, order, dst, indices, length):
+    """Words over [5, 13, 17] with one to three distinct directions, in any
+    order, rewritten into any order of the same directions."""
+    word = tuple((d, indices[d - 1]) for d in order[:length])
+    dst = tuple(d for d in dst if d in order[:length])
+    assert gens51317.reorder(word, dst) == scan_reorder(gens51317, word, dst)
+
+
+def test_reorder_rejects_a_duplicated_generator(monkeypatch):
+    from ramcube import quaternions
+    honest = quaternions.enumerate_generators
+    monkeypatch.setattr(quaternions, "enumerate_generators",
+                        lambda p: honest(p) + honest(p)[:1] if p == 5 else honest(p))
+    gens = GeneratorSystem([5, 13], 3)
+    assert gens.regularities == (7, 14)
+    word = ((1, 0), (2, 0))  # its direction-1 left divisor is generator 0
+    with pytest.raises(ConstructionError, match="2 left divisors"):
+        gens.reorder(word, (1, 2))
+    with pytest.raises(ConstructionError):
+        scan_reorder(gens, word, (1, 2))
+
+
+def test_reorder_rejects_words_without_a_factorization(gens513):
+    with pytest.raises(ConstructionError, match="0 left divisors"):
+        gens513.reorder(((1, 0),), (2,))
+    with pytest.raises(ConstructionError, match="not a sign"):
+        gens513.reorder(((1, 0), (2, 0)), (1,))
+
+
+def scalar_closure(gens):
+    """Reference vertex numbering and steps: queue breadth-first search
+    with scalar group products."""
+    G = gens.group
+    start = (G.identity, (0,) * gens.g)
+    index = {start: 0}
+    queue = deque([start])
+    while queue:
+        h, c = queue.popleft()
+        for j in range(gens.g):
+            for img in gens.images[j]:
+                v = (G.mul(h, img), c[:j] + (1 - c[j],) + c[j + 1:])
+                if v not in index:
+                    index[v] = len(index)
+                    queue.append(v)
+    keys = list(index)
+    vstep = [[[index[(G.mul(h, img), c[:j] + (1 - c[j],) + c[j + 1:])] for h, c in keys]
+              for img in gens.images[j]]
+             for j in range(gens.g)]
+    return keys, vstep
+
+
+@pytest.mark.parametrize("fixture", ["cover513", "lps513", "x511"])
+def test_vertex_closure_matches_scalar_reference(request, fixture):
+    X = request.getfixturevalue(fixture)
+    keys, vstep = scalar_closure(X.arith.gens)
+    assert X.arith.vertex_keys == keys
+    assert [[v.tolist() for v in col] for col in X.arith.vstep] == vstep
+    assert X.parities.tolist() == [list(c) for _, c in keys]
 
 
 def test_generator_system_validation():
@@ -84,7 +182,7 @@ def test_square_commutation_consistency(cover513):
     vstep = X.arith.vstep
     for i1 in range(6):
         for i2 in range(14):
-            a, b = rc.rewrite((1, 2), (i1, i2), gens).indices
+            (a, b), _ = gens.reorder(((1, i1), (2, i2)), (1, 2))
             # w(1,i1) w(2,i2) = u * w(1,a) w(2,b): same endpoint from every vertex
             via_given = vstep[1][i2][vstep[0][i1]]
             via_rewritten = vstep[1][b][vstep[0][a]]
@@ -145,6 +243,30 @@ def test_girth_on_square_cover(cover513):
 def test_find_valid_level():
     assert rc.find_valid_level([5, 13]) == 3
     assert rc.find_valid_level([5]) == 3
+
+
+def test_find_valid_level_retries_only_rejected_levels(monkeypatch):
+    from ramcube import arithmetic
+    with pytest.raises(rc.GeneratorCountError):
+        rc.find_valid_level([7])
+    tried = []
+
+    def shallow_below_11(primes, n1):
+        tried.append(n1)
+        if n1 < 11:
+            raise rc.LevelRejectedError(f"level n1={n1} rejected")
+        return n1
+
+    monkeypatch.setattr(arithmetic, "build_complex", shallow_below_11)
+    assert rc.find_valid_level([5]) == 11
+    assert tried == [3, 7, 11]
+
+    def broken(primes, n1):
+        raise ConstructionError("not a level rejection")
+
+    monkeypatch.setattr(arithmetic, "build_complex", broken)
+    with pytest.raises(ConstructionError, match="not a level rejection"):
+        rc.find_valid_level([5])
 
 
 def test_build_rejects_dividing_level():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -146,3 +147,35 @@ def test_main_tol_override(tmp_path):
                      "--out", str(tmp_path / "r"), "--tol", "1e-6"]) == 0
     report = json.loads((tmp_path / "r" / "report.json").read_text())
     assert report["tolerances"]["spectral"] == 1e-6
+
+
+def test_main_auto_level_without_generator_alphabet(tmp_path, capsys):
+    """7 = 3 (mod 4) has no generator alphabet: the level search is refused
+    at once as a config error instead of trying every level."""
+    cfg_path = write_cfg(tmp_path, {"primes": [7], "N1": "auto"})
+    start = time.perf_counter()
+    code = cli.main(["build", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert time.perf_counter() - start < 2.0
+    assert "generator alphabet" in capsys.readouterr().err
+
+
+def test_main_fixed_level_without_generator_alphabet(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, {"primes": [7], "N1": 3})
+    code = cli.main(["build", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "construction failure" in capsys.readouterr().err
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["exit_stage"]["stage"] == "construction"
+
+
+def test_auto_level_builds_the_complex_once(tmp_path, monkeypatch):
+    from ramcube import arithmetic
+    calls = []
+    build = arithmetic.build_complex
+    monkeypatch.setattr(arithmetic, "build_complex",
+                        lambda primes, n1: calls.append(n1) or build(primes, n1))
+    cfg = cli.validate_config({"primes": [5, 13], "N1": "auto"})
+    report, code = cli.run(cfg, "build", out_dir=tmp_path)
+    assert code == 0 and report["complex"]["N1"] == 3
+    assert calls == [3]

@@ -137,6 +137,48 @@ def test_section_perturbation_noop_for_trivial_kernel(lps513):
     assert all(np.array_equal(a, b) for a, b in zip(L.transitions, L2.transitions))
 
 
+def scalar_symm_system(X, k, flip=None):
+    """Reference weight-k transitions and signs: one scalar group product
+    per edge, opposite edges filled one by one."""
+    ar = X.arith
+    G, gens = ar.group, ar.gens
+    lift = list(G.section)
+    if flip is not None and G.kernel_order == 2:
+        lift = [a if f else s for f, a, s in zip(flip, G.alt_section(), lift)]
+    trans, signs = [], []
+    for j in range(1, X.g + 1):
+        rj = gens.regularities[j - 1]
+        tr = np.empty((X.tables[1 << (j - 1)].n, k + 1, k + 1), dtype=np.complex128)
+        eps = np.empty(len(tr), dtype=np.int8)
+        for v, (h, _) in enumerate(ar.vertex_keys):
+            for i in range(rj):
+                h_top = G.mul(h, gens.images[j - 1][i])
+                plus = G.mul_fine(lift[h], gens.images_fine[j - 1][i])
+                e = 1 if plus == lift[h_top] else -1
+                eps[v * rj + i] = e
+                tr[v * rj + i] = (e ** k) * symm_rep(gens.quaternion(j, i).conjugate(), k)
+        inv = X.tables[1 << (j - 1)].inv[j]
+        for e in range(len(inv)):
+            if e < inv[e]:
+                tr[inv[e]] = tr[e].conj().T
+        trans.append(tr)
+        signs.append(eps)
+    return trans, signs
+
+
+@pytest.mark.parametrize("fixture,k", [("x511", 1), ("x511", 2), ("lps513", 2),
+                                       ("cover513", 2)])
+def test_symm_system_matches_scalar_reference(request, fixture, k):
+    X = request.getfixturevalue(fixture)
+    flip = np.zeros(X.arith.group.order, dtype=bool)
+    flip[::5] = True
+    for perturb in (None, flip):
+        L = rc.build_symm_system(X, k, perturb_section=perturb)
+        trans, signs = scalar_symm_system(X, k, perturb)
+        assert [t.tobytes() for t in L.transitions] == [t.tobytes() for t in trans]
+        assert [e.tolist() for e in L.epsilons] == [e.tolist() for e in signs]
+
+
 def test_flatness_on_square_cover(cover513):
     L = rc.build_symm_system(cover513, 2)
     fl = rc.verify_flatness(cover513, L)

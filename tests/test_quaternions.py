@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -19,14 +20,14 @@ def rand_quat(rng):
 
 
 def test_norm_values():
-    assert rc.norm(Quaternion(1, 2, 0, 0)) == 5
-    assert rc.norm(ONE) == 1
-    assert rc.norm(Quaternion(3, 2, 0, 0)) == 13
+    assert Quaternion(1, 2, 0, 0).norm() == 5
+    assert ONE.norm() == 1
+    assert Quaternion(3, 2, 0, 0).norm() == 13
 
 
 def test_conjugate():
-    assert rc.conjugate(Quaternion(1, 2, 0, 0)) == Quaternion(1, -2, 0, 0)
-    assert rc.conjugate(ONE) == ONE
+    assert Quaternion(1, 2, 0, 0).conjugate() == Quaternion(1, -2, 0, 0)
+    assert ONE.conjugate() == ONE
     q = Quaternion(3, -2, 2, -2)
     assert q * q.conjugate() == Quaternion(21, 0, 0, 0)
 
@@ -186,3 +187,37 @@ def test_canonical_representative_is_minimal():
         m = G.elements[rng.randrange(G.order)]
         orbit = [tuple((s * x) % 13 for x in m) for s in G.B]
         assert min(orbit) == m
+
+
+def scan_group(G):
+    """Reference enumeration: canonicalize all n1^4 matrices one by one."""
+    n1 = G.n1
+    coarse, fine = set(), set()
+    for m in itertools.product(range(n1), repeat=4):
+        if mat_det(m, n1) in G.A:
+            coarse.add(G.canonical(m))
+            fine.add(G.canonical_fine(m))
+    return sorted(coarse), sorted(fine)
+
+
+@pytest.mark.parametrize("n1", [3, 7, 11, 13])
+@pytest.mark.parametrize("primes", [[5], [5, 17]])
+def test_build_group_matches_full_scan(primes, n1):
+    G = rc.build_group(primes, n1=n1)
+    coarse, fine = scan_group(G)
+    assert G.elements == coarse
+    assert G.elements_fine == fine
+    assert G.order == G.predicted_order()
+    assert np.all(np.diff(G.codes) > 0) and np.all(np.diff(G.codes_fine) > 0)
+
+
+def test_right_multiplication_matches_mul():
+    G = rc.build_group([5], n1=11)
+    assert G.kernel_order == 2
+    rng = random.Random(11)
+    for g in [G.identity] + [rng.randrange(G.order) for _ in range(8)]:
+        right = G.right_multiplication(g)
+        assert right.tolist() == [G.mul(h, g) for h in range(G.order)]
+    for g in [G.identity_fine] + [rng.randrange(G.order_fine) for _ in range(8)]:
+        right = G.right_multiplication(g, fine=True)
+        assert right.tolist() == [G.mul_fine(h, g) for h in range(G.order_fine)]
