@@ -217,26 +217,10 @@ def _pipeline(cfg: RunConfig, command: str, out: Path, report: dict, link_spec):
         return 0
 
     if command == "girth":
-        res = girth(X, cfg.max_depth)
-        report["girth"] = {
-            "girth": res.girth,
-            "lower_bound": res.lower_bound,
-            "lower_bound_only": res.girth is None,
-            "bound": res.bound,
-            "satisfied": res.satisfied,
-            "max_depth": res.max_depth,
-        }
-        return 0 if res.satisfied else 4
+        return 0 if _girth_report(X, cfg, report) else 4
 
     if command == "cohomology":
-        H = Harmonics(X, L)
-        dims = H.cohomology_dims(cfg.tolerances["rank"])
-        chi = H.euler_characteristic()
-        report["cohomology"] = {
-            "dims": dims,
-            "euler_from_counts": chi,
-            "euler_consistent": sum((-1) ** i * h for i, h in enumerate(dims)) == chi,
-        }
+        _cohomology_report(Harmonics(X, L), cfg, report)
         return 0
 
     # stage: spectra (spectrum / ramanujan / report)
@@ -265,13 +249,19 @@ def _pipeline(cfg: RunConfig, command: str, out: Path, report: dict, link_spec):
         return 0 if sp.overall_ramanujan else 4
 
     # command == report: everything else as well
-    dims = H.cohomology_dims(cfg.tolerances["rank"])
-    chi = H.euler_characteristic()
-    report["cohomology"] = {
-        "dims": dims,
-        "euler_from_counts": chi,
-        "euler_consistent": sum((-1) ** i * h for i, h in enumerate(dims)) == chi,
-    }
+    _cohomology_report(H, cfg, report)
+    girth_ok = _girth_report(X, cfg, report)
+    report["irreducibility"] = [
+        {"j": j, "dirs": list(dirs), "components": int(c)}
+        for (j, dirs), c in sorted(irreducibility_report(X).items())
+    ]
+    export_dot(X, out / "complex.dot")
+    ok = sp.overall_ramanujan and girth_ok
+    return 0 if ok else 4
+
+
+def _girth_report(X, cfg: RunConfig, report: dict) -> bool:
+    """Fill report["girth"]; returns whether the girth bound holds."""
     res = girth(X, cfg.max_depth)
     report["girth"] = {
         "girth": res.girth,
@@ -281,13 +271,18 @@ def _pipeline(cfg: RunConfig, command: str, out: Path, report: dict, link_spec):
         "satisfied": res.satisfied,
         "max_depth": res.max_depth,
     }
-    report["irreducibility"] = [
-        {"j": j, "dirs": list(dirs), "components": int(c)}
-        for (j, dirs), c in sorted(irreducibility_report(X).items())
-    ]
-    export_dot(X, out / "complex.dot")
-    ok = sp.overall_ramanujan and res.satisfied
-    return 0 if ok else 4
+    return res.satisfied
+
+
+def _cohomology_report(H: Harmonics, cfg: RunConfig, report: dict) -> None:
+    """Fill report["cohomology"] with the Betti numbers and the Euler check."""
+    dims = H.cohomology_dims(cfg.tolerances["rank"])
+    chi = H.euler_characteristic()
+    report["cohomology"] = {
+        "dims": dims,
+        "euler_from_counts": chi,
+        "euler_consistent": sum((-1) ** i * h for i, h in enumerate(dims)) == chi,
+    }
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -324,7 +319,7 @@ def main(argv=None) -> int:
     ap.add_argument("--tol", type=float, default=None,
                     help="override the spectral tolerance")
     ap.add_argument("--max-dim", type=int, default=None,
-                    help="override the dense eigensolver dimension cap")
+                    help="override the star operator dimension cap")
     ap.add_argument("--max-depth", type=int, default=None,
                     help="override the girth search depth cap")
     ap.add_argument("--link-j", type=int, default=None,

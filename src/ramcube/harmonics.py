@@ -18,6 +18,14 @@ Conventions:
 where T_{c,j} is the transition of the direction-j edge at the bottom
 corner of c.  All matrix blocks are assembled sparse; star matrices are
 returned dense for the eigensolver.
+
+Star spectra: every direction-j link edge joins I-cubes whose bottom
+vertices have opposite j-parity, so with parities each star is bipartite,
+S = [[0, B^H], [B, 0]] up to a permutation, and spec(S) = +-sigma(B) padded
+with zeros.  ``spectrum`` takes the star's parity classes and computes the
+singular values of the off-diagonal block instead of a dense Hermitian
+eigensolve; complexes without parities (e.g. complete graphs) keep the
+dense ``eigvalsh`` path, which also serves the tests as the reference.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .complexes import CubicalComplex, dirs_of, mask_of
+from .complexes import CubicalComplex, dirs_of, link_graph, mask_of
 from .errors import ConstructionError, VerificationError
 from .localsystems import LocalSystem, trivial_system
 
@@ -250,35 +258,22 @@ class Harmonics:
 
     def star_matrix(self, j: int, mask: int) -> np.ndarray:
         """Dense Hermitian star operator on C^I: the transition-twisted
-        adjacency operator of the directional link graph."""
-        if mask & (1 << (j - 1)):
-            raise ConstructionError(f"direction {j} lies in the direction set")
-        up = mask | (1 << (j - 1))
-        if up not in self.X.tables:
-            raise ConstructionError("no cubes extend the direction set")
-        t = self.X.tables[up]
-        pos = self.rep_pos(mask)
-        trans = self._edge_transitions(up, j)
-        if self.X.has_parities:
-            o = self.X.origin(up)
-            keep = np.ones(t.n, dtype=bool)
-            for k in dirs_of(mask):
-                keep &= self.X.parities[o, k - 1] == 0
-            edges = np.flatnonzero(keep)
-        else:
-            if mask != 0:
-                raise ConstructionError("star on positive-dimensional cochains requires parities")
-            edges = np.arange(t.n)
-        rows = pos[t.top[j][edges]]
-        cols = pos[t.bot[j][edges]]
-        if rows.min(initial=0) < 0 or cols.min(initial=0) < 0:
-            raise ConstructionError("link edge hit a non-representative face")
-        n = len(self.reps(mask))
-        m = self.m
-        out = np.zeros((n * m, n * m), dtype=self.dtype)
-        for e, r_, c_ in zip(edges, rows, cols):
-            out[r_ * m:(r_ + 1) * m, c_ * m:(c_ + 1) * m] += trans[e]
-        return out
+        adjacency operator of the directional link graph (parallel link
+        edges add up)."""
+        lg = link_graph(self.X, j, mask)
+        trans = self._edge_transitions(mask | (1 << (j - 1)), j)[lg.edge_cubes]
+        n = lg.n_vertices
+        return self._blocks_to_csr(lg.terminus, lg.origin, trans, n, n).toarray()
+
+    def star_parity(self, j: int, mask: int) -> np.ndarray | None:
+        """Direction-j parity class of every coordinate of C^I (the parity
+        of the cube's bottom vertex); None without parities.  Each link
+        edge of S_{j,I} flips this parity, so the star is bipartite
+        between the two classes."""
+        if not self.X.has_parities:
+            return None
+        p = self.X.parities[self.X.origin(mask)[self.reps(mask)], j - 1]
+        return np.repeat(p, self.m)
 
     # -- spectra, cohomology, Hodge ---------------------------------------
 
@@ -348,14 +343,35 @@ class Harmonics:
 # ----------------------------------------------------------------------
 # spectra and classification
 
-def spectrum(M: np.ndarray, hermitian_tol: float = 1e-10) -> np.ndarray:
-    """All real eigenvalues of a Hermitian matrix, descending."""
+def spectrum(M: np.ndarray, hermitian_tol: float = 1e-10, parity=None) -> np.ndarray:
+    """All real eigenvalues of a Hermitian matrix, descending.
+
+    ``parity`` (a 0/1 class per row, e.g. ``Harmonics.star_parity``) declares
+    M bipartite: both same-class blocks must be exactly zero and the block B
+    from class 0 to class 1 the adjoint of the block from class 1 to class 0.
+    The spectrum is then sigma(B), |n0 - n1| zeros and -sigma(B), from the
+    singular values of B: half the dimension of the dense solve.  Without
+    parity it comes from a dense ``eigvalsh``, the reference path.
+    """
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("spectrum expects a square matrix")
-    if not np.allclose(M, M.conj().T, rtol=0.0, atol=hermitian_tol):
+    if parity is None:
+        if not np.allclose(M, M.conj().T, rtol=0.0, atol=hermitian_tol):
+            raise ValueError("matrix is not Hermitian within tolerance")
+        return np.linalg.eigvalsh(M)[::-1]
+    parity = np.asarray(parity)
+    if parity.shape != (len(M),) or not np.isin(parity, (0, 1)).all():
+        raise ValueError("parity must give a 0/1 class for every row")
+    i0 = np.flatnonzero(parity == 0)
+    i1 = np.flatnonzero(parity == 1)
+    if M[np.ix_(i0, i0)].any() or M[np.ix_(i1, i1)].any():
+        raise ValueError("matrix couples two rows of the same parity class")
+    B = M[np.ix_(i1, i0)]
+    if not np.allclose(B, M[np.ix_(i0, i1)].conj().T, rtol=0.0, atol=hermitian_tol):
         raise ValueError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigvalsh(M)[::-1]
+    sv = np.linalg.svd(B, compute_uv=False)
+    return np.concatenate([sv, np.zeros(abs(len(i0) - len(i1))), -sv[::-1]])
 
 
 @dataclass
@@ -443,8 +459,7 @@ def spectrum_report(X: CubicalComplex, L: LocalSystem | None = None,
                 raise VerificationError(
                     f"star operator dimension {dim} exceeds the cap {max_dim}; "
                     f"raise max_dim to proceed")
-            S = H.star_matrix(j, mask)
-            eigs = spectrum(S)
+            eigs = spectrum(H.star_matrix(j, mask), parity=H.star_parity(j, mask))
             verdict = classify_ramanujan(eigs, X.r(j), tol)
             report.entries.append(SpectrumEntry(j, dirs_of(mask), dim, eigs, verdict))
     return report

@@ -49,8 +49,10 @@ def lps_k2(lps513):
 
 @pytest.fixture(scope="module")
 def lps_k2_eigs(lps513, lps_k2):
-    S = rc.star_matrix(lps513, lps_k2, 1)
-    return rc.spectrum(S)
+    # the bipartite route: singular values of the 3276-dimensional parity
+    # block instead of a 6552-dimensional dense eigensolve
+    H = Harmonics(lps513, lps_k2)
+    return rc.spectrum(H.star_matrix(1, 0), parity=H.star_parity(1, 0))
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ramcube as rc
 from ramcube import Harmonics
+from ramcube.complexes import mask_of
 from ramcube.errors import VerificationError
 
 
@@ -99,6 +102,128 @@ def test_star_row_sums_for_trivial_system(cover513):
         assert np.allclose(S.sum(axis=1), cover513.r(j))
 
 
+def _star_by_edge_loop(H, j, mask):
+    """Reference star: add each link edge's transition block in turn."""
+    lg = rc.link_graph(H.X, j, mask)
+    trans = H.L.transitions[j - 1][H.X.edge_vector(mask | (1 << (j - 1)), j)]
+    m = H.m
+    out = np.zeros((lg.n_vertices * m, lg.n_vertices * m), dtype=H.dtype)
+    for e, r_, c_ in zip(lg.edge_cubes, lg.terminus, lg.origin):
+        out[r_ * m:(r_ + 1) * m, c_ * m:(c_ + 1) * m] += trans[e]
+    return out
+
+
+def test_star_matrix_matches_edge_loop(cover_spaces, x511):
+    spaces = list(cover_spaces) + [Harmonics(x511, rc.build_symm_system(x511, 1))]
+    for H in spaces:
+        for j, mask in ((1, 0), (2, 0), (1, 0b10), (2, 0b01)):
+            if (mask | (1 << (j - 1))) not in H.X.tables:
+                continue
+            S = H.star_matrix(j, mask)
+            assert isinstance(S, np.ndarray) and S.dtype == H.dtype
+            assert np.abs(S - _star_by_edge_loop(H, j, mask)).max() < 1e-15
+
+
+def test_star_matrix_sums_parallel_edges():
+    X = rc.graph_complex(2, [(0, 1), (0, 1), (0, 1)], r=3, parities=[[0], [1]])
+    S = Harmonics(X).star_matrix(1, 0)
+    assert np.array_equal(S, [[0.0, 3.0], [3.0, 0.0]])
+    assert np.array_equal(rc.spectrum(S, parity=[0, 1]), [3.0, -3.0])
+
+
+def _system(X, k):
+    return None if k == 0 else rc.build_symm_system(X, k)
+
+
+def _assert_bipartite_route_matches_dense(H):
+    X = H.X
+    n_stars = 0
+    for mask in X.masks():
+        for j in range(1, X.g + 1):
+            if mask & (1 << (j - 1)) or (mask | (1 << (j - 1))) not in X.tables:
+                continue
+            S = H.star_matrix(j, mask)
+            parity = H.star_parity(j, mask)
+            assert parity is not None and len(parity) == len(S)
+            fast = rc.spectrum(S, parity=parity)
+            assert np.abs(fast - rc.spectrum(S)).max() <= 1e-10
+            n_stars += 1
+    assert n_stars > 0
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_bipartite_spectrum_matches_dense_on_cover(cover513, k):
+    _assert_bipartite_route_matches_dense(Harmonics(cover513, _system(cover513, k)))
+
+
+def test_bipartite_spectrum_matches_dense_for_odd_weight(cover513, x511):
+    """k = 1 carries the epsilon sign twist.  On cover513 it fails the
+    central condition, so [13,37]@3 stands in as the square complex."""
+    with pytest.raises(rc.CentralConditionError):
+        rc.build_symm_system(cover513, 1)
+    _assert_bipartite_route_matches_dense(Harmonics(x511, rc.build_symm_system(x511, 1)))
+    X = rc.build_complex([13, 37], 3)
+    _assert_bipartite_route_matches_dense(Harmonics(X, rc.build_symm_system(X, 1)))
+
+
+def test_bipartite_spectrum_rejects_same_class_entries():
+    triangle = np.ones((3, 3)) - np.eye(3)
+    with pytest.raises(ValueError, match="same parity class"):
+        rc.spectrum(triangle, parity=[0, 1, 0])
+    with pytest.raises(ValueError, match="same parity class"):
+        rc.spectrum(np.diag([1.0, 0.0]), parity=[0, 1])
+
+
+def test_bipartite_spectrum_rejects_non_adjoint_blocks():
+    with pytest.raises(ValueError, match="Hermitian"):
+        rc.spectrum(np.array([[0.0, 1.0], [2.0, 0.0]]), parity=[0, 1])
+    with pytest.raises(ValueError, match="Hermitian"):
+        rc.spectrum(np.array([[0.0, 1j], [1j, 0.0]]), parity=[1, 0])
+
+
+def test_bipartite_spectrum_rejects_bad_parity_vectors():
+    M = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for parity in ([0], [0, 1, 0], [0, 2]):
+        with pytest.raises(ValueError, match="parity"):
+            rc.spectrum(M, parity=parity)
+
+
+def test_bipartite_spectrum_pads_unequal_classes():
+    path = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    eigs = rc.spectrum(path, parity=[0, 1, 0])
+    assert np.allclose(eigs, [np.sqrt(2), 0.0, -np.sqrt(2)], atol=1e-14)
+    assert np.abs(eigs - rc.spectrum(path)).max() <= 1e-14
+    assert np.array_equal(rc.spectrum(np.zeros((3, 3)), parity=[1, 1, 1]), np.zeros(3))
+
+
+def test_spectrum_report_without_parities():
+    K4 = rc.complete_graph_complex(4)
+    assert Harmonics(K4).star_parity(1, 0) is None
+    sp = rc.spectrum_report(K4)
+    assert len(sp.entries) == 1
+    assert np.allclose(sp.entries[0].eigenvalues, [3, -1, -1, -1], atol=1e-12)
+
+
+_SMALL_CONFIGS = [((5,), 3), ((5,), 7), ((13,), 3), ((13,), 7), ((17,), 3),
+                  ((29,), 3), ((5, 13), 3), ((5, 17), 3), ((5, 29), 3)]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(_SMALL_CONFIGS), st.sampled_from([0, 2]))
+def test_spectrum_report_is_symmetric(config, k):
+    primes, n1 = config
+    X = rc.build_complex(list(primes), n1)
+    H = Harmonics(X, _system(X, k))
+    sp = rc.spectrum_report(X, H.L, workspace=H)
+    for e in sp.entries:
+        eigs = e.eigenvalues
+        assert len(eigs) == e.dim
+        assert np.all(np.diff(eigs) <= 0)
+        assert np.abs(eigs + eigs[::-1]).max() <= 1e-10
+        S = H.star_matrix(e.j, mask_of(e.dirs))
+        assert np.abs(eigs - rc.spectrum(S)).max() <= 1e-10
+
+
 def test_star_hermitian_for_symm_systems(x511):
     L = rc.build_symm_system(x511, 1)
     S = rc.star_matrix(x511, L, 1)
@@ -142,7 +267,6 @@ def test_classify_ramanujan():
 def test_trivial_multiplicities_match_components(cover513):
     H = Harmonics(cover513)
     comps = rc.irreducibility_report(cover513)
-    from ramcube.complexes import mask_of
     for (j, dirs), n_comp in comps.items():
         eigs = rc.spectrum(H.star_matrix(j, mask_of(dirs)))
         v = rc.classify_ramanujan(eigs, cover513.r(j))
