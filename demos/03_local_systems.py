@@ -30,7 +30,7 @@ L = rc.build_symm_system(X, 1)
 eps = L.epsilons[0]
 print(f"edge signs: {np.sum(eps > 0)} plus, {np.sum(eps < 0)} minus")
 
-e1 = rc.spectrum(rc.star_matrix(X, L, 1))
+e1 = rc.spectrum(rc.Harmonics(X, L).star_matrix(1, 0))
 v = rc.classify_ramanujan(e1, 6)
 print(f"weight-1 star spectrum: mu={v.mu:.6f} <= {v.bound:.6f} "
       f"ramanujan={v.is_ramanujan}")
@@ -39,7 +39,7 @@ print(f"weight-1 star spectrum: mu={v.mu:.6f} <= {v.bound:.6f} "
 flip = np.zeros(X.arith.group.order, dtype=bool)
 flip[::2] = True
 L2 = rc.build_symm_system(X, 1, perturb_section=flip)
-e2 = rc.spectrum(rc.star_matrix(X, L2, 1))
+e2 = rc.spectrum(rc.Harmonics(X, L2).star_matrix(1, 0))
 print(f"perturbed section: spectra agree to {np.abs(e1 - e2).max():.2e}")
 
 # --- flatness around squares ------------------------------------------

@@ -16,12 +16,8 @@ from .errors import (CentralConditionError, ConfigError, ConstructionError,
                      GeneratorCountError, InvalidModulusError,
                      LevelRejectedError, RamcubeError, VerificationError)
 from .harmonics import (Harmonics, RamanujanVerdict, SpectrumReport,
-                        classify_ramanujan, cohomology_dims,
-                        eigenspace_transfer_check, hodge_project, laplacian,
-                        partial_boundary, partial_coboundary, spectrum,
-                        spectrum_report, star_matrix, total_d, total_dstar,
-                        total_laplacian)
-from .localsystems import (LocalSystem, SymmWeight, build_symm_system,
+                        classify_ramanujan, spectrum, spectrum_report)
+from .localsystems import (LocalSystem, build_symm_system,
                            central_condition_check, external_product,
                            symm_rep, trivial_system, verify_flatness,
                            verify_unitarity)

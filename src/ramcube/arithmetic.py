@@ -153,6 +153,28 @@ class ArithData:
         """Vertex number of each key in vertex_keys."""
         return {v: i for i, v in enumerate(self.vertex_keys)}
 
+    def unipotent_translation(self) -> np.ndarray | None:
+        """Left translation by (u, 0), u = [[1, 1], [0, 1]], as a vertex
+        permutation: v -> the vertex (u * h_v, parity bits of v); None when
+        that leaves the vertex set.
+
+        u has order n1 in the coarse group.  Left translation commutes with
+        the right steps by generator images, so it preserves every edge
+        and keeps every parity; vertices map to vertices whenever u lies in
+        the projection of the vertex group (u has odd order, so (u, b) in
+        the vertex group implies (u, 0) in it)."""
+        G = self.group
+        u = G.index.get(G.canonical((1, 1, 0, 1)))
+        if u is None:
+            return None
+        g = self.parities.shape[1]
+        bits = self.parities.astype(np.int64) @ (1 << np.arange(g))
+        codes = (self.vertex_group << g) | bits
+        moved = (G.left_multiplication(u)[self.vertex_group] << g) | bits
+        order = np.argsort(codes)
+        pos = order[np.minimum(np.searchsorted(codes, moved, sorter=order), len(codes) - 1)]
+        return pos if np.array_equal(codes[pos], moved) else None
+
 
 def _tuple_rank(dirs, regular, tup):
     rank = 0

@@ -16,13 +16,28 @@ Conventions:
                    transition-twisted adjacency operator of the link graph
 
 where T_{c,j} is the transition of the direction-j edge at the bottom
-corner of c.  All matrix blocks are assembled sparse; star matrices are
-returned dense for the eigensolver.
+corner of c.  All operators are assembled sparse; ``star_matrix`` returns
+the dense star, the reference the tests compare against.
+
+Cayley symmetry: on an arithmetic complex, left translation by the
+unipotent u = [[1, 1], [0, 1]], of order N = n1, permutes the vertices and
+keeps every parity; on the oriented cubes v*T + (tuple rank) it acts as
+c -> sigma(c // T)*T + c % T.  When that permutation commutes with every
+face and inversion map and fixes every edge transition (trivial and
+even-weight systems; odd weights are invariant only up to the epsilon
+gauge), every boundary operator and star commutes with it.  The discrete
+Fourier transform over its orbits, which all have N elements, then splits
+each operator into N dense blocks of 1/N of its size (``fourier_blocks``).
+The symmetry is verified before use (``symmetry_order``); without it
+N = 1 and the single block is the operator itself.  For real operators
+block N - k is the complex conjugate of block k, so only k <= N/2 are
+formed.  Star spectra and cohomology ranks are the union over the blocks.
 
 Star spectra: every direction-j link edge joins I-cubes whose bottom
-vertices have opposite j-parity, so with parities each star is bipartite,
+vertices have opposite j-parity, so with parities each star (and each of
+its Fourier blocks, since an orbit keeps its parity) is bipartite,
 S = [[0, B^H], [B, 0]] up to a permutation, and spec(S) = +-sigma(B) padded
-with zeros.  ``spectrum`` takes the star's parity classes and computes the
+with zeros.  ``spectrum`` takes the parity classes and computes the
 singular values of the off-diagonal block instead of a dense Hermitian
 eigensolve; complexes without parities (e.g. complete graphs) keep the
 dense ``eigvalsh`` path, which also serves the tests as the reference.
@@ -59,6 +74,7 @@ class Harmonics:
         self._expand: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._bnd: dict[tuple[int, int], sparse.csr_matrix] = {}
         self._cobnd: dict[tuple[int, int], sparse.csr_matrix] = {}
+        self._symmetry = None
 
     # -- representative bookkeeping ------------------------------------
 
@@ -256,14 +272,18 @@ class Harmonics:
         return sparse.block_diag([self.total_laplacian(m) for m in self.level_masks(i)],
                                  format="csr")
 
-    def star_matrix(self, j: int, mask: int) -> np.ndarray:
-        """Dense Hermitian star operator on C^I: the transition-twisted
+    def star_operator(self, j: int, mask: int) -> sparse.csr_matrix:
+        """Sparse Hermitian star operator on C^I: the transition-twisted
         adjacency operator of the directional link graph (parallel link
         edges add up)."""
         lg = link_graph(self.X, j, mask)
         trans = self._edge_transitions(mask | (1 << (j - 1)), j)[lg.edge_cubes]
         n = lg.n_vertices
-        return self._blocks_to_csr(lg.terminus, lg.origin, trans, n, n).toarray()
+        return self._blocks_to_csr(lg.terminus, lg.origin, trans, n, n)
+
+    def star_matrix(self, j: int, mask: int) -> np.ndarray:
+        """The star operator as a dense matrix."""
+        return self.star_operator(j, mask).toarray()
 
     def star_parity(self, j: int, mask: int) -> np.ndarray | None:
         """Direction-j parity class of every coordinate of C^I (the parity
@@ -275,18 +295,126 @@ class Harmonics:
         p = self.X.parities[self.X.origin(mask)[self.reps(mask)], j - 1]
         return np.repeat(p, self.m)
 
+    # -- Cayley symmetry ---------------------------------------------------
+
+    def symmetry_order(self) -> int:
+        """Order N of the verified translation symmetry (1 without one)."""
+        return self._translation()[0]
+
+    def _translation(self):
+        """(N, leader, shift): the least vertex of each vertex's orbit and
+        the t with vertex = sigma^t(leader); (1, None, None) unless the
+        unipotent translation is verified to commute with every cube map
+        and to fix every edge transition."""
+        if self._symmetry is None:
+            self._symmetry = (1, None, None)
+            X = self.X
+            sigma = X.arith.unipotent_translation() if X.arith is not None else None
+            if sigma is not None and self._is_symmetry(sigma):
+                N, n = X.arith.n1, X.n_vertices
+                idx = np.arange(n)
+                walk, leader, back = idx, idx.copy(), np.zeros(n, dtype=np.int64)
+                for t in range(1, N):
+                    walk = sigma[walk]
+                    if np.any(walk == idx):  # an orbit shorter than N
+                        return self._symmetry
+                    better = walk < leader
+                    leader[better] = walk[better]
+                    back[better] = t
+                if np.array_equal(sigma[walk], idx):
+                    self._symmetry = (N, leader, (N - back) % N)
+        return self._symmetry
+
+    def _is_symmetry(self, sigma: np.ndarray) -> bool:
+        X = self.X
+        n = X.n_vertices
+        if not X.has_parities or not np.array_equal(X.parities[sigma], X.parities):
+            return False
+        if any(t.n % n for t in X.tables.values()):
+            return False
+        perm = {}
+        for mask, t in X.tables.items():
+            c = np.arange(t.n)
+            T = t.n // n
+            perm[mask] = sigma[c // T] * T + c % T
+        for mask, t in X.tables.items():
+            p = perm[mask]
+            for j in dirs_of(mask):
+                q = perm[mask & ~(1 << (j - 1))]
+                if not (np.array_equal(t.bot[j][p], q[t.bot[j]])
+                        and np.array_equal(t.top[j][p], q[t.top[j]])
+                        and np.array_equal(t.inv[j][p], p[t.inv[j]])):
+                    return False
+        return all(np.array_equal(tr[perm[1 << (j - 1)]], tr)
+                   for j, tr in enumerate(self.L.transitions, 1) if len(tr))
+
+    def coordinate_orbits(self, masks) -> tuple[np.ndarray, np.ndarray, int]:
+        """Orbit coordinate and shift t of every coordinate of the cochains
+        on the direction sets (concatenated in the given order), with
+        representative = pi^t(leader of its orbit), and the number of
+        orbit coordinates: the size of one Fourier block.  Orbits are
+        numbered in the order of their leaders."""
+        N, leader, shift = self._translation()
+        m = self.m
+        ids, shifts, off = [], [], 0
+        for mask in masks:
+            rep = self.reps(mask)
+            if N == 1:
+                number, t = np.arange(len(rep)), np.zeros(len(rep), dtype=np.int64)
+            else:
+                T = self.X.tables[mask].n // self.X.n_vertices
+                v = rep // T
+                t = shift[v]
+                lead = self.rep_pos(mask)[leader[v] * T + rep % T]
+                number = (np.cumsum(t == 0) - 1)[lead]
+            ids.append(((off + number)[:, None] * m + np.arange(m)).ravel())
+            shifts.append(np.repeat(t, m))
+            off += len(rep) // N
+        return np.concatenate(ids), np.concatenate(shifts), off * m
+
+    def fourier_blocks(self, A: sparse.spmatrix, rows, cols):
+        """Dense Fourier blocks of an operator that commutes with the
+        translation; rows and cols are coordinate_orbits of its range and
+        domain.  Yields (block, multiplicity), one block at a time.
+
+        Block k has the entries A[l, c] * w^(k (shift(c) - shift(l))),
+        w = exp(2 pi i / N), summed at (orbit of l, orbit of c) over the
+        nonzeros whose row l leads its orbit: O(nnz) over all blocks.  The
+        spectra and singular values of A are those of the blocks taken
+        with their multiplicities.  Block 0 keeps the dtype of A; for real
+        A, block N - k is the conjugate of block k and is counted twice."""
+        N = self.symmetry_order()
+        (r_id, r_shift, n_r), (c_id, c_shift, n_c) = rows, cols
+        A = A.tocoo()
+        keep = r_shift[A.row] == 0
+        ri, ci = r_id[A.row[keep]], c_id[A.col[keep]]
+        val, t = A.data[keep], c_shift[A.col[keep]]
+        real = not np.iscomplexobj(val)
+        phase = np.exp(2j * np.pi * np.arange(N) / N)
+        for k in range(N // 2 + 1 if real else N):
+            w = val if k == 0 else val * phase[k * t % N]
+            block = sparse.coo_matrix((w, (ri, ci)), shape=(n_r, n_c)).toarray()
+            yield block, 1 if not real or 2 * k % N == 0 else 2
+
     # -- spectra, cohomology, Hodge ---------------------------------------
 
     def cohomology_dims(self, rank_tol: float = 1e-8) -> list[int]:
-        """Betti numbers h^0..h^g of the total complex via numerical ranks."""
+        """Betti numbers h^0..h^g of the total complex via numerical ranks:
+        the singular values above rank_tol times the largest one, over the
+        Fourier blocks of each total_d (the transform is unitary)."""
         ranks = []
         for i in range(self.X.g):
             D = self.total_d(i)
             if min(D.shape) == 0:
                 ranks.append(0)
                 continue
-            sv = np.linalg.svd(D.toarray(), compute_uv=False)
-            ranks.append(int(np.sum(sv > rank_tol * sv[0])) if sv[0] > 0 else 0)
+            rows = self.coordinate_orbits(self.level_masks(i + 1))
+            cols = self.coordinate_orbits(self.level_masks(i))
+            svs = [(np.linalg.svd(block, compute_uv=False), mult)
+                   for block, mult in self.fourier_blocks(D, rows, cols)]
+            top = max(sv[0] for sv, _ in svs)
+            ranks.append(sum(mult * int(np.sum(sv > rank_tol * top)) for sv, mult in svs)
+                         if top > 0 else 0)
         dims = [self.level_dim(i) for i in range(self.X.g + 1)]
         h = []
         for i in range(self.X.g + 1):
@@ -446,7 +574,8 @@ class SpectrumReport:
 def spectrum_report(X: CubicalComplex, L: LocalSystem | None = None,
                     tol: float = 1e-8, max_dim: int = 20000,
                     workspace: Harmonics | None = None) -> SpectrumReport:
-    """Star spectra and Ramanujan verdicts for every admissible (j, I)."""
+    """Star spectra and Ramanujan verdicts for every admissible (j, I),
+    each the union of the spectra of the star's Fourier blocks."""
     H = workspace if workspace is not None else Harmonics(X, L)
     report = SpectrumReport()
     for mask in X.masks():
@@ -459,50 +588,14 @@ def spectrum_report(X: CubicalComplex, L: LocalSystem | None = None,
                 raise VerificationError(
                     f"star operator dimension {dim} exceeds the cap {max_dim}; "
                     f"raise max_dim to proceed")
-            eigs = spectrum(H.star_matrix(j, mask), parity=H.star_parity(j, mask))
+            orbits = H.coordinate_orbits([mask])
+            parity = H.star_parity(j, mask)
+            if parity is not None:  # orbits share a parity; leaders come in orbit order
+                parity = parity[orbits[1] == 0]
+            parts = []
+            for block, mult in H.fourier_blocks(H.star_operator(j, mask), orbits, orbits):
+                parts += [spectrum(block, parity=parity)] * mult
+            eigs = np.sort(np.concatenate(parts))[::-1]
             verdict = classify_ramanujan(eigs, X.r(j), tol)
             report.entries.append(SpectrumEntry(j, dirs_of(mask), dim, eigs, verdict))
     return report
-
-
-# ----------------------------------------------------------------------
-# convenience wrappers taking direction tuples
-
-def partial_boundary(X, L, j, dirs=()):
-    return Harmonics(X, L).partial_boundary(j, mask_of(dirs))
-
-
-def partial_coboundary(X, L, j, dirs=()):
-    return Harmonics(X, L).partial_coboundary(j, mask_of(dirs))
-
-
-def total_d(X, L, i):
-    return Harmonics(X, L).total_d(i)
-
-
-def total_dstar(X, L, i):
-    return Harmonics(X, L).total_dstar(i)
-
-
-def laplacian(X, L, j, dirs=()):
-    return Harmonics(X, L).laplacian(j, mask_of(dirs))
-
-
-def total_laplacian(X, L, i):
-    return Harmonics(X, L).total_laplacian_level(i)
-
-
-def star_matrix(X, L, j, dirs=()):
-    return Harmonics(X, L).star_matrix(j, mask_of(dirs))
-
-
-def hodge_project(X, L, i, c):
-    return Harmonics(X, L).hodge_project(i, c)
-
-
-def cohomology_dims(X, L, rank_tol: float = 1e-8):
-    return Harmonics(X, L).cohomology_dims(rank_tol)
-
-
-def eigenspace_transfer_check(X, L, j, dirs=(), tol: float = 1e-8):
-    return Harmonics(X, L).eigenspace_transfer_check(j, mask_of(dirs), tol)

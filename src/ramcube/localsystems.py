@@ -115,25 +115,6 @@ def central_condition_check(primes, n1: int, k: int) -> bool:
     return (mod - 1) not in seen
 
 
-@dataclass(frozen=True)
-class SymmWeight:
-    """Weight of a symmetric-power system, normalized to determinant one."""
-
-    k: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("weight must be nonnegative")
-
-    @property
-    def s(self) -> float:
-        return -self.k / 2.0
-
-    @property
-    def fiber_dim(self) -> int:
-        return self.k + 1
-
-
 def build_symm_system(X: CubicalComplex, k: int, perturb_section=None) -> LocalSystem:
     """The weight-k system on an arithmetic complex.
 

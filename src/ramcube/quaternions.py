@@ -283,11 +283,19 @@ class MatrixGroupPair:
     def right_multiplication(self, g: int, fine: bool = False) -> np.ndarray:
         """The permutation h -> h*g of the coarse group (of the fine group
         when fine is set), as an index array over all elements h."""
+        return self._translation(g, fine, left=False)
+
+    def left_multiplication(self, g: int, fine: bool = False) -> np.ndarray:
+        """The permutation h -> g*h, as right_multiplication."""
+        return self._translation(g, fine, left=True)
+
+    def _translation(self, g: int, fine: bool, left: bool) -> np.ndarray:
         if fine:
             codes, scalars, m = self.codes_fine, self.B_prime, self.elements_fine[g]
         else:
             codes, scalars, m = self.codes, self.B, self.elements[g]
-        product = mat_mul(_decode(codes, self.n1), m, self.n1)
+        h = _decode(codes, self.n1)
+        product = mat_mul(m, h, self.n1) if left else mat_mul(h, m, self.n1)
         return np.searchsorted(codes, _least_code(product, scalars, self.n1))
 
     def inv(self, i: int) -> int:

@@ -49,10 +49,9 @@ def lps_k2(lps513):
 
 @pytest.fixture(scope="module")
 def lps_k2_eigs(lps513, lps_k2):
-    # the bipartite route: singular values of the 3276-dimensional parity
-    # block instead of a 6552-dimensional dense eigensolve
-    H = Harmonics(lps513, lps_k2)
-    return rc.spectrum(H.star_matrix(1, 0), parity=H.star_parity(1, 0))
+    # the block route: 13 Fourier blocks of dimension 504, each solved
+    # through its bipartite parity block
+    return rc.spectrum_report(lps513, lps_k2).entries[0].eigenvalues
 
 
 @pytest.fixture(scope="module")
@@ -122,8 +121,8 @@ def test_criterion_3_local_system(lps513, lps_k2, lps_k2_eigs, x511, x511_k1):
     flip[::3] = True
     Lp = rc.build_symm_system(Xo, 1, perturb_section=flip)
     assert any(not np.array_equal(a, b) for a, b in zip(Lo.transitions, Lp.transitions))
-    e1 = rc.spectrum(rc.star_matrix(Xo, Lo, 1))
-    e2 = rc.spectrum(rc.star_matrix(Xo, Lp, 1))
+    e1 = rc.spectrum(Harmonics(Xo, Lo).star_matrix(1, 0))
+    e2 = rc.spectrum(Harmonics(Xo, Lp).star_matrix(1, 0))
     assert np.abs(e1 - e2).max() <= TOL
     assert rc.classify_ramanujan(e1, 6, TOL).is_ramanujan
 
@@ -135,7 +134,7 @@ def test_criterion_4_cohomology(cover513):
     counts = X.unoriented_counts()
     euler = sum((-1) ** bin(m).count("1") * c for m, c in counts.items())
     assert euler == 576
-    dims = rc.cohomology_dims(X, None, rank_tol=TOL)
+    dims = Harmonics(X).cohomology_dims(rank_tol=TOL)
     assert dims[0] == 1
     assert dims[1] == 0
     assert dims[2] == euler - 1

@@ -319,6 +319,6 @@ def test_residue_choice_invariance(monkeypatch, lps513):
     monkeypatch.setattr(q, "solve_residue", lambda n1: alt)
     X2 = rc.build_complex([5], 13)
     assert X2.n_vertices == lps513.n_vertices
-    e1 = rc.spectrum(rc.star_matrix(lps513, None, 1))
-    e2 = rc.spectrum(rc.star_matrix(X2, None, 1))
+    e1 = rc.spectrum(rc.Harmonics(lps513).star_matrix(1, 0))
+    e2 = rc.spectrum(rc.Harmonics(X2).star_matrix(1, 0))
     assert np.abs(e1 - e2).max() < 1e-8

@@ -16,7 +16,7 @@ def cover_spaces(cover513):
 
 def test_boundary_on_single_edge():
     X = rc.graph_complex(2, [(0, 1)], r=1, parities=[[0], [1]])
-    D = rc.partial_boundary(X, None, 1).toarray()
+    D = Harmonics(X).partial_boundary(1, 0).toarray()
     assert D.shape == (1, 2)
     assert np.array_equal(D, [[-1.0, 1.0]])
 
@@ -136,7 +136,11 @@ def _system(X, k):
 
 
 def _assert_bipartite_route_matches_dense(H):
+    """The parity route matches the dense eigensolve, and the Fourier-block
+    route of spectrum_report matches the parity route, on every star."""
     X = H.X
+    blocks = {(e.j, mask_of(e.dirs)): e.eigenvalues
+              for e in rc.spectrum_report(X, H.L, workspace=H).entries}
     n_stars = 0
     for mask in X.masks():
         for j in range(1, X.g + 1):
@@ -147,21 +151,27 @@ def _assert_bipartite_route_matches_dense(H):
             assert parity is not None and len(parity) == len(S)
             fast = rc.spectrum(S, parity=parity)
             assert np.abs(fast - rc.spectrum(S)).max() <= 1e-10
+            assert np.abs(blocks[j, mask] - fast).max() <= 1e-10
             n_stars += 1
-    assert n_stars > 0
+    assert n_stars == len(blocks) > 0
 
 
 @pytest.mark.parametrize("k", [0, 2])
 def test_bipartite_spectrum_matches_dense_on_cover(cover513, k):
-    _assert_bipartite_route_matches_dense(Harmonics(cover513, _system(cover513, k)))
+    H = Harmonics(cover513, _system(cover513, k))
+    assert H.symmetry_order() == 3
+    _assert_bipartite_route_matches_dense(H)
 
 
 def test_bipartite_spectrum_matches_dense_for_odd_weight(cover513, x511):
     """k = 1 carries the epsilon sign twist.  On cover513 it fails the
-    central condition, so [13,37]@3 stands in as the square complex."""
+    central condition, so [13,37]@3 stands in as the square complex.
+    Both fall back to a single Fourier block."""
     with pytest.raises(rc.CentralConditionError):
         rc.build_symm_system(cover513, 1)
-    _assert_bipartite_route_matches_dense(Harmonics(x511, rc.build_symm_system(x511, 1)))
+    H = Harmonics(x511, rc.build_symm_system(x511, 1))
+    assert H.symmetry_order() == 1
+    _assert_bipartite_route_matches_dense(H)
     X = rc.build_complex([13, 37], 3)
     _assert_bipartite_route_matches_dense(Harmonics(X, rc.build_symm_system(X, 1)))
 
@@ -222,11 +232,14 @@ def test_spectrum_report_is_symmetric(config, k):
         assert np.abs(eigs + eigs[::-1]).max() <= 1e-10
         S = H.star_matrix(e.j, mask_of(e.dirs))
         assert np.abs(eigs - rc.spectrum(S)).max() <= 1e-10
+    assert H.symmetry_order() == n1
+    if k == 0:
+        assert H.cohomology_dims() == _dense_cohomology_dims(H)
 
 
 def test_star_hermitian_for_symm_systems(x511):
     L = rc.build_symm_system(x511, 1)
-    S = rc.star_matrix(x511, L, 1)
+    S = Harmonics(x511, L).star_matrix(1, 0)
     assert np.abs(S - S.conj().T).max() < 1e-12
 
 
@@ -234,7 +247,7 @@ def test_spectrum_function():
     eigs = rc.spectrum(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.allclose(eigs, [1.0, -1.0])
     K4 = rc.complete_graph_complex(4)
-    adj = rc.star_matrix(K4, None, 1)
+    adj = Harmonics(K4).star_matrix(1, 0)
     assert np.allclose(rc.spectrum(adj), [3, -1, -1, -1], atol=1e-12)
     assert len(rc.spectrum(np.eye(7))) == 7
     with pytest.raises(ValueError):
@@ -305,9 +318,65 @@ def test_hodge_decomposition(cover513):
 
 def test_cohomology_small_cases():
     circle = rc.cycle_complex(4)
-    assert rc.cohomology_dims(circle, None) == [1, 1]
+    assert Harmonics(circle).cohomology_dims() == [1, 1]
     box = rc.box_complex(2)
-    assert rc.cohomology_dims(box, None) == [1, 0, 0]
+    assert Harmonics(box).cohomology_dims() == [1, 0, 0]
+
+
+def _dense_cohomology_dims(H, rank_tol=1e-8):
+    """Reference Betti numbers: numerical ranks from the full dense SVD."""
+    ranks = []
+    for i in range(H.X.g):
+        D = H.total_d(i)
+        sv = np.linalg.svd(D.toarray(), compute_uv=False) if min(D.shape) else [0.0]
+        ranks.append(int(np.sum(sv > rank_tol * sv[0])) if sv[0] > 0 else 0)
+    ranks.append(0)
+    return [H.level_dim(i) - ranks[i] - (ranks[i - 1] if i else 0)
+            for i in range(H.X.g + 1)]
+
+
+def test_block_cohomology_matches_dense_svd(cover_spaces, lps513):
+    spaces = [Harmonics(rc.cycle_complex(6)), Harmonics(rc.cycle_complex(5)),
+              Harmonics(rc.box_complex(3)), *cover_spaces, Harmonics(lps513)]
+    assert [H.symmetry_order() for H in spaces] == [1, 1, 1, 3, 3, 13]
+    for H in spaces:
+        assert H.cohomology_dims() == _dense_cohomology_dims(H)
+
+
+def test_symmetry_falls_back_to_one_block(cover513, x511):
+    assert Harmonics(rc.complete_graph_complex(4)).symmetry_order() == 1
+    # odd weight with a kernel of order 2: invariant only up to the epsilon
+    # gauge, which even weights do not see
+    assert x511.arith.group.kernel_order == 2
+    assert Harmonics(x511, rc.build_symm_system(x511, 1)).symmetry_order() == 1
+    for k in (0, 2):
+        assert Harmonics(x511, _system(x511, k)).symmetry_order() == 11
+    # one tampered edge (and its reversal, so the star stays Hermitian)
+    L = rc.build_symm_system(cover513, 2)
+    assert Harmonics(cover513, L).symmetry_order() == 3
+    edge = 5
+    back = cover513.tables[1].inv[1][edge]
+    L.transitions[0][[edge, back]] *= -1
+    H = Harmonics(cover513, L)
+    assert H.symmetry_order() == 1
+    sp = rc.spectrum_report(cover513, L, workspace=H)
+    for e in sp.entries:
+        S = H.star_matrix(e.j, mask_of(e.dirs))
+        assert np.abs(e.eigenvalues - rc.spectrum(S)).max() <= 1e-10
+
+
+def test_fourier_blocks_keep_singular_values(cover_spaces):
+    for H in cover_spaces:
+        D = H.total_d(0)
+        rows = H.coordinate_orbits(H.level_masks(1))
+        cols = H.coordinate_orbits(H.level_masks(0))
+        parts = []
+        for block, mult in H.fourier_blocks(D, rows, cols):
+            assert block.shape == (D.shape[0] // 3, D.shape[1] // 3)
+            parts += [np.linalg.svd(block, compute_uv=False)] * mult
+        blocks = np.sort(np.concatenate(parts))[::-1]
+        full = np.linalg.svd(D.toarray(), compute_uv=False)
+        assert np.abs(blocks - full).max() <= 1e-10
 
 
 def test_cohomology_cover_and_euler(cover513, cover_spaces):

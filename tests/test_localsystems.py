@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ramcube as rc
-from ramcube import Quaternion, SymmWeight, symm_rep
+from ramcube import Quaternion, symm_rep
 from ramcube.errors import CentralConditionError
 
 
@@ -39,13 +39,6 @@ def test_symm_rep_conjugate_is_inverse():
             U = symm_rep(q, k)
             V = symm_rep(q.conjugate(), k)
             assert np.abs(U @ V - np.eye(k + 1)).max() < 1e-12
-
-
-def test_symm_weight():
-    w = SymmWeight(2)
-    assert w.s == -1.0 and w.fiber_dim == 3
-    with pytest.raises(ValueError):
-        SymmWeight(-1)
 
 
 def test_central_condition():
@@ -107,13 +100,13 @@ def test_epsilon_signs_genuinely_mixed(x511):
 def test_epsilon_signs_change_the_spectrum(x511):
     """Dropping the sign twist produces a genuinely different system."""
     L = rc.build_symm_system(x511, 1)
-    S = rc.star_matrix(x511, L, 1)
+    S = rc.Harmonics(x511, L).star_matrix(1, 0)
     eigs = rc.spectrum(S)
     stripped = rc.build_symm_system(x511, 1)
     flip = (stripped.epsilons[0] < 0)[:, None, None]
     stripped.transitions[0][:] = np.where(flip, -stripped.transitions[0],
                                           stripped.transitions[0])
-    eigs0 = rc.spectrum(rc.star_matrix(x511, stripped, 1))
+    eigs0 = rc.spectrum(rc.Harmonics(x511, stripped).star_matrix(1, 0))
     assert not np.allclose(eigs, eigs0, atol=1e-8)
 
 
@@ -125,8 +118,8 @@ def test_section_perturbation_invariance(x511):
     changed = any(not np.array_equal(a, b)
                   for a, b in zip(L.transitions, L2.transitions))
     assert changed
-    e1 = rc.spectrum(rc.star_matrix(x511, L, 1))
-    e2 = rc.spectrum(rc.star_matrix(x511, L2, 1))
+    e1 = rc.spectrum(rc.Harmonics(x511, L).star_matrix(1, 0))
+    e2 = rc.spectrum(rc.Harmonics(x511, L2).star_matrix(1, 0))
     assert np.abs(e1 - e2).max() < 1e-8
 
 

@@ -221,3 +221,14 @@ def test_right_multiplication_matches_mul():
     for g in [G.identity_fine] + [rng.randrange(G.order_fine) for _ in range(8)]:
         right = G.right_multiplication(g, fine=True)
         assert right.tolist() == [G.mul_fine(h, g) for h in range(G.order_fine)]
+
+
+def test_left_multiplication_matches_mul():
+    G = rc.build_group([5], n1=11)
+    rng = random.Random(12)
+    for g in [G.identity] + [rng.randrange(G.order) for _ in range(8)]:
+        left = G.left_multiplication(g)
+        assert left.tolist() == [G.mul(g, h) for h in range(G.order)]
+    for g in [G.identity_fine] + [rng.randrange(G.order_fine) for _ in range(8)]:
+        left = G.left_multiplication(g, fine=True)
+        assert left.tolist() == [G.mul_fine(g, h) for h in range(G.order_fine)]
