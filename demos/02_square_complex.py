@@ -9,10 +9,9 @@ the tree bound 2*sqrt(r_j - 1).
 import ramcube as rc
 from ramcube.complexes import dirs_of
 
-n1 = rc.find_valid_level([5, 13])
+n1, X = rc.find_valid_level([5, 13])
 print(f"smallest admissible level: N1 = {n1}")
 
-X = rc.build_complex([5, 13], n1)
 print(f"regularities: {X.regularities}")
 print(f"vertices: {X.n_vertices} "
       f"(group order {X.arith.group.order} x parity cover {X.arith.cover_index})")

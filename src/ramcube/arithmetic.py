@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -52,15 +51,11 @@ class GeneratorSystem:
         G = self.group
         for p, gens in zip(primes, self.gens):
             self.iota.append([gens.index(q.conjugate()) for q in gens])
-            img, img_f = [], []
-            for q in gens:
-                m = quat.embed(q, G.residue)
-                if quat.mat_det(m, n1) != p % n1:
-                    raise ConstructionError("generator image has wrong determinant")
-                img.append(G.index[G.canonical(m)])
-                img_f.append(G.index_fine[G.canonical_fine(m)])
-            self.images.append(img)
-            self.images_fine.append(img_f)
+            m = np.array([quat.embed(q, G.residue) for q in gens]).T
+            if np.any(quat.mat_det(m, n1) != p % n1):
+                raise ConstructionError("generator image has wrong determinant")
+            self.images.append(G.lookup(m).tolist())
+            self.images_fine.append(G.lookup(m, fine=True).tolist())
         self._conj_coeffs = [[q.conjugate().coeffs() for q in gens] for gens in self.gens]
         self._rewrite_memo: dict = {}
 
@@ -143,16 +138,6 @@ class ArithData:
     def group(self):
         return self.gens.group
 
-    @cached_property
-    def vertex_keys(self) -> list:
-        """(coarse group element index, parity tuple) of each vertex."""
-        return list(zip(self.vertex_group.tolist(), map(tuple, self.parities.tolist())))
-
-    @cached_property
-    def vertex_index(self) -> dict:
-        """Vertex number of each key in vertex_keys."""
-        return {v: i for i, v in enumerate(self.vertex_keys)}
-
     def unipotent_translation(self) -> np.ndarray | None:
         """Left translation by (u, 0), u = [[1, 1], [0, 1]], as a vertex
         permutation: v -> the vertex (u * h_v, parity bits of v); None when
@@ -164,9 +149,7 @@ class ArithData:
         the projection of the vertex group (u has odd order, so (u, b) in
         the vertex group implies (u, 0) in it)."""
         G = self.group
-        u = G.index.get(G.canonical((1, 1, 0, 1)))
-        if u is None:
-            return None
+        u = int(G.lookup((1, 1, 0, 1)))
         g = self.parities.shape[1]
         bits = self.parities.astype(np.int64) @ (1 << np.arange(g))
         codes = (self.vertex_group << g) | bits
@@ -259,8 +242,9 @@ def build_complex(primes, n1: int) -> CubicalComplex:
         tables[mask] = t
 
     bits = ["".join(str((c >> j) & 1) for j in range(g)) for c in range(1 << g)]
-    labels = ["{},{},{},{}|{}".format(*G.elements[h], bits[c])
-              for h, c in zip(vertex_group.tolist(), (codes & ((1 << g) - 1)).tolist())]
+    entries = quat._decode(G.codes[vertex_group], n1).T.tolist()
+    labels = ["{},{},{},{}|{}".format(*e, bits[c])
+              for e, c in zip(entries, (codes & ((1 << g) - 1)).tolist())]
     X = CubicalComplex(g, r, tables, parities, labels)
     X.arith = ArithData(gens.primes, n1, gens, vertex_group, parities, vstep, n // G.order)
 
@@ -277,13 +261,9 @@ def build_complex(primes, n1: int) -> CubicalComplex:
     return X
 
 
-def find_valid_level(primes, start: int = 3, limit: int = 10000) -> int:
-    """Smallest odd prime level coprime to the primes that builds cleanly."""
-    return _find_level(primes, start, limit)[0]
-
-
-def _find_level(primes, start: int = 3, limit: int = 10000):
-    """The level find_valid_level picks, with the complex built there.
+def find_valid_level(primes, start: int = 3, limit: int = 10000):
+    """Smallest odd prime level n1 coprime to the primes that builds
+    cleanly, with the complex built there: (n1, X).
 
     A prime without a generator alphabet fails here with
     GeneratorCountError before any level is tried; only levels the builder

@@ -19,10 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arithmetic import _find_level, build_complex, girth, irreducibility_report
-# not called here; kept importable as cli.find_valid_level, the name
-# perfbench/tracer.py wraps
-from .arithmetic import find_valid_level  # noqa: F401
+from .arithmetic import build_complex, find_valid_level, girth, irreducibility_report
 from .complexes import dirs_of, export_dot, link_graph
 from .errors import (CentralConditionError, ConfigError, ConstructionError,
                      GeneratorCountError, RamcubeError, VerificationError)
@@ -144,7 +141,7 @@ def _pipeline(cfg: RunConfig, command: str, out: Path, report: dict, link_spec):
     # stage: build
     if cfg.n1 == "auto":
         try:
-            n1, X = _find_level(cfg.primes)
+            n1, X = find_valid_level(cfg.primes)
         except GeneratorCountError as e:
             raise ConfigError(
                 f"N1=\"auto\" needs a generator alphabet for every prime: {e}") from e

@@ -24,6 +24,7 @@ direction of I).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,7 +161,10 @@ def _first_bad(cond: np.ndarray) -> int:
 def verify_axioms(X: CubicalComplex) -> AxiomReport:
     """Exhaustively check axioms (1)-(4); failures are reported with a witness."""
     failures = []
-    checked = {1: True, 2: True, 3: True, 4: True}
+
+    def check(ok: np.ndarray, axiom: int, mask: int, detail: str):
+        if not np.all(ok):
+            failures.append(AxiomFailure(axiom, mask, _first_bad(ok), detail))
 
     for mask in X.masks():
         if mask == 0:
@@ -172,49 +176,31 @@ def verify_axioms(X: CubicalComplex) -> AxiomReport:
         # (1) each inv_j is a fixed-point-free involution, they commute, and
         # orbits have full size 2^|I|
         for j in dirs:
-            if not np.all(t.inv[j][t.inv[j]] == idx):
-                failures.append(AxiomFailure(1, mask, _first_bad(t.inv[j][t.inv[j]] == idx),
-                                             f"inv_{j} is not an involution"))
-            if np.any(t.inv[j] == idx):
-                failures.append(AxiomFailure(1, mask, _first_bad(t.inv[j] != idx),
-                                             f"inv_{j} has a fixed point"))
-        for a in dirs:
-            for b in dirs:
-                if a < b and not np.all(t.inv[a][t.inv[b]] == t.inv[b][t.inv[a]]):
-                    failures.append(AxiomFailure(1, mask,
-                                                 _first_bad(t.inv[a][t.inv[b]] == t.inv[b][t.inv[a]]),
-                                                 f"inv_{a} and inv_{b} do not commute"))
+            check(t.inv[j][t.inv[j]] == idx, 1, mask, f"inv_{j} is not an involution")
+            check(t.inv[j] != idx, 1, mask, f"inv_{j} has a fixed point")
+        for a, b in itertools.combinations(dirs, 2):
+            check(t.inv[a][t.inv[b]] == t.inv[b][t.inv[a]], 1, mask,
+                  f"inv_{a} and inv_{b} do not commute")
         orbit = idx[None, :]
         for j in dirs:
             orbit = np.concatenate([orbit, t.inv[j][orbit]], axis=0)
         distinct = np.sort(orbit, axis=0)
-        full = np.all(distinct[1:] != distinct[:-1], axis=0)
-        if not np.all(full):
-            failures.append(AxiomFailure(1, mask, _first_bad(full),
-                                         "orientation orbit smaller than 2^|I|"))
+        check(np.all(distinct[1:] != distinct[:-1], axis=0), 1, mask,
+              "orientation orbit smaller than 2^|I|")
 
         # (2) face maps commute with inversions in other directions
         for j in dirs:
-            sub = mask & ~(1 << (j - 1))
-            ts = X.tables[sub]
+            ts = X.tables[mask & ~(1 << (j - 1))]
             for k in dirs:
-                if k == j:
-                    continue
-                if not np.all(t.top[j][t.inv[k]] == ts.inv[k][t.top[j]]):
-                    failures.append(AxiomFailure(2, mask,
-                                                 _first_bad(t.top[j][t.inv[k]] == ts.inv[k][t.top[j]]),
-                                                 f"top_{j} does not commute with inv_{k}"))
-                if not np.all(t.bot[j][t.inv[k]] == ts.inv[k][t.bot[j]]):
-                    failures.append(AxiomFailure(2, mask,
-                                                 _first_bad(t.bot[j][t.inv[k]] == ts.inv[k][t.bot[j]]),
-                                                 f"bot_{j} does not commute with inv_{k}"))
+                if k != j:
+                    check(t.top[j][t.inv[k]] == ts.inv[k][t.top[j]], 2, mask,
+                          f"top_{j} does not commute with inv_{k}")
+                    check(t.bot[j][t.inv[k]] == ts.inv[k][t.bot[j]], 2, mask,
+                          f"bot_{j} does not commute with inv_{k}")
 
         # (3) top_j inv_j = bot_j
         for j in dirs:
-            if not np.all(t.top[j][t.inv[j]] == t.bot[j]):
-                failures.append(AxiomFailure(3, mask,
-                                             _first_bad(t.top[j][t.inv[j]] == t.bot[j]),
-                                             f"top_{j} inv_{j} != bot_{j}"))
+            check(t.top[j][t.inv[j]] == t.bot[j], 3, mask, f"top_{j} inv_{j} != bot_{j}")
 
     # (4) every oriented I-cube is the j-th top of exactly r_j (I+{j})-cubes
     for mask in X.masks():
@@ -223,12 +209,9 @@ def verify_axioms(X: CubicalComplex) -> AxiomReport:
             if up == mask or up not in X.tables:
                 continue
             counts = np.bincount(X.tables[up].top[j], minlength=X.tables[mask].n)
-            if not np.all(counts == X.r(j)):
-                failures.append(AxiomFailure(4, mask, _first_bad(counts == X.r(j)),
-                                             f"not the {j}-top of exactly r_{j} cubes"))
+            check(counts == X.r(j), 4, mask, f"not the {j}-top of exactly r_{j} cubes")
 
-    for f in failures:
-        checked[f.axiom] = False
+    checked = {a: all(f.axiom != a for f in failures) for a in (1, 2, 3, 4)}
     return AxiomReport(not failures, failures, checked)
 
 

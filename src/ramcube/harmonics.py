@@ -31,7 +31,8 @@ each operator into N dense blocks of 1/N of its size (``fourier_blocks``).
 The symmetry is verified before use (``symmetry_order``); without it
 N = 1 and the single block is the operator itself.  For real operators
 block N - k is the complex conjugate of block k, so only k <= N/2 are
-formed.  Star spectra and cohomology ranks are the union over the blocks.
+formed.  Star and Laplacian spectra (``block_spectrum``) and cohomology
+ranks are the union over the blocks.
 
 Star spectra: every direction-j link edge joins I-cubes whose bottom
 vertices have opposite j-parity, so with parities each star (and each of
@@ -452,12 +453,26 @@ class Harmonics:
             p_ds = self._project_onto_range(self.total_d(i).conj().T.tocsr(), c)
         return c - p_d - p_ds, p_d, p_ds
 
+    def block_spectrum(self, A: sparse.spmatrix, mask: int, parity=None) -> np.ndarray:
+        """Spectrum of a Hermitian operator on C^I that commutes with the
+        translation, descending: the spectra of its Fourier blocks, each
+        taken with its multiplicity (one dense block when N = 1).  parity,
+        a class per coordinate as from star_parity, is passed to spectrum
+        for every block."""
+        orbits = self.coordinate_orbits([mask])
+        if parity is not None:  # orbits share a parity; leaders come in orbit order
+            parity = parity[orbits[1] == 0]
+        parts = []
+        for block, mult in self.fourier_blocks(A, orbits, orbits):
+            parts += [spectrum(block, parity=parity)] * mult
+        return np.sort(np.concatenate(parts))[::-1]
+
     def eigenspace_transfer_check(self, j: int, mask: int, tol: float = 1e-8):
         """Nonzero spectra of box_j agree on C^I and C^(I + {j}) (with
         multiplicity); the zero eigenspaces are excluded."""
         up = mask | (1 << (j - 1))
-        lo = spectrum(self.laplacian(j, mask).toarray())
-        hi = spectrum(self.laplacian(j, up).toarray())
+        lo = self.block_spectrum(self.laplacian(j, mask), mask)
+        hi = self.block_spectrum(self.laplacian(j, up), up)
         zero_tol = tol * max(1.0, self.X.r(j))
         lo_nz = lo[lo > zero_tol]
         hi_nz = hi[hi > zero_tol]
@@ -588,14 +603,7 @@ def spectrum_report(X: CubicalComplex, L: LocalSystem | None = None,
                 raise VerificationError(
                     f"star operator dimension {dim} exceeds the cap {max_dim}; "
                     f"raise max_dim to proceed")
-            orbits = H.coordinate_orbits([mask])
-            parity = H.star_parity(j, mask)
-            if parity is not None:  # orbits share a parity; leaders come in orbit order
-                parity = parity[orbits[1] == 0]
-            parts = []
-            for block, mult in H.fourier_blocks(H.star_operator(j, mask), orbits, orbits):
-                parts += [spectrum(block, parity=parity)] * mult
-            eigs = np.sort(np.concatenate(parts))[::-1]
+            eigs = H.block_spectrum(H.star_operator(j, mask), mask, H.star_parity(j, mask))
             verdict = classify_ramanujan(eigs, X.r(j), tol)
             report.entries.append(SpectrumEntry(j, dirs_of(mask), dim, eigs, verdict))
     return report

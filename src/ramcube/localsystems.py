@@ -20,7 +20,7 @@ import numpy as np
 
 from .complexes import CubicalComplex, dirs_of
 from .errors import CentralConditionError, ConstructionError
-from .quaternions import Quaternion
+from .quaternions import Quaternion, _cyclic_subgroup
 
 
 class LocalSystem:
@@ -100,19 +100,7 @@ def central_condition_check(primes, n1: int, k: int) -> bool:
     """
     if k % 2 == 0:
         return True
-    mod = 2 * n1
-    seen = {1}
-    frontier = [1]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for p in primes:
-                v = (a * p) % mod
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return (mod - 1) not in seen
+    return (2 * n1 - 1) not in _cyclic_subgroup(primes, 2 * n1)
 
 
 def build_symm_system(X: CubicalComplex, k: int, perturb_section=None) -> LocalSystem:
@@ -137,8 +125,8 @@ def build_symm_system(X: CubicalComplex, k: int, perturb_section=None) -> LocalS
             f"modulo {2 * ar.n1}, so the center acts nontrivially")
     G = ar.group
     gens = ar.gens
-    lift = np.array(G.section)
-    if perturb_section is not None and G.kernel_order == 2:
+    lift = G.section
+    if perturb_section is not None:
         lift = np.where(perturb_section, G.alt_section(), lift)
 
     m = k + 1

@@ -12,8 +12,11 @@ relations i^2 = j^2 = k^2 = -1 and ij = k.  The module provides
     generated by the primes, divided by two scalar subgroups, together
     with the canonical section between the two quotients.
 
-2x2 matrices over Z/N1 are stored as 4-tuples (m00, m01, m10, m11), and in
-bulk as integer codes (see mat_code) or as arrays of entries.
+A single 2x2 matrix over Z/N1 is a 4-tuple (m00, m01, m10, m11) of entries
+(embed, mat_mul, mat_det).  Group elements are integer codes only (see
+mat_code): each group keeps the sorted codes of its coset representatives,
+an element is its position in that array, and products and lookups work on
+arrays of entries decoded from those codes.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeneratorCountError, InvalidModulusError
+from .errors import ConstructionError, GeneratorCountError, InvalidModulusError
 
 MAT_IDENTITY = (1, 0, 0, 1)
 
@@ -224,11 +227,11 @@ class MatrixGroupPair:
       * the coarse group divides by B  = <p_1, ..., p_g, -1>,
       * the fine group divides by B' = <p_1, ..., p_g>.
 
-    Elements are stored as canonical coset representatives: the
-    lexicographically least entry tuple among all scalar multiples, indexed
-    in increasing order, with their sorted integer codes in codes and
-    codes_fine.  The canonical section sends a coarse representative to the
-    identical matrix viewed in the fine group (a coarse-canonical tuple is
+    Each coset is represented by its least code among all scalar
+    multiples; codes and codes_fine hold these codes in increasing order,
+    and an element is its index there.  lookup finds the element of any
+    matrix.  The canonical section sends a coarse representative to the
+    identical matrix viewed in the fine group (a coarse-canonical matrix is
     automatically fine-canonical).  The quotient fine -> coarse has kernel
     of order 1 or 2.
     """
@@ -244,41 +247,33 @@ class MatrixGroupPair:
         self.B_prime = B_prime
         self.codes = codes
         self.codes_fine = codes_fine
-        self.elements: list[Mat] = list(zip(*_decode(codes, n1).tolist()))
-        self.elements_fine: list[Mat] = list(zip(*_decode(codes_fine, n1).tolist()))
-        self.index = {m: i for i, m in enumerate(self.elements)}
-        self.index_fine = {m: i for i, m in enumerate(self.elements_fine)}
-        self.identity = self.index[MAT_IDENTITY]
-        self.identity_fine = self.index_fine[MAT_IDENTITY]
+        self.identity = int(self.lookup(MAT_IDENTITY))
         self.kernel_order = len(codes_fine) // len(codes)
         # coarse-canonical representatives are fine-canonical, so the
         # canonical section is the identity on representatives
-        self.section = np.searchsorted(codes_fine, codes).tolist()
-        self._alt_section = None
+        self.section = np.searchsorted(codes_fine, codes)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.codes)
 
     @property
     def order_fine(self) -> int:
-        return len(self.elements_fine)
+        return len(self.codes_fine)
 
-    def canonical(self, m: Mat) -> Mat:
-        n1 = self.n1
-        return min(tuple((s * e) % n1 for e in m) for s in self.B)
-
-    def canonical_fine(self, m: Mat) -> Mat:
-        n1 = self.n1
-        return min(tuple((s * e) % n1 for e in m) for s in self.B_prime)
-
-    def mul(self, i: int, j: int) -> int:
-        return self.index[self.canonical(mat_mul(self.elements[i], self.elements[j], self.n1))]
-
-    def mul_fine(self, i: int, j: int) -> int:
-        return self.index_fine[
-            self.canonical_fine(mat_mul(self.elements_fine[i], self.elements_fine[j], self.n1))
-        ]
+    def lookup(self, m, fine: bool = False) -> np.ndarray:
+        """Element index in the coarse group (the fine group when fine is
+        set) of each matrix whose entries, taken mod n1, are m[0..3]:
+        scalars, or arrays of one shape, which the result takes.  Raises
+        ConstructionError when a matrix is not in the group."""
+        codes, scalars = (self.codes_fine, self.B_prime) if fine else (self.codes, self.B)
+        m = np.asarray(m, dtype=np.int64) % self.n1
+        least = _least_code(m.reshape(4, -1), scalars, self.n1)
+        pos = np.minimum(np.searchsorted(codes, least), len(codes) - 1)
+        if not np.array_equal(codes[pos], least):
+            raise ConstructionError(
+                f"matrix with code {least[codes[pos] != least][0]} is not in the group")
+        return pos.reshape(m.shape[1:])
 
     def right_multiplication(self, g: int, fine: bool = False) -> np.ndarray:
         """The permutation h -> h*g of the coarse group (of the fine group
@@ -290,40 +285,14 @@ class MatrixGroupPair:
         return self._translation(g, fine, left=True)
 
     def _translation(self, g: int, fine: bool, left: bool) -> np.ndarray:
-        if fine:
-            codes, scalars, m = self.codes_fine, self.B_prime, self.elements_fine[g]
-        else:
-            codes, scalars, m = self.codes, self.B, self.elements[g]
-        h = _decode(codes, self.n1)
-        product = mat_mul(m, h, self.n1) if left else mat_mul(h, m, self.n1)
-        return np.searchsorted(codes, _least_code(product, scalars, self.n1))
+        h = _decode(self.codes_fine if fine else self.codes, self.n1)
+        m = h[:, g:g + 1]
+        return self.lookup(mat_mul(m, h, self.n1) if left else mat_mul(h, m, self.n1), fine)
 
-    def inv(self, i: int) -> int:
-        m = self.elements[i]
-        d = mat_det(m, self.n1)
-        dinv = pow(d, -1, self.n1)
-        adj = ((m[3] * dinv) % self.n1, (-m[1] * dinv) % self.n1,
-               (-m[2] * dinv) % self.n1, (m[0] * dinv) % self.n1)
-        return self.index[self.canonical(adj)]
-
-    def project(self, fine_idx: int) -> int:
-        """Quotient map from the fine group onto the coarse group."""
-        return self.index[self.canonical(self.elements_fine[fine_idx])]
-
-    def alt_section(self) -> list[int]:
-        """The other lift of each coarse element (equals the section when the
-        kernel is trivial)."""
-        if self._alt_section is None:
-            if self.kernel_order == 1:
-                self._alt_section = list(self.section)
-            else:
-                mu = next(iter(self.B - self.B_prime))
-                n1 = self.n1
-                self._alt_section = [
-                    self.index_fine[self.canonical_fine(tuple((mu * e) % n1 for e in m))]
-                    for m in self.elements
-                ]
-        return self._alt_section
+    def alt_section(self) -> np.ndarray:
+        """The other lift -h of each coarse element h (equals the section
+        when the kernel is trivial, i.e. when -1 is in B')."""
+        return self.lookup(-_decode(self.codes, self.n1), fine=True)
 
     def predicted_order(self) -> int:
         """Order prediction from the quadratic-residue criterion.

@@ -85,7 +85,7 @@ def test_criterion_1_lps_reproduction(lps513, lps_spectra):
 @criterion(2, "(6,14)-regular square complex at the auto-searched level: "
               "axioms, parities, all four (j, I) Ramanujan")
 def test_criterion_2_square_complex(cover513, cover_spectra):
-    assert rc.find_valid_level([5, 13]) == 3
+    assert rc.find_valid_level([5, 13])[0] == 3
     X = cover513
     assert X.regularities == (6, 14)
     report = rc.verify_axioms(X)

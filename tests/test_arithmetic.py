@@ -10,6 +10,7 @@ import ramcube as rc
 from ramcube.arithmetic import GeneratorSystem
 from ramcube.errors import ConstructionError, InvalidModulusError
 from ramcube.quaternions import QUATERNION_ONE
+from tuple_reference import TupleGroup, vertex_keys
 
 
 @pytest.fixture(scope="module")
@@ -114,8 +115,8 @@ def test_reorder_rejects_words_without_a_factorization(gens513):
 def scalar_closure(gens):
     """Reference vertex numbering and steps: queue breadth-first search
     with scalar group products."""
-    G = gens.group
-    start = (G.identity, (0,) * gens.g)
+    G = TupleGroup(gens.group)
+    start = (gens.group.identity, (0,) * gens.g)
     index = {start: 0}
     queue = deque([start])
     while queue:
@@ -137,7 +138,7 @@ def scalar_closure(gens):
 def test_vertex_closure_matches_scalar_reference(request, fixture):
     X = request.getfixturevalue(fixture)
     keys, vstep = scalar_closure(X.arith.gens)
-    assert X.arith.vertex_keys == keys
+    assert vertex_keys(X.arith) == keys
     assert [[v.tolist() for v in col] for col in X.arith.vstep] == vstep
     assert X.parities.tolist() == [list(c) for _, c in keys]
 
@@ -241,8 +242,8 @@ def test_girth_on_square_cover(cover513):
 
 
 def test_find_valid_level():
-    assert rc.find_valid_level([5, 13]) == 3
-    assert rc.find_valid_level([5]) == 3
+    assert rc.find_valid_level([5, 13])[0] == 3
+    assert rc.find_valid_level([5])[0] == 3
 
 
 def test_find_valid_level_retries_only_rejected_levels(monkeypatch):
@@ -258,7 +259,7 @@ def test_find_valid_level_retries_only_rejected_levels(monkeypatch):
         return n1
 
     monkeypatch.setattr(arithmetic, "build_complex", shallow_below_11)
-    assert rc.find_valid_level([5]) == 11
+    assert rc.find_valid_level([5])[0] == 11
     assert tried == [3, 7, 11]
 
     def broken(primes, n1):
@@ -284,8 +285,8 @@ def test_vertex_group_closure(x511):
     gens = X.arith.gens
     img = gens.images[0]
     G = X.arith.group
-    idx = X.arith.vertex_index
-    h = G.mul(G.identity, img[0])
+    idx = {key: v for v, key in enumerate(vertex_keys(X.arith))}
+    h = TupleGroup(G).mul(G.identity, img[0])
     assert idx[(h, (1,))] == X.tables[1].top[1][0 * 6 + 0]
 
 

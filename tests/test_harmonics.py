@@ -390,17 +390,29 @@ def test_cohomology_cover_and_euler(cover513, cover_spaces):
     assert H_k2.euler_characteristic() == 1728
 
 
+def _assert_block_laplacian_spectra_match_dense(H, j, mask):
+    """The Fourier-block spectra of both box_j that the transfer check
+    compares equal the dense eigensolves."""
+    for m in (mask, mask | (1 << (j - 1))):
+        box = H.laplacian(j, m)
+        assert np.abs(H.block_spectrum(box, m) - rc.spectrum(box.toarray())).max() <= 1e-10
+
+
 def test_eigenspace_transfer(cover_spaces):
     for H in cover_spaces:
+        assert H.symmetry_order() == 3
         for j, mask in ((1, 0), (2, 0), (1, 0b10), (2, 0b01)):
             ok, info = H.eigenspace_transfer_check(j, mask)
             assert ok, info
+            _assert_block_laplacian_spectra_match_dense(H, j, mask)
 
 
 def test_eigenspace_transfer_on_box():
     H = Harmonics(rc.box_complex(2))
+    assert H.symmetry_order() == 1
     ok, info = H.eigenspace_transfer_check(1, 0)
     assert ok, info
+    _assert_block_laplacian_spectra_match_dense(H, 1, 0)
 
 
 def test_total_laplacian_identity(cover_spaces):

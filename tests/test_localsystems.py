@@ -4,6 +4,7 @@ import pytest
 import ramcube as rc
 from ramcube import Quaternion, symm_rep
 from ramcube.errors import CentralConditionError
+from tuple_reference import TupleGroup, vertex_keys
 
 
 def test_symm_rep_degenerate_weights():
@@ -135,18 +136,19 @@ def scalar_symm_system(X, k, flip=None):
     per edge, opposite edges filled one by one."""
     ar = X.arith
     G, gens = ar.group, ar.gens
-    lift = list(G.section)
+    coarse, fine = TupleGroup(G), TupleGroup(G, fine=True)
+    lift = G.section.tolist()
     if flip is not None and G.kernel_order == 2:
-        lift = [a if f else s for f, a, s in zip(flip, G.alt_section(), lift)]
+        lift = [a if f else s for f, a, s in zip(flip, G.alt_section().tolist(), lift)]
     trans, signs = [], []
     for j in range(1, X.g + 1):
         rj = gens.regularities[j - 1]
         tr = np.empty((X.tables[1 << (j - 1)].n, k + 1, k + 1), dtype=np.complex128)
         eps = np.empty(len(tr), dtype=np.int8)
-        for v, (h, _) in enumerate(ar.vertex_keys):
+        for v, (h, _) in enumerate(vertex_keys(ar)):
             for i in range(rj):
-                h_top = G.mul(h, gens.images[j - 1][i])
-                plus = G.mul_fine(lift[h], gens.images_fine[j - 1][i])
+                h_top = coarse.mul(h, gens.images[j - 1][i])
+                plus = fine.mul(lift[h], gens.images_fine[j - 1][i])
                 e = 1 if plus == lift[h_top] else -1
                 eps[v * rj + i] = e
                 tr[v * rj + i] = (e ** k) * symm_rep(gens.quaternion(j, i).conjugate(), k)

@@ -6,8 +6,9 @@ import pytest
 
 import ramcube as rc
 from ramcube import Quaternion
-from ramcube.errors import GeneratorCountError, InvalidModulusError
+from ramcube.errors import ConstructionError, GeneratorCountError, InvalidModulusError
 from ramcube.quaternions import MAT_IDENTITY, mat_det, mat_mul
+from tuple_reference import TupleGroup, canonical
 
 ONE = Quaternion(1, 0, 0, 0)
 I = Quaternion(0, 1, 0, 0)
@@ -155,36 +156,44 @@ def test_build_group_rejects_bad_modulus():
 
 def test_group_table_structure():
     G = rc.build_group([5], n1=11)
+    T = TupleGroup(G)
     e = G.identity
+    assert T.find(MAT_IDENTITY) == e
     rng = random.Random(3)
     sample = [rng.randrange(G.order) for _ in range(20)]
     for i in sample:
-        assert G.mul(e, i) == i == G.mul(i, e)
-        assert G.mul(i, G.inv(i)) == e
+        assert T.mul(e, i) == i == T.mul(i, e)
+        assert T.mul(i, T.inv(i)) == e
     for _ in range(50):
         a, b, c = (rng.randrange(G.order) for _ in range(3))
-        assert G.mul(G.mul(a, b), c) == G.mul(a, G.mul(b, c))
+        assert T.mul(T.mul(a, b), c) == T.mul(a, T.mul(b, c))
 
 
 def test_section_and_quotient():
     for primes, n1 in (([5], 13), ([5], 11)):
         G = rc.build_group(primes, n1=n1)
+        coarse, fine = TupleGroup(G), TupleGroup(G, fine=True)
+
+        def project(f):
+            return coarse.find(fine.elements[f])
+
         for i in range(0, G.order, max(1, G.order // 97)):
-            assert G.project(G.section[i]) == i
+            assert project(G.section[i]) == i
         alt = G.alt_section()
         for i in range(0, G.order, max(1, G.order // 97)):
-            assert G.project(alt[i]) == i
+            assert project(alt[i]) == i
         if G.kernel_order == 2:
             assert any(a != s for a, s in zip(alt, G.section))
         else:
-            assert alt == G.section
+            assert np.array_equal(alt, G.section)
 
 
 def test_canonical_representative_is_minimal():
     G = rc.build_group([5], n1=13)
+    elements = TupleGroup(G).elements
     rng = random.Random(5)
     for _ in range(30):
-        m = G.elements[rng.randrange(G.order)]
+        m = elements[rng.randrange(G.order)]
         orbit = [tuple((s * x) % 13 for x in m) for s in G.B]
         assert min(orbit) == m
 
@@ -195,8 +204,8 @@ def scan_group(G):
     coarse, fine = set(), set()
     for m in itertools.product(range(n1), repeat=4):
         if mat_det(m, n1) in G.A:
-            coarse.add(G.canonical(m))
-            fine.add(G.canonical_fine(m))
+            coarse.add(canonical(m, G.B, n1))
+            fine.add(canonical(m, G.B_prime, n1))
     return sorted(coarse), sorted(fine)
 
 
@@ -205,8 +214,8 @@ def scan_group(G):
 def test_build_group_matches_full_scan(primes, n1):
     G = rc.build_group(primes, n1=n1)
     coarse, fine = scan_group(G)
-    assert G.elements == coarse
-    assert G.elements_fine == fine
+    assert TupleGroup(G).elements == coarse
+    assert TupleGroup(G, fine=True).elements == fine
     assert G.order == G.predicted_order()
     assert np.all(np.diff(G.codes) > 0) and np.all(np.diff(G.codes_fine) > 0)
 
@@ -214,21 +223,59 @@ def test_build_group_matches_full_scan(primes, n1):
 def test_right_multiplication_matches_mul():
     G = rc.build_group([5], n1=11)
     assert G.kernel_order == 2
+    coarse, fine = TupleGroup(G), TupleGroup(G, fine=True)
     rng = random.Random(11)
     for g in [G.identity] + [rng.randrange(G.order) for _ in range(8)]:
         right = G.right_multiplication(g)
-        assert right.tolist() == [G.mul(h, g) for h in range(G.order)]
-    for g in [G.identity_fine] + [rng.randrange(G.order_fine) for _ in range(8)]:
+        assert right.tolist() == [coarse.mul(h, g) for h in range(G.order)]
+    for g in [fine.find(MAT_IDENTITY)] + [rng.randrange(G.order_fine) for _ in range(8)]:
         right = G.right_multiplication(g, fine=True)
-        assert right.tolist() == [G.mul_fine(h, g) for h in range(G.order_fine)]
+        assert right.tolist() == [fine.mul(h, g) for h in range(G.order_fine)]
 
 
 def test_left_multiplication_matches_mul():
     G = rc.build_group([5], n1=11)
+    coarse, fine = TupleGroup(G), TupleGroup(G, fine=True)
     rng = random.Random(12)
     for g in [G.identity] + [rng.randrange(G.order) for _ in range(8)]:
         left = G.left_multiplication(g)
-        assert left.tolist() == [G.mul(g, h) for h in range(G.order)]
-    for g in [G.identity_fine] + [rng.randrange(G.order_fine) for _ in range(8)]:
+        assert left.tolist() == [coarse.mul(g, h) for h in range(G.order)]
+    for g in [fine.find(MAT_IDENTITY)] + [rng.randrange(G.order_fine) for _ in range(8)]:
         left = G.left_multiplication(g, fine=True)
-        assert left.tolist() == [G.mul_fine(g, h) for h in range(G.order_fine)]
+        assert left.tolist() == [fine.mul(g, h) for h in range(G.order_fine)]
+
+
+def test_lookup_rejects_matrices_outside_the_group():
+    G = rc.build_group([5], n1=11)
+    assert 2 not in G.A
+    for fine in (False, True):
+        with pytest.raises(ConstructionError, match="not in the group"):
+            G.lookup((1, 0, 0, 2), fine=fine)  # determinant 2
+        with pytest.raises(ConstructionError, match="not in the group"):
+            G.lookup((1, 1, 1, 1), fine=fine)  # singular
+        good = np.array(MAT_IDENTITY)[:, None]
+        with pytest.raises(ConstructionError, match="not in the group"):
+            G.lookup(np.concatenate([good, np.array([[1], [0], [0], [2]])], axis=1), fine)
+        assert G.lookup(good, fine).tolist() == [int(G.lookup(MAT_IDENTITY, fine))]
+
+
+@pytest.mark.parametrize("n1,kernel", [(11, 2), (13, 1)])
+def test_lookup_and_alt_section_match_tuple_reference(n1, kernel):
+    """Every matrix with determinant in A, each a scalar multiple of some
+    representative, is looked up in both groups; the other lift of each
+    coarse element is the fine element projecting to it besides the
+    section's."""
+    G = rc.build_group([5], n1=n1)
+    assert G.kernel_order == kernel
+    coarse, fine = TupleGroup(G), TupleGroup(G, fine=True)
+    mats = [m for m in itertools.product(range(n1), repeat=4) if mat_det(m, n1) in G.A]
+    entries = np.array(mats).T
+    assert G.lookup(entries).tolist() == [coarse.find(m) for m in mats]
+    assert G.lookup(entries, fine=True).tolist() == [fine.find(m) for m in mats]
+    lifts = [[] for _ in range(G.order)]
+    for f, m in enumerate(fine.elements):
+        lifts[coarse.find(m)].append(f)
+    alt = G.alt_section()
+    for i, (s, a) in enumerate(zip(G.section.tolist(), alt.tolist())):
+        assert s == fine.find(coarse.elements[i])
+        assert sorted({s, a}) == lifts[i]
