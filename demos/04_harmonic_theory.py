@@ -18,8 +18,6 @@ print(f"cochain dimensions per level: "
 
 d0, d1 = H.total_d(0), H.total_d(1)
 print(f"d composed with d: max entry {abs(d1 @ d0).max():.1e}")
-print(f"adjointness: max |d* - d^H| = "
-      f"{abs(H.total_dstar(0) - d0.conj().T).max():.1e}")
 
 box = H.laplacian(1, 0).toarray()
 S = H.star_matrix(1, 0)

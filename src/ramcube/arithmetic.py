@@ -44,7 +44,7 @@ class GeneratorSystem:
         self.g = len(primes)
         self.n1 = n1
         self.gens: list[list[Quaternion]] = [quat.enumerate_generators(p) for p in primes]
-        self.group = quat.build_group(primes, 2, n1)
+        self.group = quat.build_group(primes, n1)
         self.iota: list[list[int]] = []
         self.images: list[list[int]] = []
         self.images_fine: list[list[int]] = []
@@ -62,10 +62,6 @@ class GeneratorSystem:
     @property
     def regularities(self) -> tuple[int, ...]:
         return tuple(len(g) for g in self.gens)
-
-    def quaternion(self, j: int, i: int) -> Quaternion:
-        """Generator i of direction j (directions are 1-based)."""
-        return self.gens[j - 1][i]
 
     def conj_index(self, j: int, i: int) -> int:
         return self.iota[j - 1][i]

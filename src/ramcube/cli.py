@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -60,6 +61,17 @@ def parse_config(path) -> RunConfig:
     return validate_config(data)
 
 
+def _is_int(x) -> bool:
+    """Whether a JSON value is an integer; true and false are not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_positive(x) -> bool:
+    """Whether a JSON or command-line value is a finite positive number."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x) and x > 0)
+
+
 def validate_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -68,7 +80,7 @@ def validate_config(data: dict) -> RunConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     primes = data.get("primes")
     if (not isinstance(primes, list) or not primes
-            or not all(isinstance(p, int) for p in primes)):
+            or not all(_is_int(p) for p in primes)):
         raise ConfigError("primes must be a nonempty list of integers")
     if len(set(primes)) != len(primes):
         raise ConfigError(f"primes must be distinct, got {primes}")
@@ -77,29 +89,47 @@ def validate_config(data: dict) -> RunConfig:
             raise ConfigError(f"{p} is not an odd prime")
     n1 = data.get("N1")
     if n1 != "auto":
-        if not isinstance(n1, int) or n1 == 2 or not is_prime(n1):
+        if not _is_int(n1) or n1 == 2 or not is_prime(n1):
             raise ConfigError("N1 must be an odd prime or \"auto\"")
         if any(p % n1 == 0 for p in primes):
             raise ConfigError(f"N1={n1} must be coprime to the primes")
     k = data.get("k", 0)
-    if not isinstance(k, int) or k < 0:
+    if not _is_int(k) or k < 0:
         raise ConfigError("k must be a nonnegative integer")
     tol = dict(DEFAULT_TOLERANCES)
     user_tol = data.get("tolerances", {})
     if not isinstance(user_tol, dict) or set(user_tol) - set(tol):
         raise ConfigError(f"tolerances may only contain {sorted(tol)}")
     for key, val in user_tol.items():
-        if not isinstance(val, (int, float)) or val <= 0:
+        if not _is_positive(val):
             raise ConfigError(f"tolerance {key} must be positive")
         tol[key] = float(val)
     max_dim = data.get("max_dim", 20000)
     max_depth = data.get("max_depth", 12)
-    if not isinstance(max_dim, int) or max_dim <= 0:
+    if not _is_int(max_dim) or max_dim <= 0:
         raise ConfigError("max_dim must be a positive integer")
-    if not isinstance(max_depth, int) or max_depth <= 0:
+    if not _is_int(max_depth) or max_depth <= 0:
         raise ConfigError("max_depth must be a positive integer")
-    return RunConfig(tuple(sorted(primes)), n1, k, data.get("out", "."),
-                     tol, max_dim, max_depth, data)
+    out = data.get("out", ".")
+    if not isinstance(out, str):
+        raise ConfigError("out must be a string (a directory path)")
+    return RunConfig(tuple(sorted(primes)), n1, k, out, tol, max_dim, max_depth, data)
+
+
+def _link_spec(j: int, dirs_text: str, g: int):
+    """The (j, dirs) of an export-dot link, checked against the dimension
+    g of the complex (the number of primes)."""
+    try:
+        dirs = tuple(int(x) for x in dirs_text.split(",") if x)
+    except ValueError as e:
+        raise ConfigError(
+            f"--link-dirs must be comma-separated directions, got {dirs_text!r}") from e
+    if not 1 <= j <= g:
+        raise ConfigError(f"--link-j must be a direction in 1..{g}, got {j}")
+    if any(not 1 <= d <= g for d in dirs) or len(set(dirs)) != len(dirs) or j in dirs:
+        raise ConfigError(f"--link-dirs must be distinct directions in 1..{g} "
+                          f"other than --link-j, got {dirs_text!r}")
+    return j, dirs
 
 
 def _config_hash(cfg: RunConfig) -> str:
@@ -328,17 +358,22 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         if args.tol is not None:
-            if args.tol <= 0:
+            if not _is_positive(args.tol):
                 raise ConfigError("--tol must be positive")
             cfg.tolerances["spectral"] = args.tol
         if args.max_dim is not None:
+            if args.max_dim <= 0:
+                raise ConfigError("--max-dim must be a positive integer")
             cfg.max_dim = args.max_dim
         if args.max_depth is not None:
+            if args.max_depth <= 0:
+                raise ConfigError("--max-depth must be a positive integer")
             cfg.max_depth = args.max_depth
         link_spec = None
         if args.link_j is not None:
-            dirs = tuple(int(x) for x in args.link_dirs.split(",") if x)
-            link_spec = (args.link_j, dirs)
+            link_spec = _link_spec(args.link_j, args.link_dirs, len(cfg.primes))
+        elif args.link_dirs:
+            raise ConfigError("--link-dirs needs --link-j")
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -85,9 +85,6 @@ class CubicalComplex:
     def masks_of_dim(self, i: int):
         return [m for m in self.masks() if bin(m).count("1") == i]
 
-    def n_cubes(self, mask: int) -> int:
-        return self.tables[mask].n
-
     def r(self, j: int) -> int:
         return self.regularities[j - 1]
 
@@ -377,22 +374,16 @@ def link_graph(X: CubicalComplex, j: int, dirs=()) -> LinkGraph:
 
 
 def connected_components(link: LinkGraph):
-    """Union-find over the link graph.  Returns (count, labels)."""
-    parent = np.arange(link.n_vertices)
+    """Connected components of the link graph: (count, labels), the labels
+    running over 0..count-1."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components as components
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in zip(link.origin, link.terminus):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    labels = np.array([find(a) for a in range(link.n_vertices)])
-    roots, labels = np.unique(labels, return_inverse=True)
-    return len(roots), labels
+    n = link.n_vertices
+    adj = coo_matrix((np.ones(len(link.origin), dtype=np.int8),
+                      (link.origin, link.terminus)), shape=(n, n))
+    count, labels = components(adj, directed=False)
+    return int(count), labels
 
 
 # ----------------------------------------------------------------------

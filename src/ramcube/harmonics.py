@@ -2,22 +2,26 @@
 
 Cochains of direction set I are stored on one representative orientation
 per unoriented cube (the canonical one when parities exist); the completely
-alternating extension s(inv_j(c)) = -T_{c,j} s(c) is applied algebraically
-during operator assembly.  In representative coordinates the natural
-2^{-|I|}-weighted inner product becomes the standard one, so adjoints are
-plain conjugate transposes.
+alternating extension s(inv_j(c)) = -T_{c,j} s(c) (``expand``) is applied
+algebraically during operator assembly.  In representative coordinates the
+natural 2^{-|I|}-weighted inner product becomes the standard one, so the
+coboundary d*_j, the adjoint of d_j, is its plain conjugate transpose and
+is never assembled on its own.
 
 Conventions:
   * boundary       (d_j s)(c) = T_{c,j}^{-1} s(top_j c) - s(bot_j c)
-  * coboundary     (d*_j t)(r) = sum over top_j(c) = r of T_{c,j} t(c)
+  * coboundary     d*_j = d_j^H; as a sum, (d*_j t)(r) = sum over
+                   top_j(c) = r of T_{c,j} t(c)
   * total d        sum over j not in I of (-1)^{#(k in I, k < j)} d_j
   * Laplacian      box_{j,I} = d*_j d_j (j not in I), d_j d*_j (j in I)
   * star           S_{j,I} = r_j - box_{j,I}; entrywise it is the
                    transition-twisted adjacency operator of the link graph
 
 where T_{c,j} is the transition of the direction-j edge at the bottom
-corner of c.  All operators are assembled sparse; ``star_matrix`` returns
-the dense star, the reference the tests compare against.
+corner of c.  All operators are assembled sparse, each boundary once per
+workspace (``partial_boundary``); ``star_matrix`` returns the dense star,
+the reference the tests compare against.  ``hodge_project`` splits a
+cochain by least-squares projections (LSMR) onto the ranges of d and d*.
 
 Cayley symmetry: on an arithmetic complex, left translation by the
 unipotent u = [[1, 1], [0, 1]], of order N = n1, permutes the vertices and
@@ -74,7 +78,6 @@ class Harmonics:
         self._rep_pos: dict[int, np.ndarray] = {}
         self._expand: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._bnd: dict[tuple[int, int], sparse.csr_matrix] = {}
-        self._cobnd: dict[tuple[int, int], sparse.csr_matrix] = {}
         self._symmetry = None
 
     # -- representative bookkeeping ------------------------------------
@@ -104,11 +107,8 @@ class Harmonics:
     def dim(self, mask: int) -> int:
         return len(self.reps(mask)) * self.m
 
-    def level_masks(self, i: int) -> list[int]:
-        return self.X.masks_of_dim(i)
-
     def level_dim(self, i: int) -> int:
-        return sum(self.dim(mask) for mask in self.level_masks(i))
+        return sum(self.dim(mask) for mask in self.X.masks_of_dim(i))
 
     def _edge_transitions(self, mask: int, j: int) -> np.ndarray:
         """T_{c,j} for every oriented cube of the direction set (the
@@ -118,28 +118,25 @@ class Harmonics:
 
     def expand(self, mask: int):
         """Alternation data: per oriented cube, the representative slot and
-        the m x m coefficient with s(cube) = coeff @ s(representative)."""
+        the m x m coefficient with s(cube) = coeff @ s(representative).
+
+        One step per direction of the set, in ascending order, flips every
+        cube reached so far: s(inv_j c) = -T_{c,j} s(c).  The inversions
+        act simply transitively on orientations, so the steps reach each
+        oriented cube exactly once."""
         if mask not in self._expand:
             t = self.X.tables[mask]
-            pos = self.rep_pos(mask)
             slot = -np.ones(t.n, dtype=np.int64)
             coeff = np.zeros((t.n, self.m, self.m), dtype=self.dtype)
-            rep = self.reps(mask)
-            slot[rep] = pos[rep]
-            coeff[rep] = np.eye(self.m)
-            frontier = list(rep)
-            trans = {j: self._edge_transitions(mask, j) for j in dirs_of(mask)}
-            while frontier:
-                nxt = []
-                for c in frontier:
-                    for j in dirs_of(mask):
-                        s = t.inv[j][c]
-                        if slot[s] < 0:
-                            slot[s] = slot[c]
-                            coeff[s] = -trans[j][c] @ coeff[c]
-                            nxt.append(s)
-                frontier = nxt
-            if np.any(slot < 0):
+            cur = self.reps(mask)
+            slot[cur] = np.arange(len(cur))
+            coeff[cur] = np.eye(self.m)
+            for j in dirs_of(mask):
+                s = t.inv[j][cur]
+                slot[s] = slot[cur]
+                coeff[s] = -self._edge_transitions(mask, j)[cur] @ coeff[cur]
+                cur = np.concatenate([cur, s])
+            if len(cur) != t.n or np.any(slot < 0):
                 raise ConstructionError("orientation orbits do not reach representatives")
             self._expand[mask] = (slot, coeff)
         return self._expand[mask]
@@ -192,30 +189,6 @@ class Harmonics:
         self._bnd[key] = mat
         return mat
 
-    def partial_coboundary(self, j: int, mask: int) -> sparse.csr_matrix:
-        """d*_j from C^(I + {j}) to C^I, assembled from its defining sum
-        (it equals the conjugate transpose of partial_boundary)."""
-        if mask & (1 << (j - 1)):
-            raise ConstructionError(f"direction {j} already lies in the direction set")
-        key = (j, mask)
-        if key in self._cobnd:
-            return self._cobnd[key]
-        up = mask | (1 << (j - 1))
-        t = self.X.tables[up]
-        pos_lo = self.rep_pos(mask)
-        slot_up, coeff_up = self.expand(up)
-        trans = self._edge_transitions(up, j)
-
-        all_up = np.arange(t.n)
-        rows = pos_lo[t.top[j][all_up]]
-        keep = rows >= 0
-        cubes = all_up[keep]
-        blk = np.einsum("nab,nbc->nac", trans[cubes], coeff_up[cubes])
-        mat = self._blocks_to_csr(rows[keep], slot_up[cubes], blk,
-                                  len(self.reps(mask)), len(self.reps(up)))
-        self._cobnd[key] = mat
-        return mat
-
     @staticmethod
     def _alpha(mask: int, j: int) -> int:
         """Number of directions in the set below j (the sign exponent)."""
@@ -223,8 +196,8 @@ class Harmonics:
 
     def total_d(self, i: int) -> sparse.csr_matrix:
         """d from level i to level i + 1 with alternating direction signs."""
-        src = self.level_masks(i)
-        dst = self.level_masks(i + 1)
+        src = self.X.masks_of_dim(i)
+        dst = self.X.masks_of_dim(i + 1)
         grid = [[None] * len(src) for _ in dst]
         for a, mask in enumerate(src):
             for j in range(1, self.X.g + 1):
@@ -237,28 +210,14 @@ class Harmonics:
             return sparse.csr_matrix((0, self.level_dim(i)), dtype=self.dtype)
         return sparse.bmat(grid, format="csr")
 
-    def total_dstar(self, i: int) -> sparse.csr_matrix:
-        """d* from level i + 1 to level i (the adjoint of total_d(i))."""
-        src = self.level_masks(i + 1)
-        dst = self.level_masks(i)
-        grid = [[None] * len(src) for _ in dst]
-        for a, up in enumerate(src):
-            for j in dirs_of(up):
-                mask = up & ~(1 << (j - 1))
-                sign = -1.0 if self._alpha(mask, j) % 2 else 1.0
-                grid[dst.index(mask)][a] = self.partial_coboundary(j, mask) * sign
-        if not src:
-            return sparse.csr_matrix((self.level_dim(i), 0), dtype=self.dtype)
-        return sparse.bmat(grid, format="csr")
-
     # -- Laplacians and star operators ------------------------------------
 
     def laplacian(self, j: int, mask: int) -> sparse.csr_matrix:
-        """box_{j,I} on C^I: d*_j d_j when j is outside I, d_j d*_j inside."""
-        if mask & (1 << (j - 1)):
-            sub = mask & ~(1 << (j - 1))
-            return self.partial_boundary(j, sub) @ self.partial_coboundary(j, sub)
-        return self.partial_coboundary(j, mask) @ self.partial_boundary(j, mask)
+        """box_{j,I} on C^I: d*_j d_j when j is outside I, d_j d*_j inside,
+        with d*_j the conjugate transpose of d_j."""
+        bit = 1 << (j - 1)
+        d = self.partial_boundary(j, mask & ~bit)
+        return (d @ d.conj().T if mask & bit else d.conj().T @ d).tocsr()
 
     def total_laplacian(self, mask: int) -> sparse.csr_matrix:
         out = None
@@ -268,10 +227,6 @@ class Harmonics:
             term = self.laplacian(j, mask)
             out = term if out is None else out + term
         return out
-
-    def total_laplacian_level(self, i: int) -> sparse.csr_matrix:
-        return sparse.block_diag([self.total_laplacian(m) for m in self.level_masks(i)],
-                                 format="csr")
 
     def star_operator(self, j: int, mask: int) -> sparse.csr_matrix:
         """Sparse Hermitian star operator on C^I: the transition-twisted
@@ -409,8 +364,8 @@ class Harmonics:
             if min(D.shape) == 0:
                 ranks.append(0)
                 continue
-            rows = self.coordinate_orbits(self.level_masks(i + 1))
-            cols = self.coordinate_orbits(self.level_masks(i))
+            rows = self.coordinate_orbits(self.X.masks_of_dim(i + 1))
+            cols = self.coordinate_orbits(self.X.masks_of_dim(i))
             svs = [(np.linalg.svd(block, compute_uv=False), mult)
                    for block, mult in self.fourier_blocks(D, rows, cols)]
             top = max(sv[0] for sv, _ in svs)
@@ -433,11 +388,8 @@ class Harmonics:
 
     @staticmethod
     def _project_onto_range(A: sparse.csr_matrix, c: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of c onto the column space of A."""
-        if A.shape[0] * A.shape[1] <= 4_000_000:
-            Ad = A.toarray()
-            x, *_ = np.linalg.lstsq(Ad, c, rcond=None)
-            return Ad @ x
+        """Orthogonal projection of c onto the column space of A, through
+        the least-squares solution of A x = c by LSMR."""
         from scipy.sparse.linalg import lsmr
         x = lsmr(A, c, atol=1e-13, btol=1e-13, maxiter=10 * max(A.shape))[0]
         return A @ x

@@ -32,19 +32,15 @@ class LocalSystem:
     """
 
     def __init__(self, fiber_dim: int, transitions: list[np.ndarray], kind: str,
-                 epsilons: list[np.ndarray] | None = None, weight: int | None = None):
+                 epsilons: list[np.ndarray] | None = None):
         self.fiber_dim = fiber_dim
         self.transitions = transitions
         self.kind = kind
         self.epsilons = epsilons
-        self.weight = weight
 
     @property
     def dtype(self):
         return self.transitions[0].dtype if self.transitions else np.float64
-
-    def transition(self, j: int, edge: int) -> np.ndarray:
-        return self.transitions[j - 1][edge]
 
     def __repr__(self):
         return f"LocalSystem(kind={self.kind!r}, fiber_dim={self.fiber_dim})"
@@ -149,7 +145,7 @@ def build_symm_system(X: CubicalComplex, k: int, perturb_section=None) -> LocalS
         tr[invmap[first]] = tr[first].conj().transpose(0, 2, 1)
         trans.append(tr)
         eps_all.append(eps)
-    return LocalSystem(m, trans, f"symm({k})", eps_all, k)
+    return LocalSystem(m, trans, f"symm({k})", eps_all)
 
 
 def external_product(X1: CubicalComplex, L1: LocalSystem,

@@ -86,7 +86,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def enumerate_generators(p: int, n0: int = 2) -> list[Quaternion]:
+def enumerate_generators(p: int) -> list[Quaternion]:
     """All norm-p quaternions with a0 odd positive and a1, a2, a3 even.
 
     For p = 1 (mod 4) there are exactly p + 1 of them and the list is closed
@@ -94,8 +94,6 @@ def enumerate_generators(p: int, n0: int = 2) -> list[Quaternion]:
     comes out wrong (it always does for p = 3 (mod 4), where no such
     representation exists).
     """
-    if n0 != 2:
-        raise ValueError("only the n0 = 2 normalization is supported")
     if not is_prime(p) or p == 2:
         raise ValueError(f"p must be an odd prime, got {p}")
     lim = math.isqrt(p)
@@ -309,7 +307,7 @@ class MatrixGroupPair:
                 f"order={self.order}, kernel={self.kernel_order})")
 
 
-def build_group(primes, n0: int = 2, n1: int | None = None) -> MatrixGroupPair:
+def build_group(primes, n1: int) -> MatrixGroupPair:
     """Enumerate the coarse/fine vertex groups for a prime set and level n1.
 
     A matrix with determinant in A is a canonical representative exactly
@@ -320,10 +318,6 @@ def build_group(primes, n0: int = 2, n1: int | None = None) -> MatrixGroupPair:
     Only the m00 = 0 slice needs the scalar multiples entry by entry; a
     nonzero m00 decides by itself.
     """
-    if n0 != 2:
-        raise ValueError("only the n0 = 2 normalization is supported")
-    if n1 is None:
-        raise TypeError("n1 is required")
     primes = tuple(primes)
     if not is_prime(n1) or n1 == 2:
         raise InvalidModulusError(f"n1 must be an odd prime, got {n1}")

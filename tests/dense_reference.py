@@ -1,0 +1,76 @@
+"""Reference constructions for the harmonic operators, built the slow way:
+the alternation data by a breadth-first search over orientations, one cube
+at a time, and the coboundary d*_j from its defining sum
+
+    (d*_j t)(r) = sum over top_j(c) = r of T_{c,j} t(c),
+
+independently of ``Harmonics.expand`` and of the conjugate transpose of
+``Harmonics.partial_boundary`` that the library uses."""
+
+import numpy as np
+from scipy import sparse
+
+from ramcube.complexes import dirs_of
+
+
+def expand_by_bfs(H, mask):
+    """(slot, coeff) of every oriented cube of the direction set: a
+    breadth-first search from the representatives, trying the directions
+    in ascending order at each cube."""
+    t = H.X.tables[mask]
+    pos = H.rep_pos(mask)
+    slot = -np.ones(t.n, dtype=np.int64)
+    coeff = np.zeros((t.n, H.m, H.m), dtype=H.dtype)
+    rep = H.reps(mask)
+    slot[rep] = pos[rep]
+    coeff[rep] = np.eye(H.m)
+    trans = {j: H.L.transitions[j - 1][H.X.edge_vector(mask, j)] for j in dirs_of(mask)}
+    frontier = list(rep)
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for j in dirs_of(mask):
+                s = t.inv[j][c]
+                if slot[s] < 0:
+                    slot[s] = slot[c]
+                    coeff[s] = -trans[j][c] @ coeff[c]
+                    nxt.append(s)
+        frontier = nxt
+    assert np.all(slot >= 0), "orientation orbits do not reach representatives"
+    return slot, coeff
+
+
+def coboundary_by_sum(H, j, mask):
+    """d*_j from C^(I + {j}) to C^I, I the given direction set, j not in I,
+    as a sparse matrix assembled from the defining sum."""
+    up = mask | (1 << (j - 1))
+    t = H.X.tables[up]
+    pos_lo = H.rep_pos(mask)
+    slot_up, coeff_up = expand_by_bfs(H, up)
+    trans = H.L.transitions[j - 1][H.X.edge_vector(up, j)]
+    m = H.m
+    rows = pos_lo[t.top[j]]
+    cubes = np.flatnonzero(rows >= 0)
+    blk = np.einsum("nab,nbc->nac", trans[cubes], coeff_up[cubes])
+    rr = rows[cubes][:, None, None] * m + np.arange(m)[None, :, None]
+    cc = slot_up[cubes][:, None, None] * m + np.arange(m)[None, None, :]
+    shape = (len(H.reps(mask)) * m, len(H.reps(up)) * m)
+    return sparse.coo_matrix((blk.ravel(), (np.broadcast_to(rr, blk.shape).ravel(),
+                                            np.broadcast_to(cc, blk.shape).ravel())),
+                             shape=shape).tocsr()
+
+
+def total_dstar_by_sum(H, i):
+    """d* from level i + 1 to level i, the signed blocks of coboundary_by_sum
+    (the adjoint of ``Harmonics.total_d(i)``)."""
+    src = H.X.masks_of_dim(i + 1)
+    dst = H.X.masks_of_dim(i)
+    if not src:
+        return sparse.csr_matrix((H.level_dim(i), 0), dtype=H.dtype)
+    grid = [[None] * len(src) for _ in dst]
+    for a, up in enumerate(src):
+        for j in dirs_of(up):
+            mask = up & ~(1 << (j - 1))
+            below = bin(mask & ((1 << (j - 1)) - 1)).count("1")
+            grid[dst.index(mask)][a] = coboundary_by_sum(H, j, mask) * (-1.0) ** below
+    return sparse.bmat(grid, format="csr")

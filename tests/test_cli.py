@@ -39,6 +39,14 @@ def test_parse_config_auto_and_overrides(tmp_path):
     ({"primes": [], "N1": 13}, "nonempty"),
     ({"primes": [5], "N1": 13, "k": -1}, "nonnegative"),
     ({"primes": [5], "N1": 13, "tolerances": {"weird": 1.0}}, "tolerances"),
+    ({"primes": [5], "N1": 13, "k": True}, "nonnegative integer"),
+    ({"primes": [True], "N1": 13}, "list of integers"),
+    ({"primes": [5], "N1": True}, "odd prime"),
+    ({"primes": [5], "N1": 13, "max_dim": True}, "max_dim"),
+    ({"primes": [5], "N1": 13, "max_depth": True}, "max_depth"),
+    ({"primes": [5], "N1": 13, "tolerances": {"rank": True}}, "tolerance rank"),
+    ({"primes": [5], "N1": 13, "tolerances": {"matrix": float("nan")}}, "tolerance matrix"),
+    ({"primes": [5], "N1": 13, "out": 5}, "out must be a string"),
 ])
 def test_parse_config_rejects(tmp_path, payload, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -139,6 +147,30 @@ def test_main_config_error(tmp_path, capsys):
     code = cli.main(["build", "--config", str(cfg_path), "--out", str(tmp_path)])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload,extra,fragment", [
+    ({"k": True}, [], "k must be"),
+    ({"out": 5}, [], "out must be"),
+    ({}, ["--link-j", "1", "--link-dirs", "x"], "--link-dirs"),
+    ({}, ["--link-j", "0"], "--link-j"),
+    ({}, ["--link-j", "3"], "--link-j"),
+    ({"primes": [5, 13]}, ["--link-j", "1", "--link-dirs", "1"], "--link-dirs"),
+    ({"primes": [5, 13]}, ["--link-dirs", "2"], "--link-dirs needs --link-j"),
+    ({}, ["--max-dim", "0"], "--max-dim"),
+    ({}, ["--max-depth", "0"], "--max-depth"),
+    ({}, ["--tol", "nan"], "--tol"),
+])
+def test_main_rejects_bad_input(tmp_path, capsys, payload, extra, fragment):
+    """Malformed config values and command-line overrides are config errors
+    (exit 2), reported before any work and never as a verdict."""
+    cfg_path = write_cfg(tmp_path, {"primes": [5], "N1": 3, **payload})
+    code = cli.main(["export-dot", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o"), *extra])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and fragment in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_main_tol_override(tmp_path):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ramcube as rc
+from dense_reference import coboundary_by_sum, expand_by_bfs, total_dstar_by_sum
 from ramcube import Harmonics
 from ramcube.complexes import mask_of
 from ramcube.errors import VerificationError
@@ -31,29 +33,49 @@ def test_boundary_commutation_and_d_squared(cover_spaces):
         d0 = H.total_d(0)
         d1 = H.total_d(1)
         assert abs(d1 @ d0).max() < 1e-13
-        ds0 = H.total_dstar(0)
-        ds1 = H.total_dstar(1)
+        ds0 = total_dstar_by_sum(H, 0)
+        ds1 = total_dstar_by_sum(H, 1)
         assert abs(ds0 @ ds1).max() < 1e-13
 
 
+def test_expand_matches_breadth_first_search(cover513, x511):
+    """The direction sweep reaches every oriented cube along the path of
+    the breadth-first search: bit-identical slots and coefficients, with
+    and without parities."""
+    K4, C5 = rc.complete_graph_complex(4), rc.cycle_complex(5)
+    cases = [("cover513 k=0", cover513, 0), ("cover513 k=2", cover513, 2),
+             ("x511 k=1", x511, 1), ("[13,37]@3 k=1", rc.build_complex([13, 37], 3), 1),
+             ("K4", K4, 0), ("C5", C5, 0), ("box3", rc.box_complex(3), 0),
+             ("K4 x C5", rc.product(K4, C5), 0)]
+    for label, X, k in cases:
+        H = Harmonics(X, _system(X, k))
+        for mask in X.masks():
+            slot, coeff = H.expand(mask)
+            ref_slot, ref_coeff = expand_by_bfs(H, mask)
+            assert np.array_equal(slot, ref_slot), (label, mask)
+            assert np.array_equal(coeff, ref_coeff), (label, mask)
+
+
 def test_coboundary_is_adjoint(cover_spaces):
+    """The conjugate transpose of the boundary is the coboundary of the
+    defining sum."""
     H_triv, H_k2 = cover_spaces
     for j, mask in ((1, 0), (2, 0), (1, 0b10), (2, 0b01)):
         A = H_triv.partial_boundary(j, mask)
-        B = H_triv.partial_coboundary(j, mask)
+        B = coboundary_by_sum(H_triv, j, mask)
         # exact for the trivial system with the representative-basis weighting
         assert abs(B - A.conj().T).max() == 0.0
         A2 = H_k2.partial_boundary(j, mask)
-        B2 = H_k2.partial_coboundary(j, mask)
+        B2 = coboundary_by_sum(H_k2, j, mask)
         assert abs(B2 - A2.conj().T).max() < 1e-14
 
 
 def test_coboundary_squared_on_box():
     H = Harmonics(rc.box_complex(2))
-    c1 = H.partial_coboundary(1, 0b10).toarray()  # C^{1,2} -> C^{2}
-    c2 = H.partial_coboundary(2, 0)               # C^{2} -> C^{}
-    c1b = H.partial_coboundary(2, 0b01).toarray()
-    c2b = H.partial_coboundary(1, 0)
+    c1 = coboundary_by_sum(H, 1, 0b10).toarray()  # C^{1,2} -> C^{2}
+    c2 = coboundary_by_sum(H, 2, 0)               # C^{2} -> C^{}
+    c1b = coboundary_by_sum(H, 2, 0b01).toarray()
+    c2b = coboundary_by_sum(H, 1, 0)
     assert np.abs(c2 @ c1 - c2b @ c1b).max() < 1e-14
 
 
@@ -65,8 +87,8 @@ def test_total_d_for_graph_is_partial(lps513):
 def test_dstar_is_adjoint_of_d(cover_spaces):
     H_triv, H_k2 = cover_spaces
     for i in (0, 1):
-        assert abs(H_triv.total_dstar(i) - H_triv.total_d(i).conj().T).max() == 0.0
-        assert abs(H_k2.total_dstar(i) - H_k2.total_d(i).conj().T).max() < 1e-14
+        assert abs(total_dstar_by_sum(H_triv, i) - H_triv.total_d(i).conj().T).max() == 0.0
+        assert abs(total_dstar_by_sum(H_k2, i) - H_k2.total_d(i).conj().T).max() < 1e-14
 
 
 def test_complete_graph_laplacian_spectrum():
@@ -313,7 +335,7 @@ def test_hodge_decomposition(cover513):
     assert abs(np.vdot(pd, pds)) < 1e-8
     # harmonic part lies in ker d and ker d*
     assert np.linalg.norm(Hm.total_d(1) @ h) < 1e-8
-    assert np.linalg.norm(Hm.total_dstar(0) @ h) < 1e-8
+    assert np.linalg.norm(Hm.total_d(0).conj().T @ h) < 1e-8
 
 
 def test_cohomology_small_cases():
@@ -368,8 +390,8 @@ def test_symmetry_falls_back_to_one_block(cover513, x511):
 def test_fourier_blocks_keep_singular_values(cover_spaces):
     for H in cover_spaces:
         D = H.total_d(0)
-        rows = H.coordinate_orbits(H.level_masks(1))
-        cols = H.coordinate_orbits(H.level_masks(0))
+        rows = H.coordinate_orbits(H.X.masks_of_dim(1))
+        cols = H.coordinate_orbits(H.X.masks_of_dim(0))
         parts = []
         for block, mult in H.fourier_blocks(D, rows, cols):
             assert block.shape == (D.shape[0] // 3, D.shape[1] // 3)
@@ -419,7 +441,8 @@ def test_total_laplacian_identity(cover_spaces):
     """Total Laplacian at level i equals d d* + d* d."""
     for H in cover_spaces:
         for i in (0, 1, 2):
-            lhs = H.total_laplacian_level(i).toarray()
+            lhs = scipy.sparse.block_diag(
+                [H.total_laplacian(m) for m in H.X.masks_of_dim(i)]).toarray()
             rhs = np.zeros_like(lhs)
             if i > 0:
                 D = H.total_d(i - 1)
@@ -456,7 +479,7 @@ def test_adjointness_inner_products(x511):
     L = rc.build_symm_system(x511, 1)
     H = Harmonics(x511, L)
     D = H.partial_boundary(1, 0)
-    Ds = H.partial_coboundary(1, 0)
+    Ds = coboundary_by_sum(H, 1, 0)
     rng = np.random.default_rng(2)
     n0, n1 = H.dim(0), H.dim(1)
     for _ in range(100):

@@ -151,7 +151,7 @@ def scalar_symm_system(X, k, flip=None):
                 plus = fine.mul(lift[h], gens.images_fine[j - 1][i])
                 e = 1 if plus == lift[h_top] else -1
                 eps[v * rj + i] = e
-                tr[v * rj + i] = (e ** k) * symm_rep(gens.quaternion(j, i).conjugate(), k)
+                tr[v * rj + i] = (e ** k) * symm_rep(gens.gens[j - 1][i].conjugate(), k)
         inv = X.tables[1 << (j - 1)].inv[j]
         for e in range(len(inv)):
             if e < inv[e]:
