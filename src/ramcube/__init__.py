@@ -14,7 +14,8 @@ from .complexes import (CubicalComplex, LinkGraph, box_complex,
                         verify_axioms, verify_parities)
 from .errors import (CentralConditionError, ConfigError, ConstructionError,
                      GeneratorCountError, InvalidModulusError,
-                     LevelRejectedError, RamcubeError, VerificationError)
+                     LevelRejectedError, RamcubeError, ResourceError,
+                     VerificationError)
 from .harmonics import (Harmonics, RamanujanVerdict, SpectrumReport,
                         classify_ramanujan, spectrum, spectrum_report)
 from .localsystems import (LocalSystem, build_symm_system,

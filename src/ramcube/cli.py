@@ -3,7 +3,7 @@
 Configs are strict JSON; every run writes a deterministic report.json into
 the output directory (partial, with a stage marker, when a stage fails).
 Exit codes: 0 success, 2 config error, 3 construction failure,
-4 negative verification, 5 internal error.
+4 negative verification, 5 internal error, 6 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from . import __version__
 from .arithmetic import build_complex, find_valid_level, girth, irreducibility_report
 from .complexes import dirs_of, export_dot, link_graph
 from .errors import (CentralConditionError, ConfigError, ConstructionError,
-                     GeneratorCountError, RamcubeError, VerificationError)
+                     GeneratorCountError, RamcubeError, ResourceError,
+                     VerificationError)
 from .harmonics import Harmonics, spectrum_report
 from .localsystems import (build_symm_system, central_condition_check,
                            trivial_system, verify_flatness, verify_unitarity)
@@ -160,6 +161,9 @@ def run(cfg: RunConfig, command: str, out_dir=None, link_spec=None):
     except VerificationError as e:
         report["exit_stage"] = {"stage": "verification", "error": str(e)}
         code = 4
+    except ResourceError as e:
+        report["exit_stage"] = {"stage": "resource", "error": str(e)}
+        code = 6
     except RamcubeError as e:
         report["exit_stage"] = {"stage": "internal", "error": str(e)}
         code = 5

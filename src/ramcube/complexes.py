@@ -375,15 +375,24 @@ def link_graph(X: CubicalComplex, j: int, dirs=()) -> LinkGraph:
 
 def connected_components(link: LinkGraph):
     """Connected components of the link graph: (count, labels), the labels
-    running over 0..count-1."""
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components as components
+    running over 0..count-1 in the order of each component's least vertex.
 
-    n = link.n_vertices
-    adj = coo_matrix((np.ones(len(link.origin), dtype=np.int8),
-                      (link.origin, link.terminus)), shape=(n, n))
-    count, labels = components(adj, directed=False)
-    return int(count), labels
+    Min-label propagation: every vertex takes the least label among itself
+    and its neighbours, then the label of that label (pointer jumping),
+    until nothing changes.  A label is always a vertex of the same
+    component and never above the vertex, so at the fixed point each
+    vertex carries the least vertex of its component."""
+    label = np.arange(link.n_vertices)
+    while True:
+        hooked = label.copy()
+        np.minimum.at(hooked, link.origin, label[link.terminus])
+        np.minimum.at(hooked, link.terminus, label[link.origin])
+        hooked = hooked[hooked]
+        if np.array_equal(hooked, label):
+            break
+        label = hooked
+    leaders, labels = np.unique(label, return_inverse=True)
+    return len(leaders), labels
 
 
 # ----------------------------------------------------------------------

@@ -31,3 +31,7 @@ class CentralConditionError(ConstructionError):
 
 class VerificationError(RamcubeError):
     """A numerical certification (axioms, flatness, spectra) came out negative."""
+
+
+class ResourceError(RamcubeError):
+    """A run would exceed a resource cap (such as max_dim); not a verdict."""

@@ -18,10 +18,15 @@ Conventions:
                    transition-twisted adjacency operator of the link graph
 
 where T_{c,j} is the transition of the direction-j edge at the bottom
-corner of c.  All operators are assembled sparse, each boundary once per
-workspace (``partial_boundary``); ``star_matrix`` returns the dense star,
-the reference the tests compare against.  ``hodge_project`` splits a
-cochain by least-squares projections (LSMR) onto the ranges of d and d*.
+corner of c.  Every operator is assembled once, as numpy COO entries
+(``Coo``: sorted row-major, duplicates summed), each boundary once per
+workspace; the star spectra and cohomology ranks read those entries
+directly, so certification needs numpy alone.  The public sparse accessors
+(``partial_boundary``, ``total_d``, ``star_operator``, ``laplacian``) return
+scipy CSR views of the same entries, importing scipy only when called;
+``star_matrix`` returns the dense star, the reference the tests compare
+against.  ``hodge_project`` splits a cochain by least-squares projections
+(LSMR, from scipy) onto the ranges of d and d*.
 
 Cayley symmetry: on an arithmetic complex, left translation by the
 unipotent u = [[1, 1], [0, 1]], of order N = n1, permutes the vertices and
@@ -52,13 +57,39 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .complexes import CubicalComplex, dirs_of, link_graph, mask_of
-from .errors import ConstructionError, VerificationError
+from .errors import ConstructionError, ResourceError
 from .localsystems import LocalSystem, trivial_system
+
+if TYPE_CHECKING:
+    from scipy import sparse
+
+
+class Coo(NamedTuple):
+    """Entries of a sparse matrix in canonical form: sorted row-major, with
+    no repeated position (the form scipy's CSR conversion produces)."""
+    row: np.ndarray
+    col: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @classmethod
+    def canonical(cls, row, col, data, shape) -> Coo:
+        """Sort the entries row-major and sum the repeated positions, each
+        in input order."""
+        n_cols = max(shape[1], 1)
+        key, slot = np.unique(row * n_cols + col, return_inverse=True)
+        summed = np.zeros(len(key), dtype=data.dtype)
+        np.add.at(summed, slot, data)
+        return cls(key // n_cols, key % n_cols, summed, shape)
+
+    def tocsr(self) -> sparse.csr_matrix:
+        from scipy import sparse
+        return sparse.csr_matrix((self.data, (self.row, self.col)), shape=self.shape)
 
 
 class Harmonics:
@@ -77,7 +108,7 @@ class Harmonics:
         self._reps: dict[int, np.ndarray] = {}
         self._rep_pos: dict[int, np.ndarray] = {}
         self._expand: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._bnd: dict[tuple[int, int], sparse.csr_matrix] = {}
+        self._bnd: dict[tuple[int, int], Coo] = {}
         self._symmetry = None
 
     # -- representative bookkeeping ------------------------------------
@@ -123,7 +154,13 @@ class Harmonics:
         One step per direction of the set, in ascending order, flips every
         cube reached so far: s(inv_j c) = -T_{c,j} s(c).  The inversions
         act simply transitively on orientations, so the steps reach each
-        oriented cube exactly once."""
+        oriented cube exactly once.
+
+        With parities the representatives are the canonical cubes, and
+        every face of a canonical cube is canonical (a direction-j edge
+        flips only the j-parity), so the boundaries read slot = position
+        and coefficient = identity here; the signs reach an operator only
+        on complexes without parities."""
         if mask not in self._expand:
             t = self.X.tables[mask]
             slot = -np.ones(t.n, dtype=np.int64)
@@ -143,26 +180,22 @@ class Harmonics:
 
     # -- sparse block assembly ------------------------------------------
 
-    def _blocks_to_csr(self, rows, cols, blocks, n_row_blocks, n_col_blocks):
+    def _blocks_to_coo(self, rows, cols, blocks, n_row_blocks, n_col_blocks) -> Coo:
         m = self.m
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         blocks = np.asarray(blocks, dtype=self.dtype)
-        N = len(rows)
-        if N == 0:
-            return sparse.csr_matrix((n_row_blocks * m, n_col_blocks * m), dtype=self.dtype)
-        rr = (rows[:, None, None] * m + np.arange(m)[None, :, None])
-        cc = (cols[:, None, None] * m + np.arange(m)[None, None, :])
-        rr = np.broadcast_to(rr, (N, m, m)).ravel()
-        cc = np.broadcast_to(cc, (N, m, m)).ravel()
-        mat = sparse.coo_matrix((blocks.ravel(), (rr, cc)),
-                                shape=(n_row_blocks * m, n_col_blocks * m))
-        return mat.tocsr()
+        shape = (len(rows), m, m)
+        rr = np.broadcast_to(rows[:, None, None] * m + np.arange(m)[None, :, None], shape)
+        cc = np.broadcast_to(cols[:, None, None] * m + np.arange(m)[None, None, :], shape)
+        return Coo.canonical(rr.ravel(), cc.ravel(), blocks.ravel(),
+                             (n_row_blocks * m, n_col_blocks * m))
 
     # -- boundary operators ----------------------------------------------
 
-    def partial_boundary(self, j: int, mask: int) -> sparse.csr_matrix:
-        """d_j from C^I to C^(I + {j}), I the given direction set, j not in I."""
+    def _boundary(self, j: int, mask: int) -> Coo:
+        """Entries of d_j from C^I to C^(I + {j}), I the given direction
+        set, j not in I; assembled once per workspace."""
         if mask & (1 << (j - 1)):
             raise ConstructionError(f"direction {j} already lies in the direction set")
         key = (j, mask)
@@ -181,7 +214,7 @@ class Harmonics:
         tinv = trans[reps_up].conj().transpose(0, 2, 1)
         blk_top = np.einsum("nab,nbc->nac", tinv, coeff_lo[tops])
         blk_bot = -coeff_lo[bots]
-        mat = self._blocks_to_csr(
+        mat = self._blocks_to_coo(
             np.concatenate([rows, rows]),
             np.concatenate([slot_lo[tops], slot_lo[bots]]),
             np.concatenate([blk_top, blk_bot]),
@@ -189,26 +222,38 @@ class Harmonics:
         self._bnd[key] = mat
         return mat
 
+    def partial_boundary(self, j: int, mask: int) -> sparse.csr_matrix:
+        """d_j from C^I to C^(I + {j}), I the given direction set, j not in I."""
+        return self._boundary(j, mask).tocsr()
+
     @staticmethod
     def _alpha(mask: int, j: int) -> int:
         """Number of directions in the set below j (the sign exponent)."""
         return bin(mask & ((1 << (j - 1)) - 1)).count("1")
 
-    def total_d(self, i: int) -> sparse.csr_matrix:
-        """d from level i to level i + 1 with alternating direction signs."""
+    def _total_d(self, i: int) -> Coo:
+        """Entries of d from level i to level i + 1: the signed partial
+        boundaries, each at the offsets of its direction sets."""
         src = self.X.masks_of_dim(i)
         dst = self.X.masks_of_dim(i + 1)
-        grid = [[None] * len(src) for _ in dst]
+        col_off = np.cumsum([0] + [self.dim(mask) for mask in src])
+        row_off = np.cumsum([0] + [self.dim(mask) for mask in dst])
+        parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, self.dtype))]
         for a, mask in enumerate(src):
             for j in range(1, self.X.g + 1):
                 up = mask | (1 << (j - 1))
                 if up == mask or up not in self.X.tables:
                     continue
                 sign = -1.0 if self._alpha(mask, j) % 2 else 1.0
-                grid[dst.index(up)][a] = self.partial_boundary(j, mask) * sign
-        if not dst:
-            return sparse.csr_matrix((0, self.level_dim(i)), dtype=self.dtype)
-        return sparse.bmat(grid, format="csr")
+                d = self._boundary(j, mask)
+                parts.append((d.row + row_off[dst.index(up)], d.col + col_off[a],
+                              d.data * sign))
+        row, col, data = (np.concatenate(x) for x in zip(*parts))
+        return Coo.canonical(row, col, data, (int(row_off[-1]), int(col_off[-1])))
+
+    def total_d(self, i: int) -> sparse.csr_matrix:
+        """d from level i to level i + 1 with alternating direction signs."""
+        return self._total_d(i).tocsr()
 
     # -- Laplacians and star operators ------------------------------------
 
@@ -228,14 +273,18 @@ class Harmonics:
             out = term if out is None else out + term
         return out
 
-    def star_operator(self, j: int, mask: int) -> sparse.csr_matrix:
-        """Sparse Hermitian star operator on C^I: the transition-twisted
-        adjacency operator of the directional link graph (parallel link
-        edges add up)."""
+    def _star(self, j: int, mask: int) -> Coo:
+        """Entries of the Hermitian star operator on C^I: the
+        transition-twisted adjacency operator of the directional link graph
+        (parallel link edges add up)."""
         lg = link_graph(self.X, j, mask)
         trans = self._edge_transitions(mask | (1 << (j - 1)), j)[lg.edge_cubes]
         n = lg.n_vertices
-        return self._blocks_to_csr(lg.terminus, lg.origin, trans, n, n)
+        return self._blocks_to_coo(lg.terminus, lg.origin, trans, n, n)
+
+    def star_operator(self, j: int, mask: int) -> sparse.csr_matrix:
+        """The star operator S_{j,I} as a sparse matrix."""
+        return self._star(j, mask).tocsr()
 
     def star_matrix(self, j: int, mask: int) -> np.ndarray:
         """The star operator as a dense matrix."""
@@ -328,10 +377,11 @@ class Harmonics:
             off += len(rep) // N
         return np.concatenate(ids), np.concatenate(shifts), off * m
 
-    def fourier_blocks(self, A: sparse.spmatrix, rows, cols):
-        """Dense Fourier blocks of an operator that commutes with the
-        translation; rows and cols are coordinate_orbits of its range and
-        domain.  Yields (block, multiplicity), one block at a time.
+    def fourier_blocks(self, A: Coo | sparse.spmatrix, rows, cols):
+        """Dense Fourier blocks of an operator (its Coo entries or a scipy
+        matrix) that commutes with the translation; rows and cols are
+        coordinate_orbits of its range and domain.  Yields (block,
+        multiplicity), one block at a time.
 
         Block k has the entries A[l, c] * w^(k (shift(c) - shift(l))),
         w = exp(2 pi i / N), summed at (orbit of l, orbit of c) over the
@@ -341,7 +391,7 @@ class Harmonics:
         A, block N - k is the conjugate of block k and is counted twice."""
         N = self.symmetry_order()
         (r_id, r_shift, n_r), (c_id, c_shift, n_c) = rows, cols
-        A = A.tocoo()
+        A = A if isinstance(A, Coo) else A.tocoo()
         keep = r_shift[A.row] == 0
         ri, ci = r_id[A.row[keep]], c_id[A.col[keep]]
         val, t = A.data[keep], c_shift[A.col[keep]]
@@ -349,7 +399,8 @@ class Harmonics:
         phase = np.exp(2j * np.pi * np.arange(N) / N)
         for k in range(N // 2 + 1 if real else N):
             w = val if k == 0 else val * phase[k * t % N]
-            block = sparse.coo_matrix((w, (ri, ci)), shape=(n_r, n_c)).toarray()
+            block = np.zeros((n_r, n_c), dtype=w.dtype)
+            np.add.at(block, (ri, ci), w)
             yield block, 1 if not real or 2 * k % N == 0 else 2
 
     # -- spectra, cohomology, Hodge ---------------------------------------
@@ -357,10 +408,10 @@ class Harmonics:
     def cohomology_dims(self, rank_tol: float = 1e-8) -> list[int]:
         """Betti numbers h^0..h^g of the total complex via numerical ranks:
         the singular values above rank_tol times the largest one, over the
-        Fourier blocks of each total_d (the transform is unitary)."""
+        Fourier blocks of each total d (the transform is unitary)."""
         ranks = []
         for i in range(self.X.g):
-            D = self.total_d(i)
+            D = self._total_d(i)
             if min(D.shape) == 0:
                 ranks.append(0)
                 continue
@@ -400,12 +451,13 @@ class Harmonics:
         p_d = np.zeros_like(c)
         p_ds = np.zeros_like(c)
         if i > 0:
-            p_d = self._project_onto_range(self.total_d(i - 1).tocsr(), c)
+            p_d = self._project_onto_range(self.total_d(i - 1), c)
         if i < self.X.g:
             p_ds = self._project_onto_range(self.total_d(i).conj().T.tocsr(), c)
         return c - p_d - p_ds, p_d, p_ds
 
-    def block_spectrum(self, A: sparse.spmatrix, mask: int, parity=None) -> np.ndarray:
+    def block_spectrum(self, A: Coo | sparse.spmatrix, mask: int,
+                       parity=None) -> np.ndarray:
         """Spectrum of a Hermitian operator on C^I that commutes with the
         translation, descending: the spectra of its Fourier blocks, each
         taken with its multiplicity (one dense block when N = 1).  parity,
@@ -552,10 +604,10 @@ def spectrum_report(X: CubicalComplex, L: LocalSystem | None = None,
                 continue
             dim = H.dim(mask)
             if dim > max_dim:
-                raise VerificationError(
+                raise ResourceError(
                     f"star operator dimension {dim} exceeds the cap {max_dim}; "
                     f"raise max_dim to proceed")
-            eigs = H.block_spectrum(H.star_operator(j, mask), mask, H.star_parity(j, mask))
+            eigs = H.block_spectrum(H._star(j, mask), mask, H.star_parity(j, mask))
             verdict = classify_ramanujan(eigs, X.r(j), tol)
             report.entries.append(SpectrumEntry(j, dirs_of(mask), dim, eigs, verdict))
     return report

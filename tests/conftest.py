@@ -19,3 +19,9 @@ def cover513():
 def x511():
     """primes={5}, N1=11: parity double cover, section kernel of order 2."""
     return rc.build_complex([5], 11)
+
+
+@pytest.fixture(scope="session")
+def cover13373():
+    """primes={13,37}, N1=3: the (14,38)-regular square complex."""
+    return rc.build_complex([13, 37], 3)

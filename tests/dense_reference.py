@@ -5,10 +5,13 @@ at a time, and the coboundary d*_j from its defining sum
     (d*_j t)(r) = sum over top_j(c) = r of T_{c,j} t(c),
 
 independently of ``Harmonics.expand`` and of the conjugate transpose of
-``Harmonics.partial_boundary`` that the library uses."""
+``Harmonics.partial_boundary`` that the library uses; and the connected
+components of a link graph from scipy's csgraph, independently of the
+label propagation in ``connected_components``."""
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from ramcube.complexes import dirs_of
 
@@ -74,3 +77,13 @@ def total_dstar_by_sum(H, i):
             below = bin(mask & ((1 << (j - 1)) - 1)).count("1")
             grid[dst.index(mask)][a] = coboundary_by_sum(H, j, mask) * (-1.0) ** below
     return sparse.bmat(grid, format="csr")
+
+
+def components_by_csgraph(link):
+    """(count, labels) of the link graph's connected components, from
+    ``scipy.sparse.csgraph`` on its undirected adjacency."""
+    n = link.n_vertices
+    adj = sparse.coo_matrix((np.ones(len(link.origin), dtype=np.int8),
+                             (link.origin, link.terminus)), shape=(n, n))
+    count, labels = connected_components(adj, directed=False)
+    return int(count), labels

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +144,45 @@ def test_main_end_to_end(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "ramanujan overall: True" in out
     assert (tmp_path / "o" / "report.json").exists()
+
+
+def test_main_resource_cap_exit_code(tmp_path, capsys):
+    """A star above max_dim is a resource failure (6), not a negative
+    verdict (4)."""
+    cfg_path = write_cfg(tmp_path, {"primes": [5, 13], "N1": 7})
+    code = cli.main(["ramanujan", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                     "--max-dim", "100"])
+    assert code == 6
+    assert "resource failure" in capsys.readouterr().err
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["exit_stage"]["stage"] == "resource"
+
+
+_NO_SCIPY_SCRIPT = """
+import json, sys
+from pathlib import Path
+import ramcube.cli
+out = Path(sys.argv[1])
+for primes in ([5], [5, 13]):
+    cfg = out / f"{len(primes)}.json"
+    cfg.write_text(json.dumps({"primes": primes, "N1": 3}))
+    for command in ("build", "ramanujan", "report"):
+        code = ramcube.cli.main([command, "--config", str(cfg),
+                                 "--out", str(out / f"{command}{len(primes)}")])
+        assert code == 0, (primes, command, code)
+assert "scipy" not in sys.modules, "the CLI imported scipy"
+"""
+
+
+def test_cli_path_runs_without_scipy(tmp_path):
+    """build, ramanujan and report need numpy alone: importing scipy would
+    cost most of every invocation's start-up."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_main_config_error(tmp_path, capsys):

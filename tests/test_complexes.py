@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ramcube as rc
+from dense_reference import components_by_csgraph
 from ramcube.complexes import dirs_of, link_dot, mask_of, skeleton_dot
 from ramcube.errors import ConstructionError
 
@@ -144,6 +145,26 @@ def test_connected_components():
     assert len(set(labels)) == 2
     count1, _ = rc.connected_components(rc.link_graph(rc.cycle_complex(5), 1))
     assert count1 == 1
+
+
+def test_connected_components_match_csgraph(lps513, cover513, cover13373):
+    """Count and labels equal csgraph's on every link graph of three
+    arithmetic complexes, on a graph with isolated vertices and on a link
+    graph with no vertices."""
+    links = [rc.link_graph(X, j, mask)
+             for X in (lps513, cover513, cover13373)
+             for mask in X.masks() for j in range(1, X.g + 1)
+             if not mask & (1 << (j - 1)) and (mask | (1 << (j - 1))) in X.tables]
+    assert len(links) == 1 + 4 + 4
+    isolated = rc.link_graph(rc.graph_complex(6, [(0, 1), (3, 4)], r=1), 1)
+    empty = rc.link_graph(rc.graph_complex(0, [], r=1), 1)
+    assert rc.connected_components(isolated)[0] == 4
+    assert rc.connected_components(empty)[0] == 0
+    for lg in links + [isolated, empty]:
+        count, labels = rc.connected_components(lg)
+        ref_count, ref_labels = components_by_csgraph(lg)
+        assert count == ref_count
+        assert np.array_equal(labels, ref_labels)
 
 
 def test_vertex_count_formula(lps513, cover513):

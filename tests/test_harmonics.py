@@ -7,13 +7,46 @@ from hypothesis import strategies as st
 import ramcube as rc
 from dense_reference import coboundary_by_sum, expand_by_bfs, total_dstar_by_sum
 from ramcube import Harmonics
-from ramcube.complexes import mask_of
-from ramcube.errors import VerificationError
+from ramcube.complexes import CubeTable, CubicalComplex, mask_of
+from ramcube.errors import ResourceError
 
 
 @pytest.fixture(scope="module")
 def cover_spaces(cover513):
     return Harmonics(cover513), Harmonics(cover513, rc.build_symm_system(cover513, 2))
+
+
+def _renumber_top_cubes(X, seed):
+    """A copy of X with the oriented cubes of the top direction set
+    renumbered at random.  The representative of each orientation orbit
+    (its least index) is then a random orientation, whose faces need not be
+    representatives: the boundaries read the signs of ``expand``."""
+    top = max(X.masks())
+    t = X.tables[top]
+    perm = np.random.default_rng(seed).permutation(t.n)  # new index of each cube
+    old = np.argsort(perm)                               # cube at each new index
+    tables = dict(X.tables)
+    tables[top] = CubeTable(t.n, {j: b[old] for j, b in t.bot.items()},
+                            {j: v[old] for j, v in t.top.items()},
+                            {j: perm[v[old]] for j, v in t.inv.items()})
+    return CubicalComplex(X.g, X.regularities, tables, X.parities)
+
+
+@pytest.fixture(scope="module")
+def small_spaces():
+    """Workspaces on small complexes, most without parities.  Only on the
+    renumbered product do the boundaries read the signs of ``expand``:
+    with parities every face of a canonical cube is canonical, and on a
+    product the least orientation of a cube has least faces."""
+    K4, C5 = rc.complete_graph_complex(4), rc.cycle_complex(5)
+    return [Harmonics(X) for X in (K4, C5, rc.box_complex(3), rc.product(K4, C5),
+                                   _renumber_top_cubes(rc.product(K4, C5), 0))]
+
+
+def _boundary_keys(X):
+    """Every (j, I) with j outside I and a cube in the directions I + {j}."""
+    return [(j, mask) for mask in X.masks() for j in range(1, X.g + 1)
+            if not mask & (1 << (j - 1)) and (mask | (1 << (j - 1))) in X.tables]
 
 
 def test_boundary_on_single_edge():
@@ -38,15 +71,16 @@ def test_boundary_commutation_and_d_squared(cover_spaces):
         assert abs(ds0 @ ds1).max() < 1e-13
 
 
-def test_expand_matches_breadth_first_search(cover513, x511):
+def test_expand_matches_breadth_first_search(cover513, x511, cover13373):
     """The direction sweep reaches every oriented cube along the path of
     the breadth-first search: bit-identical slots and coefficients, with
     and without parities."""
     K4, C5 = rc.complete_graph_complex(4), rc.cycle_complex(5)
     cases = [("cover513 k=0", cover513, 0), ("cover513 k=2", cover513, 2),
-             ("x511 k=1", x511, 1), ("[13,37]@3 k=1", rc.build_complex([13, 37], 3), 1),
+             ("x511 k=1", x511, 1), ("[13,37]@3 k=1", cover13373, 1),
              ("K4", K4, 0), ("C5", C5, 0), ("box3", rc.box_complex(3), 0),
-             ("K4 x C5", rc.product(K4, C5), 0)]
+             ("K4 x C5", rc.product(K4, C5), 0),
+             ("K4 x C5 renumbered", _renumber_top_cubes(rc.product(K4, C5), 0), 0)]
     for label, X, k in cases:
         H = Harmonics(X, _system(X, k))
         for mask in X.masks():
@@ -56,9 +90,13 @@ def test_expand_matches_breadth_first_search(cover513, x511):
             assert np.array_equal(coeff, ref_coeff), (label, mask)
 
 
-def test_coboundary_is_adjoint(cover_spaces):
+def test_coboundary_is_adjoint(cover_spaces, small_spaces):
     """The conjugate transpose of the boundary is the coboundary of the
     defining sum."""
+    for H in small_spaces:
+        for j, mask in _boundary_keys(H.X):
+            B = coboundary_by_sum(H, j, mask)
+            assert abs(B - H.partial_boundary(j, mask).conj().T).max() == 0.0, (j, mask)
     H_triv, H_k2 = cover_spaces
     for j, mask in ((1, 0), (2, 0), (1, 0b10), (2, 0b01)):
         A = H_triv.partial_boundary(j, mask)
@@ -84,7 +122,10 @@ def test_total_d_for_graph_is_partial(lps513):
     assert abs(H.total_d(0) - H.partial_boundary(1, 0)).max() == 0.0
 
 
-def test_dstar_is_adjoint_of_d(cover_spaces):
+def test_dstar_is_adjoint_of_d(cover_spaces, small_spaces):
+    for H in small_spaces:
+        for i in range(H.X.g):
+            assert abs(total_dstar_by_sum(H, i) - H.total_d(i).conj().T).max() == 0.0, i
     H_triv, H_k2 = cover_spaces
     for i in (0, 1):
         assert abs(total_dstar_by_sum(H_triv, i) - H_triv.total_d(i).conj().T).max() == 0.0
@@ -461,7 +502,7 @@ def test_spectrum_report_and_cap(cover513):
     assert set(mus) == {(1, 0), (2, 0), (1, 1), (2, 1)}
     rows = list(sp.csv_rows())
     assert len(rows) == sum(e.dim for e in sp.entries)
-    with pytest.raises(VerificationError):
+    with pytest.raises(ResourceError):
         rc.spectrum_report(cover513, max_dim=100)
 
 
