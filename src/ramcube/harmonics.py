@@ -20,7 +20,7 @@ Conventions:
 where T_{c,j} is the transition of the direction-j edge at the bottom
 corner of c.  Every operator is assembled once, as numpy COO entries
 (``Coo``: sorted row-major, duplicates summed), each boundary once per
-workspace; the star spectra and cohomology ranks read those entries
+workspace; the star spectra and the cohomology read those entries
 directly, so certification needs numpy alone.  The public sparse accessors
 (``partial_boundary``, ``total_d``, ``star_operator``, ``laplacian``) return
 scipy CSR views of the same entries, importing scipy only when called;
@@ -40,8 +40,8 @@ each operator into N dense blocks of 1/N of its size (``fourier_blocks``).
 The symmetry is verified before use (``symmetry_order``); without it
 N = 1 and the single block is the operator itself.  For real operators
 block N - k is the complex conjugate of block k, so only k <= N/2 are
-formed.  Star and Laplacian spectra (``block_spectrum``) and cohomology
-ranks are the union over the blocks.
+formed.  Star and Laplacian spectra (``block_spectrum``) and the Hodge
+kernels of the cohomology are the union over the blocks.
 
 Star spectra: every direction-j link edge joins I-cubes whose bottom
 vertices have opposite j-parity, so with parities each star (and each of
@@ -51,6 +51,17 @@ with zeros.  ``spectrum`` takes the parity classes and computes the
 singular values of the off-diagonal block instead of a dense Hermitian
 eigensolve; complexes without parities (e.g. complete graphs) keep the
 dense ``eigvalsh`` path, which also serves the tests as the reference.
+
+Cohomology: the Hodge Laplacian d d* + d* d of level i is block diagonal
+over the direction sets, sum_j box_{j,I} on C^I, so h^i is the sum over
+|I| = i of the kernel dimensions of
+    Delta_I = sum over j not in I of d_j^H d_j + sum over j in I of d_j d_j^H.
+``cohomology_dims`` counts them on the Fourier blocks of Delta_I for the
+levels below the top: the first sum is scattered from a row self-join of
+the boundary entries (``Coo.gram_entries``), each d_j d_j^H is the dense
+product of the blocks of d_j, and a shifted Cholesky factorization proves
+most blocks' kernels trivial before any eigensolve.  The ranks of d follow
+by rank-nullity, and the top level, the largest, needs no solve.
 """
 
 from __future__ import annotations
@@ -62,7 +73,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .complexes import CubicalComplex, dirs_of, link_graph, mask_of
-from .errors import ConstructionError, ResourceError
+from .errors import ConstructionError, ResourceError, VerificationError
 from .localsystems import LocalSystem, trivial_system
 
 if TYPE_CHECKING:
@@ -86,6 +97,19 @@ class Coo(NamedTuple):
         summed = np.zeros(len(key), dtype=data.dtype)
         np.add.at(summed, slot, data)
         return cls(key // n_cols, key % n_cols, summed, shape)
+
+    def gram_entries(self, rows: np.ndarray):
+        """(row, col, data) of the rows of A^H A marked in the boolean
+        array rows, with repeated positions not yet summed: conj(A[r, a])
+        A[r, b] for every pair of entries A[r, a], A[r, b] in a row of A
+        whose column a is marked (a row self-join)."""
+        count = np.bincount(self.row, minlength=self.shape[0])
+        first = np.flatnonzero(rows[self.col])
+        partners = count[self.row[first]]
+        left = np.repeat(first, partners)
+        offset = np.arange(len(left)) - np.repeat(np.cumsum(partners) - partners, partners)
+        right = (np.cumsum(count) - count)[self.row[left]] + offset
+        return self.col[left], self.col[right], self.data[left].conj() * self.data[right]
 
     def tocsr(self) -> sparse.csr_matrix:
         from scipy import sparse
@@ -231,9 +255,10 @@ class Harmonics:
         """Number of directions in the set below j (the sign exponent)."""
         return bin(mask & ((1 << (j - 1)) - 1)).count("1")
 
-    def _total_d(self, i: int) -> Coo:
-        """Entries of d from level i to level i + 1: the signed partial
-        boundaries, each at the offsets of its direction sets."""
+    def total_d(self, i: int) -> sparse.csr_matrix:
+        """d from level i to level i + 1: the partial boundaries with
+        alternating direction signs, each at the offsets of its direction
+        sets."""
         src = self.X.masks_of_dim(i)
         dst = self.X.masks_of_dim(i + 1)
         col_off = np.cumsum([0] + [self.dim(mask) for mask in src])
@@ -249,11 +274,8 @@ class Harmonics:
                 parts.append((d.row + row_off[dst.index(up)], d.col + col_off[a],
                               d.data * sign))
         row, col, data = (np.concatenate(x) for x in zip(*parts))
-        return Coo.canonical(row, col, data, (int(row_off[-1]), int(col_off[-1])))
-
-    def total_d(self, i: int) -> sparse.csr_matrix:
-        """d from level i to level i + 1 with alternating direction signs."""
-        return self._total_d(i).tocsr()
+        return Coo.canonical(row, col, data,
+                             (int(row_off[-1]), int(col_off[-1]))).tocsr()
 
     # -- Laplacians and star operators ------------------------------------
 
@@ -405,30 +427,72 @@ class Harmonics:
 
     # -- spectra, cohomology, Hodge ---------------------------------------
 
-    def cohomology_dims(self, rank_tol: float = 1e-8) -> list[int]:
-        """Betti numbers h^0..h^g of the total complex via numerical ranks:
-        the singular values above rank_tol times the largest one, over the
-        Fourier blocks of each total d (the transform is unitary)."""
-        ranks = []
-        for i in range(self.X.g):
-            D = self._total_d(i)
-            if min(D.shape) == 0:
-                ranks.append(0)
-                continue
-            rows = self.coordinate_orbits(self.X.masks_of_dim(i + 1))
-            cols = self.coordinate_orbits(self.X.masks_of_dim(i))
-            svs = [(np.linalg.svd(block, compute_uv=False), mult)
-                   for block, mult in self.fourier_blocks(D, rows, cols)]
-            top = max(sv[0] for sv, _ in svs)
-            ranks.append(sum(mult * int(np.sum(sv > rank_tol * top)) for sv, mult in svs)
-                         if top > 0 else 0)
-        dims = [self.level_dim(i) for i in range(self.X.g + 1)]
-        h = []
-        for i in range(self.X.g + 1):
-            r_out = ranks[i] if i < self.X.g else 0
-            r_in = ranks[i - 1] if i > 0 else 0
-            h.append(dims[i] - r_out - r_in)
-        return h
+    def _capped_dim(self, mask: int, max_dim: int) -> int:
+        """dim C^I, refused above the cap: the solvers hold the Fourier
+        blocks of operators on C^I densely (the whole operator when there
+        is a single block)."""
+        dim = self.dim(mask)
+        if dim > max_dim:
+            raise ResourceError(
+                f"operators on C^{dirs_of(mask)} have dimension {dim}, above the cap "
+                f"{max_dim}; raise max_dim to proceed")
+        return dim
+
+    def _hodge_blocks(self, mask: int):
+        """Fourier blocks of the Hodge Laplacian on C^I with their
+        multiplicities: sum over j outside I of d_j^H d_j, scattered from
+        the row self-joins of the boundary entries, plus sum over j in I of
+        d_j d_j^H, the dense products of the blocks of d_j.  Only the rows
+        that lead their orbits, the ones ``fourier_blocks`` reads, are
+        formed of the first sum."""
+        orbits = self.coordinate_orbits([mask])
+        leads = orbits[1] == 0
+        parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, self.dtype))]
+        for j in range(1, self.X.g + 1):
+            bit = 1 << (j - 1)
+            if not mask & bit and (mask | bit) in self.X.tables:
+                parts.append(self._boundary(j, mask).gram_entries(leads))
+        n = self.dim(mask)
+        up = Coo.canonical(*(np.concatenate(x) for x in zip(*parts)), (n, n))
+        down = []
+        for j in dirs_of(mask):
+            face = mask & ~(1 << (j - 1))
+            down.append(self.fourier_blocks(self._boundary(j, face), orbits,
+                                            self.coordinate_orbits([face])))
+        for (lap, mult), *faces in zip(self.fourier_blocks(up, orbits, orbits), *down):
+            for B, _ in faces:
+                lap += B @ B.conj().T
+            yield lap, mult
+
+    def cohomology_dims(self, rank_tol: float = 1e-8, *, max_dim: int = 20000) -> list[int]:
+        """Betti numbers h^0..h^g of the total complex.
+
+        Below the top level, h^i is the sum over |I| = i of the kernel
+        dimensions of the Hodge Laplacians on C^I, each the eigenvalues of
+        its Fourier blocks (with multiplicity) at most the window rank_tol
+        * 2 sum_j r_j, a multiple of the bound 2 r_j on each box_{j,I}.  An
+        eigenvalue within 1e3 times the window above it makes the count
+        ambiguous and raises VerificationError.  The ranks of d follow by
+        rank-nullity, rho_i = dim C^i - h^i - rho_{i-1}, and the top level,
+        the largest, needs no solve: h^g = dim C^g - rho_{g-1}.  A C^I of
+        a lower level above max_dim raises ResourceError."""
+        X = self.X
+        below = [mask for mask in X.masks() if bin(mask).count("1") < X.g]
+        for mask in below:
+            self._capped_dim(mask, max_dim)
+        window = rank_tol * 2 * sum(X.regularities)
+        h = [0] * X.g
+        for mask in below:
+            for lap, mult in self._hodge_blocks(mask):
+                h[bin(mask).count("1")] += mult * _kernel_dim(lap, window, mask)
+        rank = 0
+        for i in range(X.g):
+            rank = self.level_dim(i) - h[i] - rank
+            if not 0 <= rank <= min(self.level_dim(i), self.level_dim(i + 1)):
+                raise VerificationError(
+                    f"the kernel dimensions give rank {rank} for d on level {i}, "
+                    f"outside 0..min(dim C^{i}, dim C^{i + 1})")
+        return h + [self.level_dim(X.g) - rank]
 
     def euler_characteristic(self) -> int:
         """Independent alternating sum over unoriented cube counts."""
@@ -485,6 +549,28 @@ class Harmonics:
         mism = float(np.max(np.abs(lo_nz - hi_nz))) if len(lo_nz) else 0.0
         return mism <= tol * max(1.0, self.X.r(j)), {"max_mismatch": mism,
                                                      "count": len(lo_nz)}
+
+
+def _kernel_dim(lap: np.ndarray, window: float, mask: int) -> int:
+    """Number of eigenvalues of a positive semidefinite Hermitian block at
+    most window; VerificationError if one lies in (window, 1e3 * window].
+    A Cholesky factorization of lap - 1e3 * window certifies that every
+    eigenvalue lies above both, a trivial kernel, at a fraction of the cost
+    of the eigensolve, which runs only when it fails."""
+    diag = np.diag_indices_from(lap)
+    lap[diag] -= 1e3 * window
+    try:
+        np.linalg.cholesky(lap)
+        return 0
+    except np.linalg.LinAlgError:
+        lap[diag] += 1e3 * window
+    eigs = np.linalg.eigvalsh(lap)
+    vague = eigs[(eigs > window) & (eigs <= 1e3 * window)]
+    if vague.size:
+        raise VerificationError(
+            f"Hodge Laplacian on C^{dirs_of(mask)} has eigenvalue {vague[0]:.3e} within "
+            f"1e3 of the kernel window {window:.3e}; its kernel dimension is ambiguous")
+    return int(np.sum(eigs <= window))
 
 
 # ----------------------------------------------------------------------
@@ -602,11 +688,7 @@ def spectrum_report(X: CubicalComplex, L: LocalSystem | None = None,
             bit = 1 << (j - 1)
             if mask & bit or (mask | bit) not in X.tables:
                 continue
-            dim = H.dim(mask)
-            if dim > max_dim:
-                raise ResourceError(
-                    f"star operator dimension {dim} exceeds the cap {max_dim}; "
-                    f"raise max_dim to proceed")
+            dim = H._capped_dim(mask, max_dim)
             eigs = H.block_spectrum(H._star(j, mask), mask, H.star_parity(j, mask))
             verdict = classify_ramanujan(eigs, X.r(j), tol)
             report.entries.append(SpectrumEntry(j, dirs_of(mask), dim, eigs, verdict))

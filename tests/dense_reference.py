@@ -5,9 +5,11 @@ at a time, and the coboundary d*_j from its defining sum
     (d*_j t)(r) = sum over top_j(c) = r of T_{c,j} t(c),
 
 independently of ``Harmonics.expand`` and of the conjugate transpose of
-``Harmonics.partial_boundary`` that the library uses; and the connected
+``Harmonics.partial_boundary`` that the library uses; the connected
 components of a link graph from scipy's csgraph, independently of the
-label propagation in ``connected_components``."""
+label propagation in ``connected_components``; and the Betti numbers from
+singular values of the total d, independently of the Hodge kernels of
+``Harmonics.cohomology_dims``."""
 
 import numpy as np
 from scipy import sparse
@@ -87,3 +89,26 @@ def components_by_csgraph(link):
                              (link.origin, link.terminus)), shape=(n, n))
     count, labels = connected_components(adj, directed=False)
     return int(count), labels
+
+
+def cohomology_by_svd(H, rank_tol=1e-8, blocks=True):
+    """Betti numbers h^0..h^g from numerical ranks: the singular values of
+    each total d above rank_tol times the largest one, over its Fourier
+    blocks (with multiplicities; the transform is unitary) or, with
+    blocks=False, over the whole dense matrix."""
+    ranks = []
+    for i in range(H.X.g):
+        D = H.total_d(i)
+        if blocks:
+            parts = H.fourier_blocks(D, H.coordinate_orbits(H.X.masks_of_dim(i + 1)),
+                                     H.coordinate_orbits(H.X.masks_of_dim(i)))
+        else:
+            parts = [(D.toarray(), 1)]
+        svs = [(np.linalg.svd(block, compute_uv=False), mult)
+               for block, mult in parts if block.size]
+        top = max((sv[0] for sv, _ in svs), default=0.0)
+        ranks.append(sum(mult * int(np.sum(sv > rank_tol * top)) for sv, mult in svs)
+                     if top > 0 else 0)
+    ranks.append(0)
+    return [H.level_dim(i) - ranks[i] - (ranks[i - 1] if i else 0)
+            for i in range(H.X.g + 1)]

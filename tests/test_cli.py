@@ -158,6 +158,19 @@ def test_main_resource_cap_exit_code(tmp_path, capsys):
     assert report["exit_stage"]["stage"] == "resource"
 
 
+def test_main_cohomology_cap_exit_code(tmp_path, capsys):
+    """max_dim also caps the cochains whose Hodge Laplacians the cohomology
+    solves: exit 6 before any solve."""
+    cfg_path = write_cfg(tmp_path, {"primes": [5, 13], "N1": 7})
+    code = cli.main(["cohomology", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                     "--max-dim", "100"])
+    assert code == 6
+    assert "resource failure" in capsys.readouterr().err
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["exit_stage"]["stage"] == "resource"
+    assert "cohomology" not in report
+
+
 _NO_SCIPY_SCRIPT = """
 import json, sys
 from pathlib import Path
@@ -166,7 +179,7 @@ out = Path(sys.argv[1])
 for primes in ([5], [5, 13]):
     cfg = out / f"{len(primes)}.json"
     cfg.write_text(json.dumps({"primes": primes, "N1": 3}))
-    for command in ("build", "ramanujan", "report"):
+    for command in ("build", "ramanujan", "cohomology", "report"):
         code = ramcube.cli.main([command, "--config", str(cfg),
                                  "--out", str(out / f"{command}{len(primes)}")])
         assert code == 0, (primes, command, code)
@@ -175,8 +188,8 @@ assert "scipy" not in sys.modules, "the CLI imported scipy"
 
 
 def test_cli_path_runs_without_scipy(tmp_path):
-    """build, ramanujan and report need numpy alone: importing scipy would
-    cost most of every invocation's start-up."""
+    """build, ramanujan, cohomology and report need numpy alone: importing
+    scipy would cost most of every invocation's start-up."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ramcube as rc
-from dense_reference import coboundary_by_sum, expand_by_bfs, total_dstar_by_sum
+from dense_reference import (coboundary_by_sum, cohomology_by_svd, expand_by_bfs,
+                             total_dstar_by_sum)
 from ramcube import Harmonics
 from ramcube.complexes import CubeTable, CubicalComplex, mask_of
-from ramcube.errors import ResourceError
+from ramcube.errors import ResourceError, VerificationError
 
 
 @pytest.fixture(scope="module")
@@ -296,8 +297,7 @@ def test_spectrum_report_is_symmetric(config, k):
         S = H.star_matrix(e.j, mask_of(e.dirs))
         assert np.abs(eigs - rc.spectrum(S)).max() <= 1e-10
     assert H.symmetry_order() == n1
-    if k == 0:
-        assert H.cohomology_dims() == _dense_cohomology_dims(H)
+    assert H.cohomology_dims() == cohomology_by_svd(H)
 
 
 def test_star_hermitian_for_symm_systems(x511):
@@ -386,24 +386,73 @@ def test_cohomology_small_cases():
     assert Harmonics(box).cohomology_dims() == [1, 0, 0]
 
 
-def _dense_cohomology_dims(H, rank_tol=1e-8):
-    """Reference Betti numbers: numerical ranks from the full dense SVD."""
-    ranks = []
-    for i in range(H.X.g):
-        D = H.total_d(i)
-        sv = np.linalg.svd(D.toarray(), compute_uv=False) if min(D.shape) else [0.0]
-        ranks.append(int(np.sum(sv > rank_tol * sv[0])) if sv[0] > 0 else 0)
-    ranks.append(0)
-    return [H.level_dim(i) - ranks[i] - (ranks[i - 1] if i else 0)
-            for i in range(H.X.g + 1)]
-
-
-def test_block_cohomology_matches_dense_svd(cover_spaces, lps513):
-    spaces = [Harmonics(rc.cycle_complex(6)), Harmonics(rc.cycle_complex(5)),
-              Harmonics(rc.box_complex(3)), *cover_spaces, Harmonics(lps513)]
-    assert [H.symmetry_order() for H in spaces] == [1, 1, 1, 3, 3, 13]
+def test_block_cohomology_matches_dense_svd(cover_spaces, small_spaces, lps513):
+    """The Hodge kernels below the top level and the rank recursion give
+    the Betti numbers of the singular values of the whole dense d, with and
+    without parities and Fourier blocks."""
+    C5, C6 = rc.cycle_complex(5), rc.cycle_complex(6)
+    spaces = [Harmonics(C6), Harmonics(C5), Harmonics(rc.box_complex(3)), *cover_spaces,
+              Harmonics(lps513), small_spaces[0], *small_spaces[3:],
+              Harmonics(rc.disjoint_union(C5, C6))]
+    assert [H.symmetry_order() for H in spaces] == [1, 1, 1, 3, 3, 13, 1, 1, 1, 1]
     for H in spaces:
-        assert H.cohomology_dims() == _dense_cohomology_dims(H)
+        assert H.cohomology_dims() == cohomology_by_svd(H, blocks=False)
+
+
+@pytest.mark.parametrize("complex_fixture", ["x511", "cover13373"])
+def test_cohomology_matches_svd_without_symmetry(request, complex_fixture):
+    """Weight 1 falls back to one Fourier block (N = 1): the Hodge
+    Laplacians on the whole C^I against the SVD of the whole d."""
+    X = request.getfixturevalue(complex_fixture)
+    H = Harmonics(X, rc.build_symm_system(X, 1))
+    assert H.symmetry_order() == 1
+    assert H.cohomology_dims() == cohomology_by_svd(H)
+
+
+def test_cohomology_kernel_in_paired_blocks(cover513):
+    """A real rank-2 system gauge-equivalent to the trivial one,
+    T_e = R(theta(top e) - theta(bot e)) with R a rotation and theta(v) =
+    2 pi t / 3 for v the t-th translate of its orbit's leader.  Its flat
+    sections R(theta) s_0 turn by R(2 pi / 3) under the translation, so
+    h^0 = 2 lies in Fourier blocks 1 and 2, which a real operator forms
+    once and counts twice."""
+    N, _, shift = Harmonics(cover513)._translation()
+    c, s = np.cos(2 * np.pi / N), np.sin(2 * np.pi / N)
+    rot = np.stack([np.eye(2), [[c, -s], [s, c]], [[c, s], [-s, c]]])
+    trans = [rot[(shift[t.top[j]] - shift[t.bot[j]]) % N]
+             for j, t in ((1, cover513.tables[1]), (2, cover513.tables[2]))]
+    H = Harmonics(cover513, rc.LocalSystem(2, trans, "rotation gauge"))
+    assert H.symmetry_order() == N == 3 and H.dtype == np.float64
+    assert H.cohomology_dims() == [2, 0, 1150] == cohomology_by_svd(H, blocks=False)
+
+
+def test_cohomology_refuses_ambiguous_gap():
+    """On the 50-cycle the least nonzero Laplacian eigenvalue is
+    2 - 2 cos(2 pi / 50) = 0.0158: clear of the default window, inside
+    1e3 times the window of rank_tol = 1e-3."""
+    H = Harmonics(rc.cycle_complex(50))
+    assert H.cohomology_dims() == [1, 1]
+    with pytest.raises(VerificationError, match="ambiguous"):
+        H.cohomology_dims(rank_tol=1e-3)
+
+
+def test_cohomology_rejects_impossible_ranks(monkeypatch):
+    """Kernel dimensions that imply a rank of d outside 0..min(dim C^i,
+    dim C^(i+1)) are refused."""
+    import ramcube.harmonics as harmonics
+    monkeypatch.setattr(harmonics, "_kernel_dim", lambda lap, window, mask: 2 * len(lap))
+    with pytest.raises(VerificationError, match="rank"):
+        Harmonics(rc.box_complex(2)).cohomology_dims()
+
+
+def test_cohomology_cap(cover513):
+    """The cap applies to every C^I below the top level, where the Hodge
+    Laplacians are solved: 48 vertices pass a cap of 100, 144 edges do not."""
+    H = Harmonics(cover513)
+    assert H.dim(0) == 48 and H.dim(1) == 144
+    with pytest.raises(ResourceError, match="cap 100"):
+        H.cohomology_dims(max_dim=100)
+    assert H.cohomology_dims(max_dim=336) == [1, 0, 575]
 
 
 def test_symmetry_falls_back_to_one_block(cover513, x511):
