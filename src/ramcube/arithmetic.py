@@ -134,22 +134,25 @@ class ArithData:
     def group(self):
         return self.gens.group
 
-    def unipotent_translation(self) -> np.ndarray | None:
-        """Left translation by (u, 0), u = [[1, 1], [0, 1]], as a vertex
-        permutation: v -> the vertex (u * h_v, parity bits of v); None when
-        that leaves the vertex set.
+    def left_translation(self, m) -> np.ndarray | None:
+        """Left translation by (m, 0), m = (m00, m01, m10, m11) a matrix
+        over Z/n1, as a vertex permutation: v -> the vertex (m * h_v, parity
+        bits of v); None when that leaves the vertex set.
 
-        u has order n1 in the coarse group.  Left translation commutes with
-        the right steps by generator images, so it preserves every edge
-        and keeps every parity; vertices map to vertices whenever u lies in
-        the projection of the vertex group (u has odd order, so (u, b) in
-        the vertex group implies (u, 0) in it)."""
+        Left translation commutes with the right steps by generator images,
+        so it preserves every edge and keeps every parity.  Vertices map to
+        vertices whenever (m, 0) lies in the vertex group: for the
+        unipotent u = [[1, 1], [0, 1]], of odd order n1, that holds as soon
+        as u lies in the projection of the vertex group."""
         G = self.group
-        u = int(G.lookup((1, 1, 0, 1)))
+        try:
+            element = int(G.lookup(m))
+        except ConstructionError:  # m is not in the coarse group
+            return None
         g = self.parities.shape[1]
         bits = self.parities.astype(np.int64) @ (1 << np.arange(g))
         codes = (self.vertex_group << g) | bits
-        moved = (G.left_multiplication(u)[self.vertex_group] << g) | bits
+        moved = (G.left_multiplication(element)[self.vertex_group] << g) | bits
         order = np.argsort(codes)
         pos = order[np.minimum(np.searchsorted(codes, moved, sorter=order), len(codes) - 1)]
         return pos if np.array_equal(codes[pos], moved) else None

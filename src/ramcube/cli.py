@@ -9,7 +9,6 @@ Exit codes: 0 success, 2 config error, 3 construction failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .arithmetic import build_complex, find_valid_level, girth, irreducibility_report
-from .complexes import dirs_of, export_dot, link_graph
+from .complexes import dirs_of, export_dot, link_graph, mask_of
 from .errors import (CentralConditionError, ConfigError, ConstructionError,
                      GeneratorCountError, RamcubeError, ResourceError,
                      VerificationError)
@@ -333,11 +332,21 @@ def _json_default(obj):
 
 
 def _write_csv(path: Path, sp) -> None:
+    """Rows (j, dirs-bitmask, index, eigenvalue, class) in the bytes of
+    csv.writer: repr floats and \\r\\n line ends.  An eigenvalue is
+    trivial+ or trivial- within tol * max(r, 1) of +r or -r, as in
+    classify_ramanujan, and nontrivial otherwise."""
+    lines = ["j,dirs_mask,index,eigenvalue,class\r\n"]
+    for e in sp.entries:
+        r, eigs = e.verdict.r, e.eigenvalues
+        window = e.verdict.tol * max(r, 1)
+        cls = np.where(np.abs(eigs - r) <= window, "trivial+",
+                       np.where(np.abs(eigs + r) <= window, "trivial-", "nontrivial"))
+        head = f"{e.j},{mask_of(e.dirs)},"
+        lines += [f"{head}{i},{lam!r},{c}\r\n"
+                  for i, (lam, c) in enumerate(zip(eigs.tolist(), cls.tolist()))]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "dirs_mask", "index", "eigenvalue", "class"])
-        for row in sp.csv_rows():
-            writer.writerow(row)
+        fh.write("".join(lines))
 
 
 def main(argv=None) -> int:

@@ -36,12 +36,22 @@ face and inversion map and fixes every edge transition (trivial and
 even-weight systems; odd weights are invariant only up to the epsilon
 gauge), every boundary operator and star commutes with it.  The discrete
 Fourier transform over its orbits, which all have N elements, then splits
-each operator into N dense blocks of 1/N of its size (``fourier_blocks``).
-The symmetry is verified before use (``symmetry_order``); without it
-N = 1 and the single block is the operator itself.  For real operators
-block N - k is the complex conjugate of block k, so only k <= N/2 are
-formed.  Star and Laplacian spectra (``block_spectrum``) and the Hodge
-kernels of the cohomology are the union over the blocks.
+each operator into N dense blocks of 1/N of its size.  The symmetry is
+verified before use (``symmetry_order``); without it N = 1 and the single
+block is the operator itself.
+
+The diagonal torus tau_a = diag(a, 1/a), a a primitive root mod N,
+normalises u: tau_a u tau_a^-1 = u^(a^2).  When its left translation passes
+the same checks and conjugates the vertex permutation of u to its a^2-th
+power, block k of every operator is unitarily equivalent to block a^2 k,
+so the blocks fall into three torus classes: {0}, the squares and the
+non-squares.  ``fourier_blocks`` then forms one block per class (blocks 0,
+1 and a) with the class size as its multiplicity; for a real operator
+block N - k is the complex conjugate of block k, so when N = 3 (mod 4), -1
+being a non-square, blocks 0 and 1 suffice.  Without a verified torus every
+block is formed, or for a real operator the k <= N/2.  Star and Laplacian
+spectra (``block_spectrum``) and the Hodge kernels of the cohomology are
+the union over the blocks with their multiplicities.
 
 Star spectra: every direction-j link edge joins I-cubes whose bottom
 vertices have opposite j-parity, so with parities each star (and each of
@@ -72,7 +82,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .complexes import CubicalComplex, dirs_of, link_graph, mask_of
+from .complexes import CubicalComplex, dirs_of, link_graph
 from .errors import ConstructionError, ResourceError, VerificationError
 from .localsystems import LocalSystem, trivial_system
 
@@ -134,6 +144,7 @@ class Harmonics:
         self._expand: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._bnd: dict[tuple[int, int], Coo] = {}
         self._symmetry = None
+        self._torus: int | None = None
 
     # -- representative bookkeeping ------------------------------------
 
@@ -332,11 +343,12 @@ class Harmonics:
         """(N, leader, shift): the least vertex of each vertex's orbit and
         the t with vertex = sigma^t(leader); (1, None, None) unless the
         unipotent translation is verified to commute with every cube map
-        and to fix every edge transition."""
+        and to fix every edge transition.  With it, the torus translation
+        is verified too (``_verify_torus``)."""
         if self._symmetry is None:
             self._symmetry = (1, None, None)
             X = self.X
-            sigma = X.arith.unipotent_translation() if X.arith is not None else None
+            sigma = X.arith.left_translation((1, 1, 0, 1)) if X.arith is not None else None
             if sigma is not None and self._is_symmetry(sigma):
                 N, n = X.arith.n1, X.n_vertices
                 idx = np.arange(n)
@@ -350,7 +362,44 @@ class Harmonics:
                     back[better] = t
                 if np.array_equal(sigma[walk], idx):
                     self._symmetry = (N, leader, (N - back) % N)
+                    self._torus = self._verify_torus(sigma, N)
         return self._symmetry
+
+    def _verify_torus(self, sigma: np.ndarray, N: int) -> int | None:
+        """a, a primitive root mod N, when the left translation tau by
+        diag(a, 1/a) is a symmetry (``_is_symmetry``) that conjugates the
+        unipotent translation sigma to sigma^(a^2); None otherwise.  Then
+        Fourier block k of every operator is unitarily equivalent to block
+        a^2 k, so the blocks fall into the classes {0}, the squares and the
+        non-squares mod N (``_block_classes``)."""
+        a = _primitive_root(N)
+        tau = self.X.arith.left_translation((a, 0, 0, pow(a, -1, N)))
+        if tau is None or not self._is_symmetry(tau):
+            return None
+        inverse = np.empty_like(tau)
+        inverse[tau] = np.arange(len(tau))
+        power = np.arange(len(tau))
+        for _ in range(a * a % N):
+            power = sigma[power]
+        return a if np.array_equal(tau[sigma[inverse]], power) else None
+
+    def _block_classes(self, real: bool) -> list[tuple[int, int]]:
+        """(k, multiplicity) of the Fourier blocks that represent all N.
+        With a verified torus: block 0, block 1 for the squares and block
+        a for the non-squares, (N - 1)/2 blocks each; for a real operator
+        with N = 3 (mod 4), -1 is a non-square and block a has the spectrum
+        of conj(block 1), so block 1 counts N - 1 times.  Without one: every
+        block, or for a real operator the k <= N/2, block N - k being the
+        conjugate of block k."""
+        N = self.symmetry_order()
+        a = self._torus
+        if a is not None:
+            if real and N % 4 == 3:
+                return [(0, 1), (1, N - 1)]
+            return [(0, 1), (1, (N - 1) // 2), (a, (N - 1) // 2)]
+        if real:
+            return [(k, 1 if 2 * k % N == 0 else 2) for k in range(N // 2 + 1)]
+        return [(k, 1) for k in range(N)]
 
     def _is_symmetry(self, sigma: np.ndarray) -> bool:
         X = self.X
@@ -403,27 +452,29 @@ class Harmonics:
         """Dense Fourier blocks of an operator (its Coo entries or a scipy
         matrix) that commutes with the translation; rows and cols are
         coordinate_orbits of its range and domain.  Yields (block,
-        multiplicity), one block at a time.
+        multiplicity), one block at a time, for the blocks that
+        ``_block_classes`` picks: one per torus class when the torus is
+        verified (block 0, block 1 and a non-square, or block 0 and block 1
+        for a real operator with N = 3 mod 4), otherwise every block, or
+        the k <= N/2 for a real operator.
 
         Block k has the entries A[l, c] * w^(k (shift(c) - shift(l))),
         w = exp(2 pi i / N), summed at (orbit of l, orbit of c) over the
-        nonzeros whose row l leads its orbit: O(nnz) over all blocks.  The
+        nonzeros whose row l leads its orbit: O(nnz) per block.  The
         spectra and singular values of A are those of the blocks taken
-        with their multiplicities.  Block 0 keeps the dtype of A; for real
-        A, block N - k is the conjugate of block k and is counted twice."""
+        with their multiplicities.  Block 0 keeps the dtype of A."""
         N = self.symmetry_order()
         (r_id, r_shift, n_r), (c_id, c_shift, n_c) = rows, cols
         A = A if isinstance(A, Coo) else A.tocoo()
         keep = r_shift[A.row] == 0
         ri, ci = r_id[A.row[keep]], c_id[A.col[keep]]
         val, t = A.data[keep], c_shift[A.col[keep]]
-        real = not np.iscomplexobj(val)
         phase = np.exp(2j * np.pi * np.arange(N) / N)
-        for k in range(N // 2 + 1 if real else N):
+        for k, mult in self._block_classes(not np.iscomplexobj(val)):
             w = val if k == 0 else val * phase[k * t % N]
             block = np.zeros((n_r, n_c), dtype=w.dtype)
             np.add.at(block, (ri, ci), w)
-            yield block, 1 if not real or 2 * k % N == 0 else 2
+            yield block, mult
 
     # -- spectra, cohomology, Hodge ---------------------------------------
 
@@ -551,6 +602,11 @@ class Harmonics:
                                                      "count": len(lo_nz)}
 
 
+def _primitive_root(n: int) -> int:
+    """Least generator of the multiplicative group mod the odd prime n."""
+    return next(a for a in range(2, n) if len({pow(a, e, n) for e in range(1, n)}) == n - 1)
+
+
 def _kernel_dim(lap: np.ndarray, window: float, mask: int) -> int:
     """Number of eigenvalues of a positive semidefinite Hermitian block at
     most window; VerificationError if one lies in (window, 1e3 * window].
@@ -661,19 +717,6 @@ class SpectrumReport:
             key = (e.j, len(e.dirs))
             out[key] = max(out.get(key, 0.0), e.verdict.mu)
         return out
-
-    def csv_rows(self):
-        """Rows (j, dirs-bitmask, index, eigenvalue, class)."""
-        for e in self.entries:
-            window = e.verdict.tol * max(e.verdict.r, 1)
-            for idx, lam in enumerate(e.eigenvalues):
-                if abs(lam - e.verdict.r) <= window:
-                    cls = "trivial+"
-                elif abs(lam + e.verdict.r) <= window:
-                    cls = "trivial-"
-                else:
-                    cls = "nontrivial"
-                yield (e.j, mask_of(e.dirs), idx, float(lam), cls)
 
 
 def spectrum_report(X: CubicalComplex, L: LocalSystem | None = None,

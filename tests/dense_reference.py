@@ -7,9 +7,11 @@ at a time, and the coboundary d*_j from its defining sum
 independently of ``Harmonics.expand`` and of the conjugate transpose of
 ``Harmonics.partial_boundary`` that the library uses; the connected
 components of a link graph from scipy's csgraph, independently of the
-label propagation in ``connected_components``; and the Betti numbers from
-singular values of the total d, independently of the Hodge kernels of
-``Harmonics.cohomology_dims``."""
+label propagation in ``connected_components``; every Fourier block of an
+operator, scattered from all of its rows, independently of the leader rows
+and the torus classes of ``Harmonics.fourier_blocks``; and the Betti
+numbers from singular values of the total d, independently of the Hodge
+kernels of ``Harmonics.cohomology_dims``."""
 
 import numpy as np
 from scipy import sparse
@@ -91,24 +93,41 @@ def components_by_csgraph(link):
     return int(count), labels
 
 
+def fourier_blocks_unfolded(H, A, rows, cols):
+    """Every Fourier block k = 0..N-1 of an operator that commutes with the
+    translation (N its order), each once: the entries A[l, c] *
+    w^(k (shift(c) - shift(l))), w = exp(2 pi i / N), summed at (orbit of l,
+    orbit of c) over all nonzeros and divided by N, since each orbit of
+    entries adds the same term N times.  rows and cols are
+    ``Harmonics.coordinate_orbits`` of the range and the domain."""
+    N = H.symmetry_order()
+    (r_id, r_shift, n_r), (c_id, c_shift, n_c) = rows, cols
+    A = sparse.coo_matrix(A)
+    ri, ci = r_id[A.row], c_id[A.col]
+    diff = c_shift[A.col] - r_shift[A.row]
+    for k in range(N):
+        w = A.data / N if k == 0 else A.data * np.exp(2j * np.pi * k * diff / N) / N
+        block = np.zeros((n_r, n_c), dtype=w.dtype)
+        np.add.at(block, (ri, ci), w)
+        yield block
+
+
 def cohomology_by_svd(H, rank_tol=1e-8, blocks=True):
     """Betti numbers h^0..h^g from numerical ranks: the singular values of
-    each total d above rank_tol times the largest one, over its Fourier
-    blocks (with multiplicities; the transform is unitary) or, with
+    each total d above rank_tol times the largest one, over every Fourier
+    block (``fourier_blocks_unfolded``; the transform is unitary) or, with
     blocks=False, over the whole dense matrix."""
     ranks = []
     for i in range(H.X.g):
         D = H.total_d(i)
         if blocks:
-            parts = H.fourier_blocks(D, H.coordinate_orbits(H.X.masks_of_dim(i + 1)),
-                                     H.coordinate_orbits(H.X.masks_of_dim(i)))
+            parts = fourier_blocks_unfolded(H, D, H.coordinate_orbits(H.X.masks_of_dim(i + 1)),
+                                            H.coordinate_orbits(H.X.masks_of_dim(i)))
         else:
-            parts = [(D.toarray(), 1)]
-        svs = [(np.linalg.svd(block, compute_uv=False), mult)
-               for block, mult in parts if block.size]
-        top = max((sv[0] for sv, _ in svs), default=0.0)
-        ranks.append(sum(mult * int(np.sum(sv > rank_tol * top)) for sv, mult in svs)
-                     if top > 0 else 0)
+            parts = [D.toarray()]
+        svs = [np.linalg.svd(block, compute_uv=False) for block in parts if block.size]
+        top = max((sv[0] for sv in svs), default=0.0)
+        ranks.append(sum(int(np.sum(sv > rank_tol * top)) for sv in svs) if top > 0 else 0)
     ranks.append(0)
     return [H.level_dim(i) - ranks[i] - (ranks[i - 1] if i else 0)
             for i in range(H.X.g + 1)]

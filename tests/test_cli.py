@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -7,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+import ramcube as rc
 import ramcube.cli as cli
+from ramcube.complexes import mask_of
 from ramcube.errors import ConfigError
 
 
@@ -267,3 +270,40 @@ def test_auto_level_builds_the_complex_once(tmp_path, monkeypatch):
     report, code = cli.run(cfg, "build", out_dir=tmp_path)
     assert code == 0 and report["complex"]["N1"] == 3
     assert calls == [3]
+
+
+def _spectrum_csv_by_writer(path, sp):
+    """The reference spectrum.csv: csv.writer over rows classified one
+    eigenvalue at a time, within tol * max(r, 1) of +r or -r."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["j", "dirs_mask", "index", "eigenvalue", "class"])
+        for e in sp.entries:
+            window = e.verdict.tol * max(e.verdict.r, 1)
+            for idx, lam in enumerate(e.eigenvalues):
+                if abs(lam - e.verdict.r) <= window:
+                    cls = "trivial+"
+                elif abs(lam + e.verdict.r) <= window:
+                    cls = "trivial-"
+                else:
+                    cls = "nontrivial"
+                writer.writerow((e.j, mask_of(e.dirs), idx, float(lam), cls))
+
+
+def test_spectrum_csv_matches_csv_writer(tmp_path, cover513):
+    """The one-pass spectrum.csv has the bytes of csv.writer, one row per
+    eigenvalue, on reports with rows of all three classes."""
+    reports = [rc.spectrum_report(cover513),
+               rc.spectrum_report(cover513, rc.build_symm_system(cover513, 2)),
+               rc.spectrum_report(rc.complete_graph_complex(4)),
+               rc.spectrum_report(rc.cycle_complex(5))]
+    classes = set()
+    for n, sp in enumerate(reports):
+        fast, ref = tmp_path / f"fast{n}.csv", tmp_path / f"ref{n}.csv"
+        cli._write_csv(fast, sp)
+        _spectrum_csv_by_writer(ref, sp)
+        assert fast.read_bytes() == ref.read_bytes()
+        rows = fast.read_bytes().decode().split("\r\n")
+        assert rows[-1] == "" and len(rows) == 2 + sum(e.dim for e in sp.entries)
+        classes |= {row.rsplit(",", 1)[-1] for row in rows[1:-1]}
+    assert classes == {"trivial+", "trivial-", "nontrivial"}

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import ramcube as rc
 from dense_reference import (coboundary_by_sum, cohomology_by_svd, expand_by_bfs,
-                             total_dstar_by_sum)
+                             fourier_blocks_unfolded, total_dstar_by_sum)
 from ramcube import Harmonics
 from ramcube.complexes import CubeTable, CubicalComplex, mask_of
 from ramcube.errors import ResourceError, VerificationError
@@ -409,21 +409,46 @@ def test_cohomology_matches_svd_without_symmetry(request, complex_fixture):
     assert H.cohomology_dims() == cohomology_by_svd(H)
 
 
-def test_cohomology_kernel_in_paired_blocks(cover513):
+def _rotation_gauge(X):
     """A real rank-2 system gauge-equivalent to the trivial one,
     T_e = R(theta(top e) - theta(bot e)) with R a rotation and theta(v) =
-    2 pi t / 3 for v the t-th translate of its orbit's leader.  Its flat
-    sections R(theta) s_0 turn by R(2 pi / 3) under the translation, so
-    h^0 = 2 lies in Fourier blocks 1 and 2, which a real operator forms
-    once and counts twice."""
-    N, _, shift = Harmonics(cover513)._translation()
-    c, s = np.cos(2 * np.pi / N), np.sin(2 * np.pi / N)
-    rot = np.stack([np.eye(2), [[c, -s], [s, c]], [[c, s], [-s, c]]])
-    trans = [rot[(shift[t.top[j]] - shift[t.bot[j]]) % N]
-             for j, t in ((1, cover513.tables[1]), (2, cover513.tables[2]))]
-    H = Harmonics(cover513, rc.LocalSystem(2, trans, "rotation gauge"))
-    assert H.symmetry_order() == N == 3 and H.dtype == np.float64
+    2 pi t / N for v the t-th translate of its orbit's leader under the
+    unipotent translation, of order N.  Its flat sections R(theta) s_0 turn
+    by R(2 pi / N) under the translation, so h^0 = 2 lies in Fourier blocks
+    1 and N - 1, which a real operator forms once and counts twice."""
+    N, _, shift = Harmonics(X)._translation()
+    theta = 2 * np.pi * np.arange(N) / N
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=1)
+    trans = [rot[(shift[X.tables[1 << (j - 1)].top[j]] - shift[X.tables[1 << (j - 1)].bot[j]]) % N]
+             for j in range(1, X.g + 1)]
+    return rc.LocalSystem(2, trans, "rotation gauge")
+
+
+def test_cohomology_kernel_in_paired_blocks(cover513):
+    """The rotation gauge on the square complex, N = 3."""
+    H = Harmonics(cover513, _rotation_gauge(cover513))
+    assert H.symmetry_order() == 3 and H.dtype == np.float64
     assert H.cohomology_dims() == [2, 0, 1150] == cohomology_by_svd(H, blocks=False)
+
+
+def _blocks_formed(H, A, mask):
+    orbits = H.coordinate_orbits([mask])
+    return sum(1 for _ in H.fourier_blocks(A, orbits, orbits))
+
+
+@pytest.mark.parametrize("complex_fixture", ["x511", "lps513"])
+def test_fold_refused_without_torus_symmetry(request, complex_fixture):
+    """The rotation gauge of order N = n1 > 3 commutes with the unipotent
+    translation but not with the torus, which multiplies its angles by
+    a^2: the fold is refused, the blocks k <= N/2 are formed as without a
+    torus, and h^0 stays 2 (folded blocks would count N - 1 or (N - 1)/2)."""
+    X = request.getfixturevalue(complex_fixture)
+    H = Harmonics(X, _rotation_gauge(X))
+    N = H.symmetry_order()
+    assert N == X.arith.n1 > 3 and H.dtype == np.float64
+    assert _blocks_formed(H, H.laplacian(1, 0), 0) == N // 2 + 1
+    assert H.cohomology_dims()[0] == 2 == cohomology_by_svd(H)[0]
 
 
 def test_cohomology_refuses_ambiguous_gap():
@@ -477,18 +502,51 @@ def test_symmetry_falls_back_to_one_block(cover513, x511):
         assert np.abs(e.eigenvalues - rc.spectrum(S)).max() <= 1e-10
 
 
-def test_fourier_blocks_keep_singular_values(cover_spaces):
-    for H in cover_spaces:
+def test_fourier_blocks_keep_singular_values(cover_spaces, x511, lps513):
+    """The singular values of d from level 0 to 1 are those of its blocks
+    with their multiplicities, folded by the torus classes when N > 3."""
+    for H in [*cover_spaces, Harmonics(x511), Harmonics(lps513)]:
+        N = H.symmetry_order()
         D = H.total_d(0)
         rows = H.coordinate_orbits(H.X.masks_of_dim(1))
         cols = H.coordinate_orbits(H.X.masks_of_dim(0))
         parts = []
         for block, mult in H.fourier_blocks(D, rows, cols):
-            assert block.shape == (D.shape[0] // 3, D.shape[1] // 3)
+            assert block.shape == (D.shape[0] // N, D.shape[1] // N)
             parts += [np.linalg.svd(block, compute_uv=False)] * mult
         blocks = np.sort(np.concatenate(parts))[::-1]
         full = np.linalg.svd(D.toarray(), compute_uv=False)
         assert np.abs(blocks - full).max() <= 1e-10
+
+
+@pytest.fixture(scope="module")
+def x5137():
+    """primes={5,13}, N1=7: four real stars, two on edges."""
+    return rc.build_complex([5, 13], 7)
+
+
+@pytest.mark.parametrize("complex_fixture, k", [
+    ("x511", 0), ("x511", 2), ("lps513", 0), ("x5137", 0), ("cover513", 0), ("cover513", 2)])
+def test_fold_matches_unfolded_blocks_and_dense(request, complex_fixture, k):
+    """Every star's spectrum from one Fourier block per torus class equals
+    the union of the spectra of all N blocks and the dense route.  The fold
+    solves 2 blocks for a real operator with n1 = 3 (mod 4) and 3 blocks
+    otherwise; for n1 = 3 these are the blocks formed without a torus."""
+    X = request.getfixturevalue(complex_fixture)
+    H = Harmonics(X, _system(X, k))
+    N = H.symmetry_order()
+    assert N == X.arith.n1
+    real = H.dtype == np.float64
+    for e in rc.spectrum_report(X, H.L, workspace=H).entries:
+        mask = mask_of(e.dirs)
+        S = H.star_operator(e.j, mask)
+        assert _blocks_formed(H, S, mask) == (2 if real and N % 4 == 3 else 3)
+        orbits = H.coordinate_orbits([mask])
+        unfolded = np.concatenate([rc.spectrum(B)
+                                   for B in fourier_blocks_unfolded(H, S, orbits, orbits)])
+        assert np.abs(e.eigenvalues - np.sort(unfolded)[::-1]).max() <= 1e-10
+        dense = rc.spectrum(S.toarray(), parity=H.star_parity(e.j, mask))
+        assert np.abs(e.eigenvalues - dense).max() <= 1e-10
 
 
 def test_cohomology_cover_and_euler(cover513, cover_spaces):
@@ -549,8 +607,7 @@ def test_spectrum_report_and_cap(cover513):
     assert sp.overall_ramanujan
     mus = sp.mu_by_level()
     assert set(mus) == {(1, 0), (2, 0), (1, 1), (2, 1)}
-    rows = list(sp.csv_rows())
-    assert len(rows) == sum(e.dim for e in sp.entries)
+    assert all(len(e.eigenvalues) == e.dim for e in sp.entries)
     with pytest.raises(ResourceError):
         rc.spectrum_report(cover513, max_dim=100)
 
