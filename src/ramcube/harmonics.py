@@ -21,9 +21,12 @@ where T_{c,j} is the transition of the direction-j edge at the bottom
 corner of c.  Every operator is assembled once, as numpy COO entries
 (``Coo``: sorted row-major, duplicates summed), each boundary once per
 workspace; the star spectra and the cohomology read those entries
-directly, so certification needs numpy alone.  The public sparse accessors
-(``partial_boundary``, ``total_d``, ``star_operator``, ``laplacian``) return
-scipy CSR views of the same entries, importing scipy only when called;
+directly, so certification needs numpy alone.  Each box_{j,I} is the
+Gram matrix of d_j (j not in I) or of d_j^H (j in I), a row self-join of
+the cached boundary entries (``_laplacian``); no product of operators is
+taken.  The public sparse accessors (``partial_boundary``, ``total_d``,
+``star_operator``, ``laplacian``, ``total_laplacian``) return scipy CSR
+views of the same entries, importing scipy only when called;
 ``star_matrix`` returns the dense star, the reference the tests compare
 against.  ``hodge_project`` splits a cochain by least-squares projections
 (LSMR, from scipy) onto the ranges of d and d*.
@@ -36,22 +39,21 @@ face and inversion map and fixes every edge transition (trivial and
 even-weight systems; odd weights are invariant only up to the epsilon
 gauge), every boundary operator and star commutes with it.  The discrete
 Fourier transform over its orbits, which all have N elements, then splits
-each operator into N dense blocks of 1/N of its size.  The symmetry is
-verified before use (``symmetry_order``); without it N = 1 and the single
-block is the operator itself.
+each operator into N dense blocks of 1/N of its size.
 
 The diagonal torus tau_a = diag(a, 1/a), a a primitive root mod N,
 normalises u: tau_a u tau_a^-1 = u^(a^2).  When its left translation passes
 the same checks and conjugates the vertex permutation of u to its a^2-th
 power, block k of every operator is unitarily equivalent to block a^2 k,
 so the blocks fall into three torus classes: {0}, the squares and the
-non-squares.  ``fourier_blocks`` then forms one block per class (blocks 0,
-1 and a) with the class size as its multiplicity; for a real operator
-block N - k is the complex conjugate of block k, so when N = 3 (mod 4), -1
-being a non-square, blocks 0 and 1 suffice.  Without a verified torus every
-block is formed, or for a real operator the k <= N/2.  Star and Laplacian
-spectra (``block_spectrum``) and the Hodge kernels of the cohomology are
-the union over the blocks with their multiplicities.
+non-squares.  ``fourier_blocks`` forms one block per class (blocks 0, 1
+and a) with the class size as its multiplicity; for a real operator block
+N - k is the complex conjugate of block k, so when N = 3 (mod 4), -1 being
+a non-square, blocks 0 and 1 suffice.  Both translations are verified
+before use (``symmetry_order``); unless both pass, N = 1 and the single
+block is the operator itself.  Star and Laplacian spectra
+(``block_spectrum``) and the Hodge kernels of the cohomology are the union
+over the blocks with their multiplicities.
 
 Star spectra: every direction-j link edge joins I-cubes whose bottom
 vertices have opposite j-parity, so with parities each star (and each of
@@ -67,11 +69,11 @@ over the direction sets, sum_j box_{j,I} on C^I, so h^i is the sum over
 |I| = i of the kernel dimensions of
     Delta_I = sum over j not in I of d_j^H d_j + sum over j in I of d_j d_j^H.
 ``cohomology_dims`` counts them on the Fourier blocks of Delta_I for the
-levels below the top: the first sum is scattered from a row self-join of
-the boundary entries (``Coo.gram_entries``), each d_j d_j^H is the dense
-product of the blocks of d_j, and a shifted Cholesky factorization proves
-most blocks' kernels trivial before any eigensolve.  The ranks of d follow
-by rank-nullity, and the top level, the largest, needs no solve.
+levels below the top: both sums come from the one Gram assembly
+(``_laplacian``), formed on the rows that lead their orbits and scattered
+into the blocks, and a shifted Cholesky factorization proves most blocks'
+kernels trivial before any eigensolve.  The ranks of d follow by
+rank-nullity, and the top level, the largest, needs no solve.
 """
 
 from __future__ import annotations
@@ -120,6 +122,10 @@ class Coo(NamedTuple):
         offset = np.arange(len(left)) - np.repeat(np.cumsum(partners) - partners, partners)
         right = (np.cumsum(count) - count)[self.row[left]] + offset
         return self.col[left], self.col[right], self.data[left].conj() * self.data[right]
+
+    def adjoint(self) -> Coo:
+        """The conjugate transpose, in canonical form."""
+        return Coo.canonical(self.col, self.row, self.data.conj(), self.shape[::-1])
 
     def tocsr(self) -> sparse.csr_matrix:
         from scipy import sparse
@@ -223,7 +229,8 @@ class Harmonics:
         shape = (len(rows), m, m)
         rr = np.broadcast_to(rows[:, None, None] * m + np.arange(m)[None, :, None], shape)
         cc = np.broadcast_to(cols[:, None, None] * m + np.arange(m)[None, None, :], shape)
-        return Coo.canonical(rr.ravel(), cc.ravel(), blocks.ravel(),
+        keep = blocks.ravel() != 0  # the off-diagonal zeros of the -I blocks
+        return Coo.canonical(rr.ravel()[keep], cc.ravel()[keep], blocks.ravel()[keep],
                              (n_row_blocks * m, n_col_blocks * m))
 
     # -- boundary operators ----------------------------------------------
@@ -290,21 +297,33 @@ class Harmonics:
 
     # -- Laplacians and star operators ------------------------------------
 
+    def _laplacian(self, mask: int, rows: np.ndarray | None = None,
+                   j: int | None = None) -> Coo:
+        """Entries of sum_j box_{j,I} on C^I over the admissible j, or of
+        box_{j,I} alone when j is given: each the Gram matrix A^H A
+        (``Coo.gram_entries``) of A = d_j for j outside I and A = d_j^H
+        for j inside, from the cached boundary.  Only the rows marked in
+        the boolean array rows are formed (all when None)."""
+        n = self.dim(mask)
+        rows = np.ones(n, dtype=bool) if rows is None else rows
+        parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, self.dtype))]
+        for d in range(1, self.X.g + 1) if j is None else (j,):
+            bit = 1 << (d - 1)
+            if mask & bit:
+                parts.append(self._boundary(d, mask & ~bit).adjoint().gram_entries(rows))
+            elif (mask | bit) in self.X.tables:
+                parts.append(self._boundary(d, mask).gram_entries(rows))
+        return Coo.canonical(*(np.concatenate(x) for x in zip(*parts)), (n, n))
+
     def laplacian(self, j: int, mask: int) -> sparse.csr_matrix:
         """box_{j,I} on C^I: d*_j d_j when j is outside I, d_j d*_j inside,
-        with d*_j the conjugate transpose of d_j."""
-        bit = 1 << (j - 1)
-        d = self.partial_boundary(j, mask & ~bit)
-        return (d @ d.conj().T if mask & bit else d.conj().T @ d).tocsr()
+        with d*_j the conjugate transpose of d_j (the entries of
+        ``_laplacian``)."""
+        return self._laplacian(mask, j=j).tocsr()
 
     def total_laplacian(self, mask: int) -> sparse.csr_matrix:
-        out = None
-        for j in range(1, self.X.g + 1):
-            if (mask | (1 << (j - 1))) not in self.X.tables and not mask & (1 << (j - 1)):
-                continue
-            term = self.laplacian(j, mask)
-            out = term if out is None else out + term
-        return out
+        """sum_j box_{j,I} on C^I, the Hodge Laplacian on the direction set."""
+        return self._laplacian(mask).tocsr()
 
     def _star(self, j: int, mask: int) -> Coo:
         """Entries of the Hermitian star operator on C^I: the
@@ -343,8 +362,8 @@ class Harmonics:
         """(N, leader, shift): the least vertex of each vertex's orbit and
         the t with vertex = sigma^t(leader); (1, None, None) unless the
         unipotent translation is verified to commute with every cube map
-        and to fix every edge transition.  With it, the torus translation
-        is verified too (``_verify_torus``)."""
+        and to fix every edge transition, and the torus translation too
+        (``_verify_torus``)."""
         if self._symmetry is None:
             self._symmetry = (1, None, None)
             X = self.X
@@ -361,8 +380,9 @@ class Harmonics:
                     leader[better] = walk[better]
                     back[better] = t
                 if np.array_equal(sigma[walk], idx):
-                    self._symmetry = (N, leader, (N - back) % N)
                     self._torus = self._verify_torus(sigma, N)
+                    if self._torus is not None:
+                        self._symmetry = (N, leader, (N - back) % N)
         return self._symmetry
 
     def _verify_torus(self, sigma: np.ndarray, N: int) -> int | None:
@@ -384,22 +404,18 @@ class Harmonics:
         return a if np.array_equal(tau[sigma[inverse]], power) else None
 
     def _block_classes(self, real: bool) -> list[tuple[int, int]]:
-        """(k, multiplicity) of the Fourier blocks that represent all N.
-        With a verified torus: block 0, block 1 for the squares and block
-        a for the non-squares, (N - 1)/2 blocks each; for a real operator
+        """(k, multiplicity) of the Fourier blocks that represent all N:
+        block 0, block 1 for the squares and block a for the non-squares,
+        (N - 1)/2 blocks each, a the verified torus; for a real operator
         with N = 3 (mod 4), -1 is a non-square and block a has the spectrum
-        of conj(block 1), so block 1 counts N - 1 times.  Without one: every
-        block, or for a real operator the k <= N/2, block N - k being the
-        conjugate of block k."""
+        of conj(block 1), so block 1 counts N - 1 times.  With N = 1, the
+        operator itself."""
         N = self.symmetry_order()
-        a = self._torus
-        if a is not None:
-            if real and N % 4 == 3:
-                return [(0, 1), (1, N - 1)]
-            return [(0, 1), (1, (N - 1) // 2), (a, (N - 1) // 2)]
-        if real:
-            return [(k, 1 if 2 * k % N == 0 else 2) for k in range(N // 2 + 1)]
-        return [(k, 1) for k in range(N)]
+        if N == 1:
+            return [(0, 1)]
+        if real and N % 4 == 3:
+            return [(0, 1), (1, N - 1)]
+        return [(0, 1), (1, (N - 1) // 2), (self._torus, (N - 1) // 2)]
 
     def _is_symmetry(self, sigma: np.ndarray) -> bool:
         X = self.X
@@ -453,10 +469,9 @@ class Harmonics:
         matrix) that commutes with the translation; rows and cols are
         coordinate_orbits of its range and domain.  Yields (block,
         multiplicity), one block at a time, for the blocks that
-        ``_block_classes`` picks: one per torus class when the torus is
-        verified (block 0, block 1 and a non-square, or block 0 and block 1
-        for a real operator with N = 3 mod 4), otherwise every block, or
-        the k <= N/2 for a real operator.
+        ``_block_classes`` picks, one per torus class: block 0, block 1 and
+        a non-square, or block 0 and block 1 for a real operator with N = 3
+        mod 4 (the operator itself when N = 1).
 
         Block k has the entries A[l, c] * w^(k (shift(c) - shift(l))),
         w = exp(2 pi i / N), summed at (orbit of l, orbit of c) over the
@@ -489,32 +504,6 @@ class Harmonics:
                 f"{max_dim}; raise max_dim to proceed")
         return dim
 
-    def _hodge_blocks(self, mask: int):
-        """Fourier blocks of the Hodge Laplacian on C^I with their
-        multiplicities: sum over j outside I of d_j^H d_j, scattered from
-        the row self-joins of the boundary entries, plus sum over j in I of
-        d_j d_j^H, the dense products of the blocks of d_j.  Only the rows
-        that lead their orbits, the ones ``fourier_blocks`` reads, are
-        formed of the first sum."""
-        orbits = self.coordinate_orbits([mask])
-        leads = orbits[1] == 0
-        parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, self.dtype))]
-        for j in range(1, self.X.g + 1):
-            bit = 1 << (j - 1)
-            if not mask & bit and (mask | bit) in self.X.tables:
-                parts.append(self._boundary(j, mask).gram_entries(leads))
-        n = self.dim(mask)
-        up = Coo.canonical(*(np.concatenate(x) for x in zip(*parts)), (n, n))
-        down = []
-        for j in dirs_of(mask):
-            face = mask & ~(1 << (j - 1))
-            down.append(self.fourier_blocks(self._boundary(j, face), orbits,
-                                            self.coordinate_orbits([face])))
-        for (lap, mult), *faces in zip(self.fourier_blocks(up, orbits, orbits), *down):
-            for B, _ in faces:
-                lap += B @ B.conj().T
-            yield lap, mult
-
     def cohomology_dims(self, rank_tol: float = 1e-8, *, max_dim: int = 20000) -> list[int]:
         """Betti numbers h^0..h^g of the total complex.
 
@@ -534,8 +523,10 @@ class Harmonics:
         window = rank_tol * 2 * sum(X.regularities)
         h = [0] * X.g
         for mask in below:
-            for lap, mult in self._hodge_blocks(mask):
-                h[bin(mask).count("1")] += mult * _kernel_dim(lap, window, mask)
+            orbits = self.coordinate_orbits([mask])
+            lap = self._laplacian(mask, rows=orbits[1] == 0)  # the rows the blocks read
+            for block, mult in self.fourier_blocks(lap, orbits, orbits):
+                h[bin(mask).count("1")] += mult * _kernel_dim(block, window, mask)
         rank = 0
         for i in range(X.g):
             rank = self.level_dim(i) - h[i] - rank
@@ -590,8 +581,8 @@ class Harmonics:
         """Nonzero spectra of box_j agree on C^I and C^(I + {j}) (with
         multiplicity); the zero eigenspaces are excluded."""
         up = mask | (1 << (j - 1))
-        lo = self.block_spectrum(self.laplacian(j, mask), mask)
-        hi = self.block_spectrum(self.laplacian(j, up), up)
+        lo = self.block_spectrum(self._laplacian(mask, j=j), mask)
+        hi = self.block_spectrum(self._laplacian(up, j=j), up)
         zero_tol = tol * max(1.0, self.X.r(j))
         lo_nz = lo[lo > zero_tol]
         hi_nz = hi[hi > zero_tol]

@@ -439,15 +439,16 @@ def _blocks_formed(H, A, mask):
 
 @pytest.mark.parametrize("complex_fixture", ["x511", "lps513"])
 def test_fold_refused_without_torus_symmetry(request, complex_fixture):
-    """The rotation gauge of order N = n1 > 3 commutes with the unipotent
+    """The rotation gauge of order n1 > 3 commutes with the unipotent
     translation but not with the torus, which multiplies its angles by
-    a^2: the fold is refused, the blocks k <= N/2 are formed as without a
-    torus, and h^0 stays 2 (folded blocks would count N - 1 or (N - 1)/2)."""
+    a^2: the symmetry is refused, N = 1 and the one block is the operator
+    itself, and h^0 stays 2 (folded blocks would count n1 - 1 or
+    (n1 - 1)/2)."""
     X = request.getfixturevalue(complex_fixture)
     H = Harmonics(X, _rotation_gauge(X))
-    N = H.symmetry_order()
-    assert N == X.arith.n1 > 3 and H.dtype == np.float64
-    assert _blocks_formed(H, H.laplacian(1, 0), 0) == N // 2 + 1
+    assert X.arith.n1 > 3 and H.dtype == np.float64
+    assert H.symmetry_order() == 1
+    assert _blocks_formed(H, H.laplacian(1, 0), 0) == 1
     assert H.cohomology_dims()[0] == 2 == cohomology_by_svd(H)[0]
 
 
@@ -531,7 +532,7 @@ def test_fold_matches_unfolded_blocks_and_dense(request, complex_fixture, k):
     """Every star's spectrum from one Fourier block per torus class equals
     the union of the spectra of all N blocks and the dense route.  The fold
     solves 2 blocks for a real operator with n1 = 3 (mod 4) and 3 blocks
-    otherwise; for n1 = 3 these are the blocks formed without a torus."""
+    otherwise."""
     X = request.getfixturevalue(complex_fixture)
     H = Harmonics(X, _system(X, k))
     N = H.symmetry_order()
@@ -585,20 +586,25 @@ def test_eigenspace_transfer_on_box():
     _assert_block_laplacian_spectra_match_dense(H, 1, 0)
 
 
-def test_total_laplacian_identity(cover_spaces):
-    """Total Laplacian at level i equals d d* + d* d."""
-    for H in cover_spaces:
-        for i in (0, 1, 2):
+def test_total_laplacian_identity(cover_spaces, small_spaces, x511):
+    """Total Laplacian at level i equals d d* + d* d, scipy's products of
+    the total d: with and without parities, on boundaries that carry the
+    signs of ``expand`` (the renumbered product) and on a complex system
+    (weight 1, N = 1)."""
+    spaces = [*cover_spaces, *small_spaces, Harmonics(x511, rc.build_symm_system(x511, 1))]
+    for n, H in enumerate(spaces):
+        g = H.X.g
+        for i in range(g + 1):
             lhs = scipy.sparse.block_diag(
-                [H.total_laplacian(m) for m in H.X.masks_of_dim(i)]).toarray()
-            rhs = np.zeros_like(lhs)
+                [H.total_laplacian(m) for m in H.X.masks_of_dim(i)], format="csr")
+            rhs = scipy.sparse.csr_matrix(lhs.shape, dtype=H.dtype)
             if i > 0:
                 D = H.total_d(i - 1)
-                rhs = rhs + (D @ D.conj().T).toarray()
-            if i < 2:
+                rhs = rhs + D @ D.conj().T
+            if i < g:
                 D = H.total_d(i)
-                rhs = rhs + (D.conj().T @ D).toarray()
-            assert np.abs(lhs - rhs).max() < 1e-11
+                rhs = rhs + D.conj().T @ D
+            assert abs(lhs - rhs).max() < 1e-11, (n, i)
 
 
 def test_spectrum_report_and_cap(cover513):
