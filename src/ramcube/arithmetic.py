@@ -10,13 +10,13 @@ vertex count equals the group order.
 
 Oriented J-cubes are pairs (vertex, index tuple): the tuple lists, per
 direction of J in ascending order, the generator stepping the monotone path
-that starts at the vertex.  Face and inversion maps are resolved by exact
-integer rewriting of generator words (unique up to a sign).
+that starts at the vertex.  Face and inversion maps compose the square rule
+gen_i[a] gen_j[b] = +-gen_j[b'] gen_i[a'] of each pair of directions (exact
+and unique), applied to all index tuples at once.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,7 +33,7 @@ class GeneratorSystem:
 
     Holds, per direction j: the norm-p_j quaternions, the involution pairing
     iota_j (the position of the conjugate), and the images in the coarse and
-    fine matrix groups.  Also memoizes exact word rewriting.
+    fine matrix groups.  `swap` caches the two-letter rewrites of `reorder`.
     """
 
     def __init__(self, primes, n1: int):
@@ -57,14 +57,11 @@ class GeneratorSystem:
             self.images.append(G.lookup(m).tolist())
             self.images_fine.append(G.lookup(m, fine=True).tolist())
         self._conj_coeffs = [[q.conjugate().coeffs() for q in gens] for gens in self.gens]
-        self._rewrite_memo: dict = {}
+        self._swaps: dict[tuple[int, int], np.ndarray] = {}
 
     @property
     def regularities(self) -> tuple[int, ...]:
         return tuple(len(g) for g in self.gens)
-
-    def conj_index(self, j: int, i: int) -> int:
-        return self.iota[j - 1][i]
 
     def word_product(self, word) -> Quaternion:
         q = quat.QUATERNION_ONE
@@ -88,12 +85,6 @@ class GeneratorSystem:
         generator unique and leaves exactly +-1; anything else (no
         candidate, two candidates, another leftover) fails loudly.
         """
-        word = tuple(word)
-        dst_dirs = tuple(dst_dirs)
-        key = (word, dst_dirs)
-        hit = self._rewrite_memo.get(key)
-        if hit is not None:
-            return hit
         q = self.word_product(word).coeffs()
         indices = []
         for d in dst_dirs:
@@ -113,9 +104,19 @@ class GeneratorSystem:
         if q not in ((1, 0, 0, 0), (-1, 0, 0, 0)):
             raise ConstructionError(
                 f"rewriting of {word} into order {dst_dirs} leaves {q}, not a sign")
-        result = (tuple(indices), q[0])
-        self._rewrite_memo[key] = result
-        return result
+        return tuple(indices), q[0]
+
+    def swap(self, i: int, j: int) -> np.ndarray:
+        """Square table of directions i != j, cached: the array S of shape
+        (2, r_i, r_j) with gen_i[a] gen_j[b] = +-gen_j[S[0, a, b]] gen_i[S[1, a, b]],
+        one two-letter `reorder` per entry."""
+        S = self._swaps.get((i, j))
+        if S is None:
+            S = np.array([[self.reorder(((i, a), (j, b)), (j, i))[0]
+                           for b in range(len(self.gens[j - 1]))]
+                          for a in range(len(self.gens[i - 1]))]).transpose(2, 0, 1)
+            self._swaps[(i, j)] = S
+        return S
 
 
 @dataclass
@@ -158,11 +159,16 @@ class ArithData:
         return pos if np.array_equal(codes[pos], moved) else None
 
 
-def _tuple_rank(dirs, regular, tup):
-    rank = 0
-    for d, i in zip(dirs, tup):
-        rank = rank * regular[d - 1] + i
-    return rank
+def _bubble(gens, dirs, rows, positions):
+    """Rewrite a word, given by its directions and one row of generator
+    indices per letter, by the square rule at each position p in turn (the
+    letters at p and p + 1 trade places).  Returns the new (dirs, rows)."""
+    dirs, rows = list(dirs), list(rows)
+    for p in positions:
+        S = gens.swap(dirs[p], dirs[p + 1])
+        rows[p], rows[p + 1] = S[0, rows[p], rows[p + 1]], S[1, rows[p], rows[p + 1]]
+        dirs[p], dirs[p + 1] = dirs[p + 1], dirs[p]
+    return dirs, rows
 
 
 def build_complex(primes, n1: int) -> CubicalComplex:
@@ -201,43 +207,36 @@ def build_complex(primes, n1: int) -> CubicalComplex:
         n += level.size
     codes = np.concatenate(levels)
 
-    steps = [vertex_of[c] for c in neighbours(codes)]
+    steps = np.stack([vertex_of[c] for c in neighbours(codes)])
     offsets = np.cumsum((0,) + r)
-    vstep = [steps[offsets[j]:offsets[j + 1]] for j in range(g)]
+    vstep = [list(steps[offsets[j]:offsets[j + 1]]) for j in range(g)]
     vertex_group = codes >> g
     parities = ((codes[:, None] >> np.arange(g)) & 1).astype(np.uint8)
 
+    # cube (v, tuple) is v * T + rank(tuple): rewrite all T words, broadcast over v
     tables: dict[int, CubeTable] = {0: CubeTable(n)}
-    verts = np.arange(n)
     for mask in range(1, 1 << g):
         dirs = dirs_of(mask)
         sizes = [r[d - 1] for d in dirs]
         T = math.prod(sizes)
+        tuples = np.indices(sizes).reshape(len(dirs), T)
         t = CubeTable(n * T)
-        for j in dirs:
-            t.bot[j] = np.empty(n * T, dtype=np.int64)
-            t.top[j] = np.empty(n * T, dtype=np.int64)
-            t.inv[j] = np.empty(n * T, dtype=np.int64)
-        sub_T = {j: T // r[j - 1] for j in dirs}
-        for tup in itertools.product(*(range(s) for s in sizes)):
-            rank = _tuple_rank(dirs, r, tup)
-            rows = verts * T + rank
-            word = tuple(zip(dirs, tup))
-            for j in dirs:
-                others = tuple(d for d in dirs if d != j)
-                # top: pull direction j to the front of the word
-                front, _ = gens.reorder(word, (j,) + others)
-                f, dtup = front[0], front[1:]
-                t.top[j][rows] = vstep[j - 1][f] * sub_T[j] + _tuple_rank(others, r, dtup)
-                # bot: push direction j to the back, keep the leading block
-                back, _ = gens.reorder(word, others + (j,))
-                ctup = back[:-1]
-                t.bot[j][rows] = verts * sub_T[j] + _tuple_rank(others, r, ctup)
-                # inversion: step across j, then the reversed edge followed by
-                # the bottom block, rewritten into ascending order
-                inv_word = ((j, gens.conj_index(j, f)),) + tuple(zip(others, ctup))
-                itup, _ = gens.reorder(inv_word, dirs)
-                t.inv[j][rows] = vstep[j - 1][f] * T + _tuple_rank(dirs, r, itup)
+        for k, j in enumerate(dirs):
+            sub = T // r[j - 1]
+            # top: pull direction j to the front of the word
+            order, front = _bubble(gens, dirs, tuples, range(k - 1, -1, -1))
+            step = steps[offsets[j - 1] + front[0]].T  # (vertex, tuple) -> vertex across j
+            rank = np.ravel_multi_index(front, [r[d - 1] for d in order])
+            t.top[j] = (step * sub + rank % sub).ravel()
+            # bot: push direction j to the back, keep the leading block
+            order, back = _bubble(gens, dirs, tuples, range(k, len(dirs) - 1))
+            rank = np.ravel_multi_index(back, [r[d - 1] for d in order])
+            t.bot[j] = (np.arange(n)[:, None] * sub + rank // r[j - 1]).ravel()
+            # inversion: step across j, then the reversed edge followed by
+            # the bottom block, rewritten into ascending order
+            reverse = np.asarray(gens.iota[j - 1])[front[0]]
+            _, flip = _bubble(gens, [j] + order[:-1], [reverse] + back[:-1], range(k))
+            t.inv[j] = (step * T + np.ravel_multi_index(flip, sizes)).ravel()
         tables[mask] = t
 
     bits = ["".join(str((c >> j) & 1) for j in range(g)) for c in range(1 << g)]
@@ -315,15 +314,6 @@ def girth_bound(primes, n1: int) -> int:
     return math.ceil(2 * math.log(n1 * n1 / 4.0, q))
 
 
-def _commute_left(gens: GeneratorSystem, word: list, d_word: int, j: int, i: int):
-    """Move generator (j, i) from the right of a direction-d_word block to
-    its left, rewriting the block in place.  Returns the new index i."""
-    for pos in range(len(word) - 1, -1, -1):
-        combo, _ = gens.reorder(((d_word, word[pos]), (j, i)), (j, d_word))
-        i, word[pos] = combo[0], combo[1]
-    return i
-
-
 def girth(X: CubicalComplex, max_depth: int = 12) -> GirthResult:
     """Girth of an arithmetic complex: the length of the shortest
     homotopically nontrivial closed path.
@@ -343,6 +333,9 @@ def girth(X: CubicalComplex, max_depth: int = 12) -> GirthResult:
     gens = ar.gens
     g = gens.g
     iota = gens.iota
+    # square tables as nested lists: indexing them beats numpy scalars here
+    swaps = {(d, j): gens.swap(d, j).tolist()
+             for j in range(1, g + 1) for d in range(j + 1, g + 1)}
 
     base = tuple(() for _ in range(g))
     visited = {base}
@@ -362,7 +355,10 @@ def girth(X: CubicalComplex, max_depth: int = 12) -> GirthResult:
                     blocks = [list(w) for w in state]
                     ii = i
                     for d in range(g, j, -1):
-                        ii = _commute_left(gens, blocks[d - 1], d, j, ii)
+                        to_j, to_d = swaps[(d, j)]
+                        word = blocks[d - 1]
+                        for pos in range(len(word) - 1, -1, -1):
+                            ii, word[pos] = to_j[word[pos]][ii], to_d[word[pos]][ii]
                     wj = blocks[j - 1]
                     if wj and wj[-1] == iota[j - 1][ii]:
                         wj = wj[:-1]

@@ -178,12 +178,15 @@ def verify_axioms(X: CubicalComplex) -> AxiomReport:
         for a, b in itertools.combinations(dirs, 2):
             check(t.inv[a][t.inv[b]] == t.inv[b][t.inv[a]], 1, mask,
                   f"inv_{a} and inv_{b} do not commute")
-        orbit = idx[None, :]
-        for j in dirs:
-            orbit = np.concatenate([orbit, t.inv[j][orbit]], axis=0)
-        distinct = np.sort(orbit, axis=0)
-        check(np.all(distinct[1:] != distinct[:-1], axis=0), 1, mask,
-              "orientation orbit smaller than 2^|I|")
+        # with commuting inversions, an orbit is short iff some product fixes it
+        short = np.zeros(t.n, dtype=bool)
+        for size in range(1, len(dirs) + 1):
+            for subset in itertools.combinations(dirs, size):
+                moved = idx
+                for j in subset:
+                    moved = t.inv[j][moved]
+                short |= moved == idx
+        check(~short, 1, mask, "orientation orbit smaller than 2^|I|")
 
         # (2) face maps commute with inversions in other directions
         for j in dirs:

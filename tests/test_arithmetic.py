@@ -10,7 +10,7 @@ import ramcube as rc
 from ramcube.arithmetic import GeneratorSystem
 from ramcube.errors import ConstructionError, InvalidModulusError
 from ramcube.quaternions import QUATERNION_ONE
-from tuple_reference import TupleGroup, vertex_keys
+from tuple_reference import TupleGroup, reorder_tables, vertex_keys
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +91,24 @@ def test_reorder_matches_candidate_scan_on_three_primes(gens51317, order, dst, i
     assert gens51317.reorder(word, dst) == scan_reorder(gens51317, word, dst)
 
 
+def check_swap_pair(gens, i, j):
+    S, back = gens.swap(i, j), gens.swap(j, i)
+    ri, rj = gens.regularities[i - 1], gens.regularities[j - 1]
+    assert S.shape == (2, ri, rj) and back.shape == (2, rj, ri)
+    for a, b in itertools.product(range(ri), range(rj)):
+        (b2, a2), _ = scan_reorder(gens, ((i, a), (j, b)), (j, i))
+        assert (S[0, a, b], S[1, a, b]) == (b2, a2)
+        assert (back[0, b2, a2], back[1, b2, a2]) == (a, b)
+
+
+def test_swap_matches_candidate_scan(gens513, gens51317):
+    """Every square table entry is the unique rewriting of its two-letter
+    word, and the tables of (i, j) and (j, i) invert each other."""
+    check_swap_pair(gens513, 1, 2)
+    check_swap_pair(gens513, 2, 1)
+    check_swap_pair(gens51317, 3, 1)
+
+
 def test_reorder_rejects_a_duplicated_generator(monkeypatch):
     from ramcube import quaternions
     honest = quaternions.enumerate_generators
@@ -141,6 +159,27 @@ def test_vertex_closure_matches_scalar_reference(request, fixture):
     assert vertex_keys(X.arith) == keys
     assert [[v.tolist() for v in col] for col in X.arith.vstep] == vstep
     assert X.parities.tolist() == [list(c) for _, c in keys]
+
+
+@pytest.fixture(scope="module")
+def x51317():
+    return rc.build_complex([5, 13, 17], 3)
+
+
+@pytest.mark.parametrize("fixture", ["x511", "cover513", "cover13373", "x51317"])
+def test_cube_tables_match_word_rewriting(request, fixture):
+    """Tables gathered from the square tables equal those of rewriting
+    every word of every index tuple on its own."""
+    X = request.getfixturevalue(fixture)
+    ref = reorder_tables(X.arith, X.n_vertices)
+    assert sorted(ref) == [m for m in X.masks() if m]
+    for mask, maps in ref.items():
+        t = X.tables[mask]
+        for got, want in zip((t.bot, t.top, t.inv), maps):
+            assert got.keys() == want.keys()
+            for j in want:
+                assert got[j].dtype == want[j].dtype
+                assert np.array_equal(got[j], want[j])
 
 
 def test_generator_system_validation():
@@ -239,6 +278,14 @@ def test_girth_on_square_cover(cover513):
     res = rc.girth(cover513, max_depth=4)
     assert res.girth == 2
     assert res.satisfied  # bound degenerates to 1 at this shallow level
+
+
+def test_girth_commutes_steps_past_higher_directions():
+    """Girth 6 at [5,13]@19: the cover states there mix both directions, so
+    the value rests on commuting direction-1 steps past direction-2 letters
+    with the right square table."""
+    res = rc.girth(rc.build_complex([5, 13], 19))
+    assert (res.girth, res.bound) == (6, 4)
 
 
 def test_find_valid_level():

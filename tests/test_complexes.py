@@ -32,6 +32,17 @@ def test_injected_inversion_fixed_point_fails_axiom1():
     assert report.failures[0].index >= 0
 
 
+def test_orbit_shortened_by_a_triple_product_fails_axiom1():
+    """inv_3 = inv_1 inv_2 is a fixed-point-free involution commuting with
+    both, so only the product of all three inversions fixes a cube."""
+    X = rc.box_complex(3)
+    t = X.tables[7]
+    t.inv[3] = t.inv[1][t.inv[2]]
+    first = rc.verify_axioms(X).failures[0]
+    assert (first.axiom, first.mask, first.index, first.detail) == (
+        1, 7, 0, "orientation orbit smaller than 2^|I|")
+
+
 def test_broken_top_count_fails_axiom4():
     X = rc.cycle_complex(4)
     X.tables[1].top[1] = np.zeros(8, dtype=np.int64)

@@ -1,6 +1,13 @@
-"""Scalar reference for the integer-coded vertex groups: matrices as entry
-tuples (m00, m01, m10, m11), canonicalised over the scalar subgroup one
-tuple at a time, independently of the array code in ramcube.quaternions."""
+"""Scalar references, one tuple at a time: the integer-coded vertex groups
+with matrices as entry tuples (m00, m01, m10, m11), canonicalised over the
+scalar subgroup independently of the array code in ramcube.quaternions; and
+the cube tables of an arithmetic complex by rewriting each generator word
+with GeneratorSystem.reorder, independently of its square tables."""
+
+import itertools
+import math
+
+import numpy as np
 
 
 def mat_mul(a, b, n1):
@@ -39,3 +46,43 @@ class TupleGroup:
 def vertex_keys(ar):
     """(coarse group element, parity tuple) of each vertex of an ArithData."""
     return list(zip(ar.vertex_group.tolist(), map(tuple, ar.parities.tolist())))
+
+
+def _rank(dirs, regular, tup):
+    rank = 0
+    for d, i in zip(dirs, tup):
+        rank = rank * regular[d - 1] + i
+    return rank
+
+
+def reorder_tables(ar, n):
+    """{mask: (bot, top, inv)}, each a {direction: array} dict, for the
+    arithmetic complex of ar on n vertices: every face and inversion of
+    every index tuple by a general `reorder` of its word."""
+    gens, vstep, r = ar.gens, ar.vstep, ar.gens.regularities
+    verts = np.arange(n)
+    out = {}
+    for mask in range(1, 1 << gens.g):
+        dirs = tuple(d for d in range(1, gens.g + 1) if mask >> (d - 1) & 1)
+        T = math.prod(r[d - 1] for d in dirs)
+        bot, top, inv = ({j: np.empty(n * T, dtype=np.int64) for j in dirs} for _ in range(3))
+        for tup in itertools.product(*(range(r[d - 1]) for d in dirs)):
+            rows = verts * T + _rank(dirs, r, tup)
+            word = tuple(zip(dirs, tup))
+            for j in dirs:
+                others = tuple(d for d in dirs if d != j)
+                sub = T // r[j - 1]
+                # top: pull direction j to the front of the word
+                front, _ = gens.reorder(word, (j,) + others)
+                f = front[0]
+                top[j][rows] = vstep[j - 1][f] * sub + _rank(others, r, front[1:])
+                # bot: push direction j to the back, keep the leading block
+                back, _ = gens.reorder(word, others + (j,))
+                bot[j][rows] = verts * sub + _rank(others, r, back[:-1])
+                # inversion: step across j, then the reversed edge followed by
+                # the bottom block, rewritten into ascending order
+                inv_word = ((j, gens.iota[j - 1][f]),) + tuple(zip(others, back[:-1]))
+                itup, _ = gens.reorder(inv_word, dirs)
+                inv[j][rows] = vstep[j - 1][f] * T + _rank(dirs, r, itup)
+        out[mask] = (bot, top, inv)
+    return out
