@@ -18,7 +18,8 @@ print(f"regular:  {X.regularities[0]}")
 report = rc.verify_axioms(X)
 print(f"cube axioms: {'pass' if report.passed else report.failures}")
 
-n_comp, _ = rc.connected_components(rc.link_graph(X, 1))
+lg = rc.link_graph(X, 1)
+n_comp, _ = rc.connected_components(lg.n_vertices, lg.origin, lg.terminus)
 print(f"connected components: {n_comp}")
 
 sp = rc.spectrum_report(X)

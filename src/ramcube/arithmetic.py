@@ -292,7 +292,8 @@ def irreducibility_report(X: CubicalComplex) -> dict:
         for j in range(1, X.g + 1):
             if mask & (1 << (j - 1)) or (mask | (1 << (j - 1))) not in X.tables:
                 continue
-            count, _ = connected_components(link_graph(X, j, mask))
+            lg = link_graph(X, j, mask)
+            count, _ = connected_components(lg.n_vertices, lg.origin, lg.terminus)
             out[(j, dirs_of(mask))] = count
     return out
 
@@ -318,26 +319,24 @@ def girth(X: CubicalComplex, max_depth: int = 12) -> GirthResult:
     """Girth of an arithmetic complex: the length of the shortest
     homotopically nontrivial closed path.
 
-    Breadth-first search over the universal cover, whose vertices are
-    tuples of per-direction reduced generator words (a step backtracks
-    exactly when its generator is the involution partner of the previous
-    one in the same direction; a step in direction j first commutes past
-    the higher-direction blocks).  Two distinct cover vertices with the
-    same image close a nontrivial loop; the minimal depth-sum over such
-    collisions is the girth, and scanning to depth D certifies any loop
-    of length <= 2D.
+    Breadth-first search over the universal cover, whose vertex reached by
+    a generator word is the word's quaternion product Q up to sign (unique
+    factorization), normalised by a0 > 0 (a0 is odd for every product of
+    generators).  A step by a norm-p generator multiplies Q by it and
+    divides by p when all four coefficients are divisible by p, which
+    happens exactly when the step backtracks.  Two distinct cover vertices
+    with the same image close a nontrivial loop; the minimal depth-sum over
+    such collisions is the girth, and scanning to depth D certifies any
+    loop of length <= 2D.
     """
     if X.arith is None:
         raise ConstructionError("girth requires an arithmetic complex")
     ar = X.arith
     gens = ar.gens
-    g = gens.g
-    iota = gens.iota
-    # square tables as nested lists: indexing them beats numpy scalars here
-    swaps = {(d, j): gens.swap(d, j).tolist()
-             for j in range(1, g + 1) for d in range(j + 1, g + 1)}
+    steps = [(j, gens.primes[j - 1], i, q.coeffs())
+             for j in range(1, gens.g + 1) for i, q in enumerate(gens.gens[j - 1])]
 
-    base = tuple(() for _ in range(g))
+    base = (1, 0, 0, 0)
     visited = {base}
     image_first = {0: (base, 0)}  # vertex index -> (state, depth)
     frontier = [(base, 0)]
@@ -348,36 +347,24 @@ def girth(X: CubicalComplex, max_depth: int = 12) -> GirthResult:
             break
         nxt = []
         for state, img in frontier:
-            for j in range(1, g + 1):
-                for i in range(gens.regularities[j - 1]):
-                    img2 = int(ar.vstep[j - 1][i][img])
-                    # commute (j, i) through the higher-direction blocks
-                    blocks = [list(w) for w in state]
-                    ii = i
-                    for d in range(g, j, -1):
-                        to_j, to_d = swaps[(d, j)]
-                        word = blocks[d - 1]
-                        for pos in range(len(word) - 1, -1, -1):
-                            ii, word[pos] = to_j[word[pos]][ii], to_d[word[pos]][ii]
-                    wj = blocks[j - 1]
-                    if wj and wj[-1] == iota[j - 1][ii]:
-                        wj = wj[:-1]
-                    else:
-                        wj = wj + [ii]
-                    blocks[j - 1] = wj
-                    new_state = tuple(tuple(b) for b in blocks)
-                    if new_state in visited:
-                        continue
-                    visited.add(new_state)
-                    d_new = depth + 1
-                    seen = image_first.get(img2)
-                    if seen is not None:
-                        cand = d_new + seen[1]
-                        if best is None or cand < best:
-                            best = cand
-                    else:
-                        image_first[img2] = (new_state, d_new)
-                    nxt.append((new_state, img2))
+            for j, p, i, gen in steps:
+                img2 = int(ar.vstep[j - 1][i][img])
+                a0, a1, a2, a3 = quat.hamilton(state, gen)
+                if not (a0 % p or a1 % p or a2 % p or a3 % p):
+                    a0, a1, a2, a3 = a0 // p, a1 // p, a2 // p, a3 // p
+                new_state = (a0, a1, a2, a3) if a0 > 0 else (-a0, -a1, -a2, -a3)
+                if new_state in visited:
+                    continue
+                visited.add(new_state)
+                d_new = depth + 1
+                seen = image_first.get(img2)
+                if seen is not None:
+                    cand = d_new + seen[1]
+                    if best is None or cand < best:
+                        best = cand
+                else:
+                    image_first[img2] = (new_state, d_new)
+                nxt.append((new_state, img2))
         frontier = nxt
         depth += 1
 

@@ -306,7 +306,7 @@ def _girth_report(X, cfg: RunConfig, report: dict) -> bool:
 
 def _cohomology_report(H: Harmonics, cfg: RunConfig, report: dict) -> None:
     """Fill report["cohomology"] with the Betti numbers and the Euler check."""
-    dims = H.cohomology_dims(cfg.tolerances["rank"], max_dim=cfg.max_dim)
+    dims = H.cohomology_dims(cfg.tolerances["rank"])
     chi = H.euler_characteristic()
     report["cohomology"] = {
         "dims": dims,
@@ -359,8 +359,7 @@ def main(argv=None) -> int:
     ap.add_argument("--tol", type=float, default=None,
                     help="override the spectral tolerance")
     ap.add_argument("--max-dim", type=int, default=None,
-                    help="override the cochain dimension cap of the star and "
-                         "cohomology solves")
+                    help="override the cochain dimension cap of the star solves")
     ap.add_argument("--max-depth", type=int, default=None,
                     help="override the girth search depth cap")
     ap.add_argument("--link-j", type=int, default=None,

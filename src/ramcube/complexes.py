@@ -376,20 +376,20 @@ def link_graph(X: CubicalComplex, j: int, dirs=()) -> LinkGraph:
                      origin, terminus, opposite, labels)
 
 
-def connected_components(link: LinkGraph):
-    """Connected components of the link graph: (count, labels), the labels
-    running over 0..count-1 in the order of each component's least vertex.
+def connected_components(n_vertices: int, origin: np.ndarray, terminus: np.ndarray):
+    """Components of the graph on n_vertices with the edges origin[e] --
+    terminus[e]: (count, labels), labels 0..count-1 by least vertex.
 
     Min-label propagation: every vertex takes the least label among itself
     and its neighbours, then the label of that label (pointer jumping),
     until nothing changes.  A label is always a vertex of the same
     component and never above the vertex, so at the fixed point each
     vertex carries the least vertex of its component."""
-    label = np.arange(link.n_vertices)
+    label = np.arange(n_vertices)
     while True:
         hooked = label.copy()
-        np.minimum.at(hooked, link.origin, label[link.terminus])
-        np.minimum.at(hooked, link.terminus, label[link.origin])
+        np.minimum.at(hooked, origin, label[terminus])
+        np.minimum.at(hooked, terminus, label[origin])
         hooked = hooked[hooked]
         if np.array_equal(hooked, label):
             break

@@ -34,4 +34,4 @@ class VerificationError(RamcubeError):
 
 
 class ResourceError(RamcubeError):
-    """A run would exceed a resource cap (such as max_dim); not a verdict."""
+    """A run would exceed a resource cap (max_dim, on star solves); not a verdict."""

@@ -18,15 +18,13 @@ Conventions:
                    transition-twisted adjacency operator of the link graph
 
 where T_{c,j} is the transition of the direction-j edge at the bottom
-corner of c.  Every operator is assembled once, as numpy COO entries
-(``Coo``: sorted row-major, duplicates summed), each boundary once per
-workspace; the star spectra and the cohomology read those entries
-directly, so certification needs numpy alone.  Each box_{j,I} is the
-Gram matrix of d_j (j not in I) or of d_j^H (j in I), a row self-join of
-the cached boundary entries (``_laplacian``); no product of operators is
-taken.  The public sparse accessors (``partial_boundary``, ``total_d``,
-``star_operator``, ``laplacian``, ``total_laplacian``) return scipy CSR
-views of the same entries, importing scipy only when called;
+corner of c.  Every boundary and star is assembled once, as numpy COO
+entries (``Coo``: sorted row-major, duplicates summed), each boundary once
+per workspace; the star spectra and the cohomology read those entries
+directly, so certification needs numpy alone.  The public sparse accessors
+(``partial_boundary``, ``total_d``, ``star_operator``) return scipy CSR
+views of the same entries and ``laplacian`` and ``total_laplacian``
+scipy's products of them, importing scipy only when called;
 ``star_matrix`` returns the dense star, the reference the tests compare
 against.  ``hodge_project`` splits a cochain by least-squares projections
 (LSMR, from scipy) onto the ranges of d and d*.
@@ -52,8 +50,8 @@ N - k is the complex conjugate of block k, so when N = 3 (mod 4), -1 being
 a non-square, blocks 0 and 1 suffice.  Both translations are verified
 before use (``symmetry_order``); unless both pass, N = 1 and the single
 block is the operator itself.  Star and Laplacian spectra
-(``block_spectrum``) and the Hodge kernels of the cohomology are the union
-over the blocks with their multiplicities.
+(``block_spectrum``) are the union over the blocks with their
+multiplicities.
 
 Star spectra: every direction-j link edge joins I-cubes whose bottom
 vertices have opposite j-parity, so with parities each star (and each of
@@ -64,16 +62,18 @@ singular values of the off-diagonal block instead of a dense Hermitian
 eigensolve; complexes without parities (e.g. complete graphs) keep the
 dense ``eigvalsh`` path, which also serves the tests as the reference.
 
-Cohomology: the Hodge Laplacian d d* + d* d of level i is block diagonal
-over the direction sets, sum_j box_{j,I} on C^I, so h^i is the sum over
-|I| = i of the kernel dimensions of
-    Delta_I = sum over j not in I of d_j^H d_j + sum over j in I of d_j d_j^H.
-``cohomology_dims`` counts them on the Fourier blocks of Delta_I for the
-levels below the top: both sums come from the one Gram assembly
-(``_laplacian``), formed on the rows that lead their orbits and scattered
-into the blocks, and a shifted Cholesky factorization proves most blocks'
-kernels trivial before any eigensolve.  The ranks of d follow by
-rank-nullity, and the top level, the largest, needs no solve.
+Cohomology, by Garland's step: the Hodge Laplacian d d* + d* d of level i
+is block diagonal over the direction sets, and every term of its block
+    Delta_I = sum over j not in I of d_j^H d_j + sum over j in I of d_j d_j^H
+is positive semidefinite, so ker Delta_I is W_I = the intersection of
+ker d_j over j not in I, cut by ker d_j^H for j in I.  On ker d_j each row
+c of d_j reads s(top_j c) = M s(bot_j c): W_I is the space of sections
+parallel along the link edges of every direction outside I, read from the
+holonomies of a spanning forest (``_parallel_sections``) without forming
+an operator of the size of C^I or a Fourier block.  ``cohomology_dims``
+adds up, over |I| = i < g, the nullity of the stacked d_j^H W_I, j in I;
+the ranks of d follow by rank-nullity, and the top level, the largest,
+needs no solve.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .complexes import CubicalComplex, dirs_of, link_graph
+from .complexes import CubicalComplex, connected_components, dirs_of, link_graph
 from .errors import ConstructionError, ResourceError, VerificationError
 from .localsystems import LocalSystem, trivial_system
 
@@ -109,23 +109,6 @@ class Coo(NamedTuple):
         summed = np.zeros(len(key), dtype=data.dtype)
         np.add.at(summed, slot, data)
         return cls(key // n_cols, key % n_cols, summed, shape)
-
-    def gram_entries(self, rows: np.ndarray):
-        """(row, col, data) of the rows of A^H A marked in the boolean
-        array rows, with repeated positions not yet summed: conj(A[r, a])
-        A[r, b] for every pair of entries A[r, a], A[r, b] in a row of A
-        whose column a is marked (a row self-join)."""
-        count = np.bincount(self.row, minlength=self.shape[0])
-        first = np.flatnonzero(rows[self.col])
-        partners = count[self.row[first]]
-        left = np.repeat(first, partners)
-        offset = np.arange(len(left)) - np.repeat(np.cumsum(partners) - partners, partners)
-        right = (np.cumsum(count) - count)[self.row[left]] + offset
-        return self.col[left], self.col[right], self.data[left].conj() * self.data[right]
-
-    def adjoint(self) -> Coo:
-        """The conjugate transpose, in canonical form."""
-        return Coo.canonical(self.col, self.row, self.data.conj(), self.shape[::-1])
 
     def tocsr(self) -> sparse.csr_matrix:
         from scipy import sparse
@@ -235,34 +218,34 @@ class Harmonics:
 
     # -- boundary operators ----------------------------------------------
 
+    def _faces(self, j: int, mask: int):
+        """Per representative (I + {j})-cube c, I the given direction set
+        and j not in I: the slots of top_j c and bot_j c in C^I and the
+        blocks with (d_j s)(c) = top_block s(top slot) + bot_block s(bot slot)."""
+        up = mask | (1 << (j - 1))
+        t = self.X.tables[up]
+        reps_up = self.reps(up)
+        slot_lo, coeff_lo = self.expand(mask)
+        tops = t.top[j][reps_up]
+        bots = t.bot[j][reps_up]
+        # T^{-1} = conjugate transpose for unitary transitions
+        tinv = self._edge_transitions(up, j)[reps_up].conj().transpose(0, 2, 1)
+        return (slot_lo[tops], slot_lo[bots],
+                np.einsum("nab,nbc->nac", tinv, coeff_lo[tops]), -coeff_lo[bots])
+
     def _boundary(self, j: int, mask: int) -> Coo:
         """Entries of d_j from C^I to C^(I + {j}), I the given direction
         set, j not in I; assembled once per workspace."""
         if mask & (1 << (j - 1)):
             raise ConstructionError(f"direction {j} already lies in the direction set")
         key = (j, mask)
-        if key in self._bnd:
-            return self._bnd[key]
-        up = mask | (1 << (j - 1))
-        t = self.X.tables[up]
-        reps_up = self.reps(up)
-        slot_lo, coeff_lo = self.expand(mask)
-        trans = self._edge_transitions(up, j)
-
-        tops = t.top[j][reps_up]
-        bots = t.bot[j][reps_up]
-        rows = np.arange(len(reps_up))
-        # T^{-1} = conjugate transpose for unitary transitions
-        tinv = trans[reps_up].conj().transpose(0, 2, 1)
-        blk_top = np.einsum("nab,nbc->nac", tinv, coeff_lo[tops])
-        blk_bot = -coeff_lo[bots]
-        mat = self._blocks_to_coo(
-            np.concatenate([rows, rows]),
-            np.concatenate([slot_lo[tops], slot_lo[bots]]),
-            np.concatenate([blk_top, blk_bot]),
-            len(reps_up), len(self.reps(mask)))
-        self._bnd[key] = mat
-        return mat
+        if key not in self._bnd:
+            top, bot, blk_top, blk_bot = self._faces(j, mask)
+            rows = np.arange(len(top))
+            self._bnd[key] = self._blocks_to_coo(
+                np.concatenate([rows, rows]), np.concatenate([top, bot]),
+                np.concatenate([blk_top, blk_bot]), len(top), len(self.reps(mask)))
+        return self._bnd[key]
 
     def partial_boundary(self, j: int, mask: int) -> sparse.csr_matrix:
         """d_j from C^I to C^(I + {j}), I the given direction set, j not in I."""
@@ -297,33 +280,21 @@ class Harmonics:
 
     # -- Laplacians and star operators ------------------------------------
 
-    def _laplacian(self, mask: int, rows: np.ndarray | None = None,
-                   j: int | None = None) -> Coo:
-        """Entries of sum_j box_{j,I} on C^I over the admissible j, or of
-        box_{j,I} alone when j is given: each the Gram matrix A^H A
-        (``Coo.gram_entries``) of A = d_j for j outside I and A = d_j^H
-        for j inside, from the cached boundary.  Only the rows marked in
-        the boolean array rows are formed (all when None)."""
-        n = self.dim(mask)
-        rows = np.ones(n, dtype=bool) if rows is None else rows
-        parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, self.dtype))]
-        for d in range(1, self.X.g + 1) if j is None else (j,):
-            bit = 1 << (d - 1)
-            if mask & bit:
-                parts.append(self._boundary(d, mask & ~bit).adjoint().gram_entries(rows))
-            elif (mask | bit) in self.X.tables:
-                parts.append(self._boundary(d, mask).gram_entries(rows))
-        return Coo.canonical(*(np.concatenate(x) for x in zip(*parts)), (n, n))
-
     def laplacian(self, j: int, mask: int) -> sparse.csr_matrix:
         """box_{j,I} on C^I: d*_j d_j when j is outside I, d_j d*_j inside,
-        with d*_j the conjugate transpose of d_j (the entries of
-        ``_laplacian``)."""
-        return self._laplacian(mask, j=j).tocsr()
+        with d*_j the conjugate transpose of d_j (scipy products of
+        ``partial_boundary``)."""
+        bit = 1 << (j - 1)
+        if mask & bit:
+            d = self.partial_boundary(j, mask & ~bit)
+            return (d @ d.conj().T).tocsr()
+        d = self.partial_boundary(j, mask)
+        return (d.conj().T @ d).tocsr()
 
     def total_laplacian(self, mask: int) -> sparse.csr_matrix:
         """sum_j box_{j,I} on C^I, the Hodge Laplacian on the direction set."""
-        return self._laplacian(mask).tocsr()
+        return sum(self.laplacian(j, mask) for j in range(1, self.X.g + 1)
+                   if mask & (1 << (j - 1)) or (mask | (1 << (j - 1))) in self.X.tables).tocsr()
 
     def _star(self, j: int, mask: int) -> Coo:
         """Entries of the Hermitian star operator on C^I: the
@@ -494,9 +465,9 @@ class Harmonics:
     # -- spectra, cohomology, Hodge ---------------------------------------
 
     def _capped_dim(self, mask: int, max_dim: int) -> int:
-        """dim C^I, refused above the cap: the solvers hold the Fourier
-        blocks of operators on C^I densely (the whole operator when there
-        is a single block)."""
+        """dim C^I, refused above the cap: the star solves hold the Fourier
+        blocks of a star on C^I densely (the whole star when there is a
+        single block)."""
         dim = self.dim(mask)
         if dim > max_dim:
             raise ResourceError(
@@ -504,29 +475,69 @@ class Harmonics:
                 f"{max_dim}; raise max_dim to proceed")
         return dim
 
-    def cohomology_dims(self, rank_tol: float = 1e-8, *, max_dim: int = 20000) -> list[int]:
-        """Betti numbers h^0..h^g of the total complex.
+    def _parallel_sections(self, mask: int, window: float) -> np.ndarray:
+        """Orthonormal basis, as columns on C^I, of W_I, the intersection
+        of ker d_j over the j outside I.  The link edges s(top) = M s(bot),
+        M = coeff_top^H T_{c,j} coeff_bot (``_faces``), are transported
+        from the least cube of each component along a level-synchronous
+        breadth-first forest, P_v the transport to cube v; the root vectors
+        kept are the kernel (``_kernel``) of the component's stacked
+        holonomy defects P_top^H M P_bot - I.  P_v is a product of at most
+        forest-depth unitary factors, so a defect that vanishes exactly
+        comes out as O(depth * m * machine epsilon), far below the window."""
+        m, n = self.m, len(self.reps(mask))
+        parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, m, m), self.dtype))]
+        for j in range(1, self.X.g + 1):
+            bit = 1 << (j - 1)
+            if not mask & bit and (mask | bit) in self.X.tables:
+                top, bot, blk_top, blk_bot = self._faces(j, mask)
+                parts.append((top, bot, -blk_top.conj().transpose(0, 2, 1) @ blk_bot))
+        a, b, M = (np.concatenate(x) for x in zip(*parts))
+        count, label = connected_components(n, a, b)
+        P = np.zeros((n, m, m), dtype=self.dtype)
+        seen = np.zeros(n, dtype=bool)
+        roots = np.unique(label, return_index=True)[1]
+        P[roots], seen[roots] = np.eye(m), True
+        while True:
+            fwd = np.flatnonzero(seen[b] & ~seen[a])  # reach the top: P_a = M P_b
+            bwd = np.flatnonzero(seen[a] & ~seen[b])  # reach the bottom: P_b = M^H P_a
+            if not len(fwd) + len(bwd):
+                break
+            new, first = np.unique(np.concatenate([a[fwd], b[bwd]]), return_index=True)
+            step = np.concatenate([M[fwd], M[bwd].conj().transpose(0, 2, 1)])[first]
+            P[new] = step @ P[np.concatenate([b[fwd], a[bwd]])[first]]
+            seen[new] = True
+        defect = P[a].conj().transpose(0, 2, 1) @ M @ P[b] - np.eye(m)
+        columns = [np.zeros((n * m, 0), dtype=self.dtype)]
+        for members, edges in zip(_groups(label, count), _groups(label[a], count)):
+            x = _kernel(defect[edges].reshape(-1, m), window, mask)
+            w = np.zeros((n, m, x.shape[1]), dtype=self.dtype)
+            w[members] = P[members] @ x / math.sqrt(len(members))
+            columns.append(w.reshape(n * m, -1))
+        return np.concatenate(columns, axis=1)
 
-        Below the top level, h^i is the sum over |I| = i of the kernel
-        dimensions of the Hodge Laplacians on C^I, each the eigenvalues of
-        its Fourier blocks (with multiplicity) at most the window rank_tol
-        * 2 sum_j r_j, a multiple of the bound 2 r_j on each box_{j,I}.  An
-        eigenvalue within 1e3 times the window above it makes the count
-        ambiguous and raises VerificationError.  The ranks of d follow by
-        rank-nullity, rho_i = dim C^i - h^i - rho_{i-1}, and the top level,
-        the largest, needs no solve: h^g = dim C^g - rho_{g-1}.  A C^I of
-        a lower level above max_dim raises ResourceError."""
+    def cohomology_dims(self, rank_tol: float = 1e-8) -> list[int]:
+        """Betti numbers h^0..h^g of the total complex (module notes).  A
+        singular value, of a component's holonomy defects or of the stacked
+        d_j^H W, counts as zero at most the window rank_tol * sqrt(2 sum_j
+        r_j), the bound on the norm of d; one within 1e3 times the window
+        above it makes the count ambiguous and raises VerificationError.
+        The ranks of d follow by rank-nullity, rho_i = dim C^i - h^i -
+        rho_{i-1}, and h^g = dim C^g - rho_{g-1} needs no solve."""
         X = self.X
-        below = [mask for mask in X.masks() if bin(mask).count("1") < X.g]
-        for mask in below:
-            self._capped_dim(mask, max_dim)
-        window = rank_tol * 2 * sum(X.regularities)
+        window = rank_tol * math.sqrt(2 * sum(X.regularities))
         h = [0] * X.g
-        for mask in below:
-            orbits = self.coordinate_orbits([mask])
-            lap = self._laplacian(mask, rows=orbits[1] == 0)  # the rows the blocks read
-            for block, mult in self.fourier_blocks(lap, orbits, orbits):
-                h[bin(mask).count("1")] += mult * _kernel_dim(block, window, mask)
+        for i in range(X.g):
+            for mask in X.masks_of_dim(i):
+                W = self._parallel_sections(mask, window)
+                if not W.shape[1]:
+                    continue
+                stack = [np.zeros((0, W.shape[1]), dtype=W.dtype)]
+                for j in dirs_of(mask):
+                    d = self._boundary(j, mask & ~(1 << (j - 1)))
+                    stack.append(np.zeros((d.shape[1], W.shape[1]), dtype=W.dtype))
+                    np.add.at(stack[-1], d.col, d.data.conj()[:, None] * W[d.row])
+                h[i] += _kernel(np.concatenate(stack), window, mask).shape[1]
         rank = 0
         for i in range(X.g):
             rank = self.level_dim(i) - h[i] - rank
@@ -581,8 +592,8 @@ class Harmonics:
         """Nonzero spectra of box_j agree on C^I and C^(I + {j}) (with
         multiplicity); the zero eigenspaces are excluded."""
         up = mask | (1 << (j - 1))
-        lo = self.block_spectrum(self._laplacian(mask, j=j), mask)
-        hi = self.block_spectrum(self._laplacian(up, j=j), up)
+        lo = self.block_spectrum(self.laplacian(j, mask), mask)
+        hi = self.block_spectrum(self.laplacian(j, up), up)
         zero_tol = tol * max(1.0, self.X.r(j))
         lo_nz = lo[lo > zero_tol]
         hi_nz = hi[hi > zero_tol]
@@ -598,26 +609,27 @@ def _primitive_root(n: int) -> int:
     return next(a for a in range(2, n) if len({pow(a, e, n) for e in range(1, n)}) == n - 1)
 
 
-def _kernel_dim(lap: np.ndarray, window: float, mask: int) -> int:
-    """Number of eigenvalues of a positive semidefinite Hermitian block at
-    most window; VerificationError if one lies in (window, 1e3 * window].
-    A Cholesky factorization of lap - 1e3 * window certifies that every
-    eigenvalue lies above both, a trivial kernel, at a fraction of the cost
-    of the eigensolve, which runs only when it fails."""
-    diag = np.diag_indices_from(lap)
-    lap[diag] -= 1e3 * window
-    try:
-        np.linalg.cholesky(lap)
-        return 0
-    except np.linalg.LinAlgError:
-        lap[diag] += 1e3 * window
-    eigs = np.linalg.eigvalsh(lap)
-    vague = eigs[(eigs > window) & (eigs <= 1e3 * window)]
+def _groups(label: np.ndarray, count: int) -> list[np.ndarray]:
+    """The indices carrying each label 0..count-1, in ascending order."""
+    ends = np.cumsum(np.bincount(label, minlength=count))
+    return np.split(np.argsort(label, kind="stable"), ends)[:count]
+
+
+def _kernel(A: np.ndarray, window: float, mask: int) -> np.ndarray:
+    """Orthonormal basis, as columns, of the right singular vectors of A
+    with singular value at most window; VerificationError if a singular
+    value lies in (window, 1e3 * window].  A gets as many zero rows as it
+    has columns, so that every column has a singular value even when A has
+    fewer rows, or none."""
+    k = A.shape[1]
+    _, sv, vh = np.linalg.svd(np.concatenate([A, np.zeros((k, k), dtype=A.dtype)]),
+                              full_matrices=False)
+    vague = sv[(sv > window) & (sv <= 1e3 * window)]
     if vague.size:
         raise VerificationError(
-            f"Hodge Laplacian on C^{dirs_of(mask)} has eigenvalue {vague[0]:.3e} within "
-            f"1e3 of the kernel window {window:.3e}; its kernel dimension is ambiguous")
-    return int(np.sum(eigs <= window))
+            f"cohomology on C^{dirs_of(mask)}: singular value {vague[0]:.3e} lies within "
+            f"1e3 of the kernel window {window:.3e}; the kernel dimension is ambiguous")
+    return vh[sv <= window].conj().T
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,8 @@ components of a link graph from scipy's csgraph, independently of the
 label propagation in ``connected_components``; every Fourier block of an
 operator, scattered from all of its rows, independently of the leader rows
 and the torus classes of ``Harmonics.fourier_blocks``; and the Betti
-numbers from singular values of the total d, independently of the Hodge
-kernels of ``Harmonics.cohomology_dims``."""
+numbers from singular values of the total d, independently of the parallel
+sections of ``Harmonics.cohomology_dims``."""
 
 import numpy as np
 from scipy import sparse

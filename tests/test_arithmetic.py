@@ -245,7 +245,8 @@ def test_irreducibility_reports(lps513, cover513):
 
 def test_irreducibility_negative_control():
     two = rc.disjoint_union(rc.cycle_complex(4), rc.cycle_complex(4))
-    count, _ = rc.connected_components(rc.link_graph(two, 1))
+    lg = rc.link_graph(two, 1)
+    count, _ = rc.connected_components(lg.n_vertices, lg.origin, lg.terminus)
     assert count == 2
 
 

@@ -147,14 +147,17 @@ def test_link_graph_requires_parities_on_positive_masks():
         rc.link_graph(P, 1, (2,))
 
 
+def _components(lg):
+    return rc.connected_components(lg.n_vertices, lg.origin, lg.terminus)
+
+
 def test_connected_components():
     one = rc.cycle_complex(3)
     two = rc.disjoint_union(one, one)
-    lg = rc.link_graph(two, 1)
-    count, labels = rc.connected_components(lg)
+    count, labels = _components(rc.link_graph(two, 1))
     assert count == 2
     assert len(set(labels)) == 2
-    count1, _ = rc.connected_components(rc.link_graph(rc.cycle_complex(5), 1))
+    count1, _ = _components(rc.link_graph(rc.cycle_complex(5), 1))
     assert count1 == 1
 
 
@@ -169,10 +172,10 @@ def test_connected_components_match_csgraph(lps513, cover513, cover13373):
     assert len(links) == 1 + 4 + 4
     isolated = rc.link_graph(rc.graph_complex(6, [(0, 1), (3, 4)], r=1), 1)
     empty = rc.link_graph(rc.graph_complex(0, [], r=1), 1)
-    assert rc.connected_components(isolated)[0] == 4
-    assert rc.connected_components(empty)[0] == 0
+    assert _components(isolated)[0] == 4
+    assert _components(empty)[0] == 0
     for lg in links + [isolated, empty]:
-        count, labels = rc.connected_components(lg)
+        count, labels = _components(lg)
         ref_count, ref_labels = components_by_csgraph(lg)
         assert count == ref_count
         assert np.array_equal(labels, ref_labels)

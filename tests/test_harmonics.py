@@ -387,9 +387,9 @@ def test_cohomology_small_cases():
 
 
 def test_block_cohomology_matches_dense_svd(cover_spaces, small_spaces, lps513):
-    """The Hodge kernels below the top level and the rank recursion give
-    the Betti numbers of the singular values of the whole dense d, with and
-    without parities and Fourier blocks."""
+    """The parallel sections below the top level and the rank recursion
+    give the Betti numbers of the singular values of the whole dense d, with
+    and without parities and translation symmetry."""
     C5, C6 = rc.cycle_complex(5), rc.cycle_complex(6)
     spaces = [Harmonics(C6), Harmonics(C5), Harmonics(rc.box_complex(3)), *cover_spaces,
               Harmonics(lps513), small_spaces[0], *small_spaces[3:],
@@ -401,8 +401,8 @@ def test_block_cohomology_matches_dense_svd(cover_spaces, small_spaces, lps513):
 
 @pytest.mark.parametrize("complex_fixture", ["x511", "cover13373"])
 def test_cohomology_matches_svd_without_symmetry(request, complex_fixture):
-    """Weight 1 falls back to one Fourier block (N = 1): the Hodge
-    Laplacians on the whole C^I against the SVD of the whole d."""
+    """Weight 1 has no verified translation symmetry (N = 1): the parallel
+    sections of a complex system against the SVD of the whole d."""
     X = request.getfixturevalue(complex_fixture)
     H = Harmonics(X, rc.build_symm_system(X, 1))
     assert H.symmetry_order() == 1
@@ -415,7 +415,9 @@ def _rotation_gauge(X):
     2 pi t / N for v the t-th translate of its orbit's leader under the
     unipotent translation, of order N.  Its flat sections R(theta) s_0 turn
     by R(2 pi / N) under the translation, so h^0 = 2 lies in Fourier blocks
-    1 and N - 1, which a real operator forms once and counts twice."""
+    1 and N - 1, and the transports of the parallel sections are nontrivial
+    rotations: the count needs the holonomy invariants, not just the
+    number of components."""
     N, _, shift = Harmonics(X)._translation()
     theta = 2 * np.pi * np.arange(N) / N
     c, s = np.cos(theta), np.sin(theta)
@@ -443,42 +445,53 @@ def test_fold_refused_without_torus_symmetry(request, complex_fixture):
     translation but not with the torus, which multiplies its angles by
     a^2: the symmetry is refused, N = 1 and the one block is the operator
     itself, and h^0 stays 2 (folded blocks would count n1 - 1 or
-    (n1 - 1)/2)."""
+    (n1 - 1)/2).  The oracle for h^0 is the nullity of the dense d_0^H d_0,
+    whose least nonzero eigenvalue is the spectral gap of the graph."""
     X = request.getfixturevalue(complex_fixture)
     H = Harmonics(X, _rotation_gauge(X))
     assert X.arith.n1 > 3 and H.dtype == np.float64
     assert H.symmetry_order() == 1
     assert _blocks_formed(H, H.laplacian(1, 0), 0) == 1
-    assert H.cohomology_dims()[0] == 2 == cohomology_by_svd(H)[0]
+    D = H.total_d(0)
+    eigs = np.linalg.eigvalsh((D.T @ D).toarray())
+    assert H.cohomology_dims()[0] == 2 == int(np.sum(eigs <= 1e-8 * eigs[-1]))
 
 
-def test_cohomology_refuses_ambiguous_gap():
-    """On the 50-cycle the least nonzero Laplacian eigenvalue is
-    2 - 2 cos(2 pi / 50) = 0.0158: clear of the default window, inside
-    1e3 times the window of rank_tol = 1e-3."""
-    H = Harmonics(rc.cycle_complex(50))
-    assert H.cohomology_dims() == [1, 1]
+def _rotation_cycle(n, theta):
+    """The n-cycle with a flat real rank-2 system of holonomy R(theta): each
+    forward edge carries R(theta / n) and each backward edge R(-theta / n)."""
+    X = rc.cycle_complex(n)
+    angle = np.where(np.arange(X.tables[1].n) % 2 == 0, theta / n, -theta / n)
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=1)
+    return Harmonics(X, rc.LocalSystem(2, [rot], "rotation"))
+
+
+def test_cohomology_refuses_ambiguous_holonomy():
+    """A flat rank-2 system on the 50-cycle has no parallel section unless
+    its holonomy R(theta) is the identity, so h = [0, 0] for theta != 0.
+    The defect R(theta) - I of the one edge outside the spanning forest has
+    singular values 2 sin(theta / 2), about theta.  The window is rank_tol
+    * sqrt(2 sum_j r_j) = 2e-8; each transport is a product of at most 25
+    rotations (the forest depth), so rounding puts an exact zero defect
+    near 1e-15.  theta = 1e-3 lies far above 1e3 times the window, and
+    theta = 1e-5 inside it, which is refused as ambiguous.  The least
+    Laplacian eigenvalue, (theta / 50)^2, is 4e-10 at theta = 1e-3: a
+    window on eigenvalues counts it as zero and returns [2, 2]."""
+    assert _rotation_cycle(50, 0.0).cohomology_dims() == [2, 2]
+    for theta in (0.1, 1e-3):
+        assert _rotation_cycle(50, theta).cohomology_dims() == [0, 0]
     with pytest.raises(VerificationError, match="ambiguous"):
-        H.cohomology_dims(rank_tol=1e-3)
+        _rotation_cycle(50, 1e-5).cohomology_dims()
 
 
 def test_cohomology_rejects_impossible_ranks(monkeypatch):
     """Kernel dimensions that imply a rank of d outside 0..min(dim C^i,
     dim C^(i+1)) are refused."""
     import ramcube.harmonics as harmonics
-    monkeypatch.setattr(harmonics, "_kernel_dim", lambda lap, window, mask: 2 * len(lap))
+    monkeypatch.setattr(harmonics, "_kernel", lambda A, window, mask: np.eye(A.shape[1]))
     with pytest.raises(VerificationError, match="rank"):
         Harmonics(rc.box_complex(2)).cohomology_dims()
-
-
-def test_cohomology_cap(cover513):
-    """The cap applies to every C^I below the top level, where the Hodge
-    Laplacians are solved: 48 vertices pass a cap of 100, 144 edges do not."""
-    H = Harmonics(cover513)
-    assert H.dim(0) == 48 and H.dim(1) == 144
-    with pytest.raises(ResourceError, match="cap 100"):
-        H.cohomology_dims(max_dim=100)
-    assert H.cohomology_dims(max_dim=336) == [1, 0, 575]
 
 
 def test_symmetry_falls_back_to_one_block(cover513, x511):
