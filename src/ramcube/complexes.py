@@ -455,32 +455,26 @@ def box_complex(g: int) -> CubicalComplex:
 def skeleton_dot(X: CubicalComplex, name: str = "skeleton") -> str:
     """The 1-skeleton as undirected DOT, one edge per unoriented edge,
     with a dir attribute naming the tree direction."""
-    lines = [f"graph {name} {{"]
-    for v in range(X.n_vertices):
-        label = X.vertex_labels[v] if X.vertex_labels is not None else str(v)
-        lines.append(f'  v{v} [label="{label}"];')
-    for j in range(1, X.g + 1):
-        mask = 1 << (j - 1)
-        if mask not in X.tables:
-            continue
-        t = X.tables[mask]
-        for e in range(t.n):
-            if e < t.inv[j][e]:
-                lines.append(f"  v{t.bot[j][e]} -- v{t.top[j][e]} [dir={j}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    edges = [(j, X.tables.get(1 << (j - 1))) for j in range(1, X.g + 1)]
+    return _dot(name, X.n_vertices, X.vertex_labels,
+                [(t.bot[j], t.top[j], t.inv[j], j) for j, t in edges if t is not None])
 
 
 def link_dot(link: LinkGraph, name: str = "link") -> str:
+    return _dot(name, link.n_vertices, link.vertex_labels,
+                [(link.origin, link.terminus, link.opposite, link.j)])
+
+
+def _dot(name: str, n: int, labels, edges) -> str:
+    """One line per vertex, then per (tail, head, opposite, j) of edges one
+    line per unoriented edge, the orientation e < opposite[e]."""
     lines = [f"graph {name} {{"]
-    for v in range(link.n_vertices):
-        label = link.vertex_labels[v] if link.vertex_labels is not None else str(v)
-        lines.append(f'  v{v} [label="{label}"];')
-    for e in range(len(link.edge_cubes)):
-        if e < link.opposite[e]:
-            lines.append(f"  v{link.origin[e]} -- v{link.terminus[e]} [dir={link.j}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += [f'  v{v} [label="{label}"];' for v, label in enumerate(labels or range(n))]
+    for tail, head, opposite, j in edges:
+        keep = np.arange(len(opposite)) < opposite
+        pairs = zip(tail[keep].tolist(), head[keep].tolist())
+        lines += [f"  v{a} -- v{b} [dir={j}];" for a, b in pairs]
+    return "\n".join(lines + ["}"]) + "\n"
 
 
 def export_dot(obj, path) -> None:

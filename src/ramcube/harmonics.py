@@ -57,10 +57,10 @@ Star spectra: every direction-j link edge joins I-cubes whose bottom
 vertices have opposite j-parity, so with parities each star (and each of
 its Fourier blocks, since an orbit keeps its parity) is bipartite,
 S = [[0, B^H], [B, 0]] up to a permutation, and spec(S) = +-sigma(B) padded
-with zeros.  ``spectrum`` takes the parity classes and computes the
-singular values of the off-diagonal block instead of a dense Hermitian
-eigensolve; complexes without parities (e.g. complete graphs) keep the
-dense ``eigvalsh`` path, which also serves the tests as the reference.
+with zeros.  ``_parity_rows`` checks that on the COO entries and keeps those
+of B, from which ``block_spectrum`` scatters each Fourier block of B (and
+``spectrum`` B itself); without parities (e.g. complete graphs) the dense
+``eigvalsh`` path, also the tests' reference, stays.
 
 Cohomology, by Garland's step: the Hodge Laplacian d d* + d* d of level i
 is block diagonal over the direction sets, and every term of its block
@@ -438,11 +438,11 @@ class Harmonics:
     def fourier_blocks(self, A: Coo | sparse.spmatrix, rows, cols):
         """Dense Fourier blocks of an operator (its Coo entries or a scipy
         matrix) that commutes with the translation; rows and cols are
-        coordinate_orbits of its range and domain.  Yields (block,
-        multiplicity), one block at a time, for the blocks that
-        ``_block_classes`` picks, one per torus class: block 0, block 1 and
-        a non-square, or block 0 and block 1 for a real operator with N = 3
-        mod 4 (the operator itself when N = 1).
+        coordinate_orbits of its range and domain (for B, of class 1 and
+        class 0, numbered within their class).  Yields (block, multiplicity),
+        one at a time, for the blocks ``_block_classes`` picks, one per torus
+        class: block 0, block 1 and a non-square, or blocks 0 and 1 for a
+        real operator with N = 3 mod 4 (the operator itself when N = 1).
 
         Block k has the entries A[l, c] * w^(k (shift(c) - shift(l))),
         w = exp(2 pi i / N), summed at (orbit of l, orbit of c) over the
@@ -461,13 +461,14 @@ class Harmonics:
             block = np.zeros((n_r, n_c), dtype=w.dtype)
             np.add.at(block, (ri, ci), w)
             yield block, mult
+            del block  # freed before the next block is scattered
 
     # -- spectra, cohomology, Hodge ---------------------------------------
 
     def _capped_dim(self, mask: int, max_dim: int) -> int:
-        """dim C^I, refused above the cap: the star solves hold the Fourier
-        blocks of a star on C^I densely (the whole star when there is a
-        single block)."""
+        """dim C^I, refused above the cap: a star solve on C^I holds one
+        dense Fourier block of its parity block B at a time (B itself when
+        there is a single block; without parities, the Fourier block)."""
         dim = self.dim(mask)
         if dim > max_dim:
             raise ResourceError(
@@ -577,15 +578,19 @@ class Harmonics:
                        parity=None) -> np.ndarray:
         """Spectrum of a Hermitian operator on C^I that commutes with the
         translation, descending: the spectra of its Fourier blocks, each
-        taken with its multiplicity (one dense block when N = 1).  parity,
-        a class per coordinate as from star_parity, is passed to spectrum
-        for every block."""
-        orbits = self.coordinate_orbits([mask])
-        if parity is not None:  # orbits share a parity; leaders come in orbit order
-            parity = parity[orbits[1] == 0]
+        taken with its multiplicity (one dense block when N = 1).  With
+        parity, a class per coordinate as from star_parity, each block is
+        the block of B alone, class-1 by class-0 orbits (module notes)."""
+        rows = cols = orbits = self.coordinate_orbits([mask])
+        if parity is not None:
+            A = _parity_rows(A if isinstance(A, Coo) else A.tocoo(), parity)
+            ids, shift, _ = orbits  # orbits share a parity; leaders come in orbit order
+            pos, (n0, n1) = _class_positions(np.asarray(parity)[shift == 0])
+            rows, cols = (pos[ids], shift, n1), (pos[ids], shift, n0)
         parts = []
-        for block, mult in self.fourier_blocks(A, orbits, orbits):
-            parts += [spectrum(block, parity=parity)] * mult
+        for block, mult in self.fourier_blocks(A, rows, cols):
+            parts += [spectrum(block) if parity is None else _bipartite_spectrum(block)] * mult
+            del block
         return np.sort(np.concatenate(parts))[::-1]
 
     def eigenspace_transfer_check(self, j: int, mask: int, tol: float = 1e-8):
@@ -639,11 +644,9 @@ def spectrum(M: np.ndarray, hermitian_tol: float = 1e-10, parity=None) -> np.nda
     """All real eigenvalues of a Hermitian matrix, descending.
 
     ``parity`` (a 0/1 class per row, e.g. ``Harmonics.star_parity``) declares
-    M bipartite: both same-class blocks must be exactly zero and the block B
-    from class 0 to class 1 the adjoint of the block from class 1 to class 0.
-    The spectrum is then sigma(B), |n0 - n1| zeros and -sigma(B), from the
-    singular values of B: half the dimension of the dense solve.  Without
-    parity it comes from a dense ``eigvalsh``, the reference path.
+    M bipartite (checked by ``_parity_rows``); the spectrum then comes from
+    the singular values of the block B from class 0 to class 1, half the
+    dimension of the dense ``eigvalsh`` that is the reference path.
     """
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -652,18 +655,41 @@ def spectrum(M: np.ndarray, hermitian_tol: float = 1e-10, parity=None) -> np.nda
         if not np.allclose(M, M.conj().T, rtol=0.0, atol=hermitian_tol):
             raise ValueError("matrix is not Hermitian within tolerance")
         return np.linalg.eigvalsh(M)[::-1]
+    row, col = np.nonzero(M)
+    A = _parity_rows(Coo(row, col, M[row, col], M.shape), parity, hermitian_tol)
+    pos, (n0, n1) = _class_positions(np.asarray(parity))
+    B = np.zeros((n1, n0), dtype=M.dtype)
+    B[pos[A.row], pos[A.col]] = A.data
+    return _bipartite_spectrum(B)
+
+
+def _parity_rows(A: Coo, parity, hermitian_tol: float = 1e-10) -> Coo:
+    """The entries of B, from class 0 to class 1 of parity (0/1 per row),
+    once A is checked bipartite (every same-class entry exactly zero) and
+    Hermitian (A - A^H, from one ``Coo.canonical``, within the tolerance)."""
     parity = np.asarray(parity)
-    if parity.shape != (len(M),) or not np.isin(parity, (0, 1)).all():
+    if parity.shape != (A.shape[0],) or not np.isin(parity, (0, 1)).all():
         raise ValueError("parity must give a 0/1 class for every row")
-    i0 = np.flatnonzero(parity == 0)
-    i1 = np.flatnonzero(parity == 1)
-    if M[np.ix_(i0, i0)].any() or M[np.ix_(i1, i1)].any():
+    if A.data[parity[A.row] == parity[A.col]].any():
         raise ValueError("matrix couples two rows of the same parity class")
-    B = M[np.ix_(i1, i0)]
-    if not np.allclose(B, M[np.ix_(i0, i1)].conj().T, rtol=0.0, atol=hermitian_tol):
+    skew = Coo.canonical(np.concatenate([A.row, A.col]), np.concatenate([A.col, A.row]),
+                         np.concatenate([A.data, -A.data.conj()]), A.shape)
+    if not (np.abs(skew.data) <= hermitian_tol).all():
         raise ValueError("matrix is not Hermitian within tolerance")
+    keep = parity[A.row] > parity[A.col]
+    return Coo(A.row[keep], A.col[keep], A.data[keep], A.shape)
+
+
+def _class_positions(parity: np.ndarray):
+    """Position of every coordinate within its 0/1 class; sizes (n0, n1)."""
+    one = parity == 1
+    return np.where(one, np.cumsum(one), np.cumsum(~one)) - 1, (int((~one).sum()), int(one.sum()))
+
+
+def _bipartite_spectrum(B: np.ndarray) -> np.ndarray:
+    """Spectrum of [[0, B^H], [B, 0]]: +-sigma(B), padded with zeros."""
     sv = np.linalg.svd(B, compute_uv=False)
-    return np.concatenate([sv, np.zeros(abs(len(i0) - len(i1))), -sv[::-1]])
+    return np.concatenate([sv, np.zeros(abs(B.shape[0] - B.shape[1])), -sv[::-1]])
 
 
 @dataclass

@@ -10,8 +10,9 @@ components of a link graph from scipy's csgraph, independently of the
 label propagation in ``connected_components``; every Fourier block of an
 operator, scattered from all of its rows, independently of the leader rows
 and the torus classes of ``Harmonics.fourier_blocks``; and the Betti
-numbers from singular values of the total d, independently of the parallel
-sections of ``Harmonics.cohomology_dims``."""
+numbers from singular values of the total d, or from the nullities of its
+Gram matrices, independently of the parallel sections of
+``Harmonics.cohomology_dims``."""
 
 import numpy as np
 from scipy import sparse
@@ -128,6 +129,24 @@ def cohomology_by_svd(H, rank_tol=1e-8, blocks=True):
         svs = [np.linalg.svd(block, compute_uv=False) for block in parts if block.size]
         top = max((sv[0] for sv in svs), default=0.0)
         ranks.append(sum(int(np.sum(sv > rank_tol * top)) for sv in svs) if top > 0 else 0)
+    ranks.append(0)
+    return [H.level_dim(i) - ranks[i] - (ranks[i - 1] if i else 0)
+            for i in range(H.X.g + 1)]
+
+
+def cohomology_by_gram(H, zero_tol=1e-8):
+    """Betti numbers h^0..h^g from the dense Gram matrices d^H d of each
+    total d, by rank-nullity.  An eigenvalue counts as zero at most
+    zero_tol times the largest: the zero ones come out at rounding level,
+    about 1e-15 of the largest, and the nonzero ones are squared singular
+    values of d, above 0.1 of it on [5]@11 and [13,37]@3 with k = 1.  One
+    Hermitian eigensolve of dim C^i per level instead of the SVD of the
+    (dim C^(i+1)) x (dim C^i) matrix."""
+    ranks = []
+    for i in range(H.X.g):
+        D = H.total_d(i)
+        eigs = np.linalg.eigvalsh((D.conj().T @ D).toarray())
+        ranks.append(int(np.sum(eigs > zero_tol * eigs[-1])) if eigs.size and eigs[-1] > 0 else 0)
     ranks.append(0)
     return [H.level_dim(i) - ranks[i] - (ranks[i - 1] if i else 0)
             for i in range(H.X.g + 1)]

@@ -204,3 +204,30 @@ def test_dot_exports(tmp_path):
     path = tmp_path / "k4.dot"
     rc.export_dot(K4, path)
     assert path.read_text().startswith("graph")
+
+
+def _dot_by_loop(name, n, labels, edges):
+    """DOT text one vertex and one oriented edge at a time, keeping the
+    orientation e < opposite[e] of each edge."""
+    lines = [f"graph {name} {{"]
+    for v in range(n):
+        lines.append(f'  v{v} [label="{labels[v] if labels is not None else v}"];')
+    for tail, head, opposite, j in edges:
+        for e in range(len(opposite)):
+            if e < opposite[e]:
+                lines.append(f"  v{tail[e]} -- v{head[e]} [dir={j}];")
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def test_dot_exports_match_edge_loop(cover513):
+    X = cover513
+    assert X.vertex_labels is not None
+    edges = [(X.tables[1 << (j - 1)].bot[j], X.tables[1 << (j - 1)].top[j],
+              X.tables[1 << (j - 1)].inv[j], j) for j in (1, 2)]
+    assert skeleton_dot(X) == _dot_by_loop("skeleton", X.n_vertices, X.vertex_labels, edges)
+    lg = rc.link_graph(X, 2, (1,))
+    assert link_dot(lg, "l") == _dot_by_loop(
+        "l", lg.n_vertices, lg.vertex_labels, [(lg.origin, lg.terminus, lg.opposite, 2)])
+    K4 = rc.complete_graph_complex(4)
+    t = K4.tables[1]
+    assert skeleton_dot(K4) == _dot_by_loop("skeleton", 4, None, [(t.bot[1], t.top[1], t.inv[1], 1)])

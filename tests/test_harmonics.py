@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ramcube as rc
-from dense_reference import (coboundary_by_sum, cohomology_by_svd, expand_by_bfs,
-                             fourier_blocks_unfolded, total_dstar_by_sum)
+from dense_reference import (coboundary_by_sum, cohomology_by_gram, cohomology_by_svd,
+                             expand_by_bfs, fourier_blocks_unfolded, total_dstar_by_sum)
 from ramcube import Harmonics
 from ramcube.complexes import CubeTable, CubicalComplex, mask_of
 from ramcube.errors import ResourceError, VerificationError
+from ramcube.harmonics import Coo
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +241,48 @@ def test_bipartite_spectrum_matches_dense_for_odd_weight(cover513, x511):
     _assert_bipartite_route_matches_dense(Harmonics(X, rc.build_symm_system(X, 1)))
 
 
+@pytest.mark.parametrize("complex_fixture, k, n_classes", [
+    ("x511", 1, 1), ("x5137", 0, 2), ("lps513", 0, 3), ("cover513", 2, 3)])
+def test_parity_block_route_matches_dense(request, complex_fixture, k, n_classes):
+    """block_spectrum with a parity scatters only the block B of each
+    Fourier block from the star's entries.  It matches the dense parity
+    route on every star, in each case of ``_block_classes``: N = 1
+    (complex), a real operator with N = 3 mod 4 (two classes), three
+    classes (real, N = 13) and a complex operator (three classes)."""
+    X = request.getfixturevalue(complex_fixture)
+    H = Harmonics(X, _system(X, k))
+    assert len(H._block_classes(H.dtype == np.float64)) == n_classes
+    n_stars = 0
+    for mask in X.masks():
+        for j in range(1, X.g + 1):
+            if mask & (1 << (j - 1)) or (mask | (1 << (j - 1))) not in X.tables:
+                continue
+            parity = H.star_parity(j, mask)
+            fast = H.block_spectrum(H._star(j, mask), mask, parity)
+            dense = rc.spectrum(H.star_matrix(j, mask), parity=parity)
+            assert len(fast) == len(dense) and np.abs(fast - dense).max() <= 1e-10
+            n_stars += 1
+    assert n_stars > 0
+
+
+def test_parity_block_route_rejects_broken_entries(cover_spaces):
+    """The entry checks run on the Coo entries, before any block is formed:
+    one entry within a parity class, or one entry whose adjoint partner
+    differs by more than the tolerance, is refused."""
+    H = cover_spaces[1]
+    S, parity = H._star(1, 0), H.star_parity(1, 0)
+    assert np.iscomplexobj(S.data)
+    same = np.flatnonzero(parity == parity[0])[1]
+    coupled = Coo.canonical(np.append(S.row, 0), np.append(S.col, same),
+                            np.append(S.data, 1.0), S.shape)
+    with pytest.raises(ValueError, match="same parity class"):
+        H.block_spectrum(coupled, 0, parity)
+    data = S.data.copy()
+    data[np.flatnonzero(data.imag)[0]] += 1e-6
+    with pytest.raises(ValueError, match="Hermitian"):
+        H.block_spectrum(S._replace(data=data), 0, parity)
+
+
 def test_bipartite_spectrum_rejects_same_class_entries():
     triangle = np.ones((3, 3)) - np.eye(3)
     with pytest.raises(ValueError, match="same parity class"):
@@ -402,11 +445,12 @@ def test_block_cohomology_matches_dense_svd(cover_spaces, small_spaces, lps513):
 @pytest.mark.parametrize("complex_fixture", ["x511", "cover13373"])
 def test_cohomology_matches_svd_without_symmetry(request, complex_fixture):
     """Weight 1 has no verified translation symmetry (N = 1): the parallel
-    sections of a complex system against the SVD of the whole d."""
+    sections of a complex system against the nullities of the dense Gram
+    matrices d^H d of the whole d."""
     X = request.getfixturevalue(complex_fixture)
     H = Harmonics(X, rc.build_symm_system(X, 1))
     assert H.symmetry_order() == 1
-    assert H.cohomology_dims() == cohomology_by_svd(H)
+    assert H.cohomology_dims() == cohomology_by_gram(H)
 
 
 def _rotation_gauge(X):
