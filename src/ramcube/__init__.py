@@ -4,6 +4,19 @@ girth bounds."""
 
 __version__ = "0.1.0"
 
+import os
+
+# An idle OpenBLAS worker thread busy-waits 2^N cycles before it sleeps,
+# N = 28 by default (about 0.1 s), once after the library loads and again
+# after every BLAS call.  No command keeps two cores busy at typical sizes,
+# so that spin was a third of the CPU time of a CLI run on a 2-vCPU host
+# (`import numpy` alone: 0.33 s of CPU for 0.20 s of wall time).  2^20
+# cycles is under a millisecond, and large solves still use every thread.
+# OpenBLAS reads the variable when it loads, so this must run before the
+# first import of numpy; a value the user set is kept, and other BLAS
+# builds ignore it.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+
 from .arithmetic import (GeneratorSystem, GirthResult, build_complex,
                          find_valid_level, girth, girth_bound,
                          irreducibility_report)

@@ -108,14 +108,24 @@ class GeneratorSystem:
 
     def swap(self, i: int, j: int) -> np.ndarray:
         """Square table of directions i != j, cached: the array S of shape
-        (2, r_i, r_j) with gen_i[a] gen_j[b] = +-gen_j[S[0, a, b]] gen_i[S[1, a, b]],
-        one two-letter `reorder` per entry."""
+        (2, r_i, r_j) with gen_i[a] gen_j[b] = +-gen_j[S[0, a, b]] gen_i[S[1, a, b]].
+
+        One two-letter `reorder` per entry fills the table of the first
+        ordered pair asked for; the reverse table is its inverse scatter,
+        since gen_j[b'] gen_i[a'] = +-gen_i[a] gen_j[b] is the same square
+        read backwards.  The scatter must fill every slot exactly once."""
         S = self._swaps.get((i, j))
         if S is None:
-            S = np.array([[self.reorder(((i, a), (j, b)), (j, i))[0]
-                           for b in range(len(self.gens[j - 1]))]
-                          for a in range(len(self.gens[i - 1]))]).transpose(2, 0, 1)
-            self._swaps[(i, j)] = S
+            ri, rj = len(self.gens[i - 1]), len(self.gens[j - 1])
+            S = np.array([[self.reorder(((i, a), (j, b)), (j, i))[0] for b in range(rj)]
+                          for a in range(ri)]).transpose(2, 0, 1)
+            hits = np.bincount((S[0] * ri + S[1]).ravel(), minlength=rj * ri)
+            if np.any(hits != 1):
+                raise ConstructionError(
+                    f"square table of directions ({i}, {j}) is not a bijection")
+            back = np.empty((2, rj, ri), dtype=S.dtype)
+            back[:, S[0], S[1]] = np.indices((ri, rj))
+            self._swaps[(i, j)], self._swaps[(j, i)] = S, back
         return S
 
 

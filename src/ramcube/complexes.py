@@ -178,14 +178,20 @@ def verify_axioms(X: CubicalComplex) -> AxiomReport:
         for a, b in itertools.combinations(dirs, 2):
             check(t.inv[a][t.inv[b]] == t.inv[b][t.inv[a]], 1, mask,
                   f"inv_{a} and inv_{b} do not commute")
-        # with commuting inversions, an orbit is short iff some product fixes it
+        # with commuting inversions, an orbit is short iff some product fixes
+        # it; depth first, each subset's product is one gather from that of
+        # the subset without its last direction (a stack entry holds that
+        # product and the position of the direction to append).  Dropping
+        # both products after each step keeps at most two gathered arrays
+        # alive.
         short = np.zeros(t.n, dtype=bool)
-        for size in range(1, len(dirs) + 1):
-            for subset in itertools.combinations(dirs, size):
-                moved = idx
-                for j in subset:
-                    moved = t.inv[j][moved]
-                short |= moved == idx
+        stack = [(None, pos) for pos in range(len(dirs))]
+        while stack:
+            prev, pos = stack.pop()
+            moved = t.inv[dirs[pos]] if prev is None else t.inv[dirs[pos]][prev]
+            short |= moved == idx
+            stack.extend((moved, q) for q in range(pos + 1, len(dirs)))
+            del prev, moved
         check(~short, 1, mask, "orientation orbit smaller than 2^|I|")
 
         # (2) face maps commute with inversions in other directions

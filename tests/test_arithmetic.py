@@ -109,6 +109,15 @@ def test_swap_matches_candidate_scan(gens513, gens51317):
     check_swap_pair(gens51317, 3, 1)
 
 
+def test_swap_rejects_a_table_that_is_not_a_bijection(monkeypatch):
+    """The reverse table is scattered from the forward one, so two words
+    rewritten to the same pair must stop the build, not overwrite a slot."""
+    gens = GeneratorSystem([5, 13], 3)
+    monkeypatch.setattr(gens, "reorder", lambda word, dst: ((0, 0), 1))
+    with pytest.raises(ConstructionError, match="not a bijection"):
+        gens.swap(1, 2)
+
+
 def test_reorder_rejects_a_duplicated_generator(monkeypatch):
     from ramcube import quaternions
     honest = quaternions.enumerate_generators

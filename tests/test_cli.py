@@ -201,6 +201,36 @@ def test_cli_path_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+_NUMPY_IMPORT_SPY = """
+import json, os, sys
+seen = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+assert "numpy" not in sys.modules
+sys.meta_path.insert(0, Spy())
+import ramcube
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize("preset,expected", [(None, "20"), ("28", "28")])
+def test_openblas_timeout_set_before_numpy_loads(preset, expected):
+    """OpenBLAS reads its thread timeout when numpy first loads it, so
+    `import ramcube` must set the default before that; a preset value stays."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)  # this process has set it
+    if preset is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = preset
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_IMPORT_SPY],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [expected]
+
+
 def test_main_config_error(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, {"primes": [5, 5], "N1": 13})
     code = cli.main(["build", "--config", str(cfg_path), "--out", str(tmp_path)])
