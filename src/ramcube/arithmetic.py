@@ -17,6 +17,7 @@ and unique), applied to all index tuples at once.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,7 +57,7 @@ class GeneratorSystem:
                 raise ConstructionError("generator image has wrong determinant")
             self.images.append(G.lookup(m).tolist())
             self.images_fine.append(G.lookup(m, fine=True).tolist())
-        self._conj_coeffs = [[q.conjugate().coeffs() for q in gens] for gens in self.gens]
+        self._coeffs = [np.array([q.coeffs() for q in gens]) for gens in self.gens]
         self._swaps: dict[tuple[int, int], np.ndarray] = {}
 
     @property
@@ -78,6 +79,10 @@ class GeneratorSystem:
         u * prod(generator(d, i) for d, i in zip(dst_dirs, indices)),
         exactly as integer quaternions.
 
+        An index may be a range: the word then stands for the grid of words,
+        one axis per letter (length 1 for a fixed index), and the result is
+        the arrays of indices (len(dst_dirs), *grid) and of units (grid).
+
         The factors are peeled off the product Q from the left: the factor
         of direction d is the generator a with conj(a) * Q = 0 (mod p_d) in
         every coefficient, and Q becomes conj(a) * Q / p_d.  Unique
@@ -85,40 +90,49 @@ class GeneratorSystem:
         generator unique and leaves exactly +-1; anything else (no
         candidate, two candidates, another leftover) fails loudly.
         """
-        q = self.word_product(word).coeffs()
+        mesh = np.ix_(*(np.atleast_1d(i) for _, i in word))
+        q = (1, 0, 0, 0)
+        for (d, _), i in zip(word, mesh):
+            q = quat.hamilton(q, np.moveaxis(self._coeffs[d - 1][i], -1, 0))
+        q = np.stack(q)  # (4, *grid)
+
+        def fail(bad, what):
+            pos = np.argwhere(bad)[0]
+            one = tuple((d, int(i.ravel()[k])) for (d, _), i, k in zip(word, mesh, pos))
+            raise ConstructionError(f"rewriting of {one} into order {dst_dirs}{what}")
+
         indices = []
         for d in dst_dirs:
             p = self.primes[d - 1]
-            found = []
-            for i, a_bar in enumerate(self._conj_coeffs[d - 1]):
-                rest = quat.hamilton(a_bar, q)
-                if not any(c % p for c in rest):
-                    found.append((i, rest))
-            if len(found) != 1:
-                raise ConstructionError(
-                    f"rewriting of {word} into order {dst_dirs}: {len(found)} left "
-                    f"divisors in direction {d}, expected exactly one")
-            i, rest = found[0]
-            indices.append(i)
-            q = tuple(c // p for c in rest)
-        if q not in ((1, 0, 0, 0), (-1, 0, 0, 0)):
-            raise ConstructionError(
-                f"rewriting of {word} into order {dst_dirs} leaves {q}, not a sign")
-        return tuple(indices), q[0]
+            a_bar = (self._coeffs[d - 1] * [1, -1, -1, -1]).T.reshape(4, -1, *[1] * (q.ndim - 1))
+            rest = np.stack(quat.hamilton(a_bar, q))  # (4, candidate, *grid)
+            divides = ~np.any(rest % p, axis=0)
+            count = divides.sum(axis=0)
+            if np.any(count != 1):
+                fail(count != 1, f": {count[count != 1].flat[0]} left divisors in "
+                                 f"direction {d}, expected exactly one")
+            indices.append(np.argmax(divides, axis=0))
+            q = np.take_along_axis(rest, indices[-1][None, None], axis=1)[:, 0] // p
+        bad = (np.abs(q[0]) != 1) | np.any(q[1:], axis=0)
+        if np.any(bad):
+            fail(bad, f" leaves {tuple(q[:, bad].T[0].tolist())}, not a sign")
+        if any(isinstance(i, range) for _, i in word):
+            return np.stack(indices), q[0]
+        return tuple(i.item() for i in indices), q[0].item()
 
     def swap(self, i: int, j: int) -> np.ndarray:
         """Square table of directions i != j, cached: the array S of shape
         (2, r_i, r_j) with gen_i[a] gen_j[b] = +-gen_j[S[0, a, b]] gen_i[S[1, a, b]].
 
-        One two-letter `reorder` per entry fills the table of the first
-        ordered pair asked for; the reverse table is its inverse scatter,
-        since gen_j[b'] gen_i[a'] = +-gen_i[a] gen_j[b] is the same square
-        read backwards.  The scatter must fill every slot exactly once."""
+        One batched `reorder` of the whole grid of two-letter words fills
+        the table of the first ordered pair asked for; the reverse table is
+        its inverse scatter, since gen_j[b'] gen_i[a'] = +-gen_i[a] gen_j[b]
+        is the same square read backwards.  The scatter must fill every
+        slot exactly once."""
         S = self._swaps.get((i, j))
         if S is None:
             ri, rj = len(self.gens[i - 1]), len(self.gens[j - 1])
-            S = np.array([[self.reorder(((i, a), (j, b)), (j, i))[0] for b in range(rj)]
-                          for a in range(ri)]).transpose(2, 0, 1)
+            S, _ = self.reorder(((i, range(ri)), (j, range(rj))), (j, i))
             hits = np.bincount((S[0] * ri + S[1]).ravel(), minlength=rj * ri)
             if np.any(hits != 1):
                 raise ConstructionError(
@@ -179,6 +193,16 @@ def _bubble(gens, dirs, rows, positions):
         rows[p], rows[p + 1] = S[0, rows[p], rows[p + 1]], S[1, rows[p], rows[p + 1]]
         dirs[p], dirs[p + 1] = dirs[p + 1], dirs[p]
     return dirs, rows
+
+
+def _vertex_labels(ar: ArithData) -> list[str]:
+    """Label "m00,m01,m10,m11|bits" of each vertex: the entries of its group
+    element and its parity bits, direction 1 first."""
+    g = ar.parities.shape[1]
+    bits = ["".join(str((c >> j) & 1) for j in range(g)) for c in range(1 << g)]
+    entries = quat._decode(ar.group.codes[ar.vertex_group], ar.n1).T.tolist()
+    mask = ar.parities.astype(np.int64) @ (1 << np.arange(g))
+    return ["{},{},{},{}|{}".format(*e, bits[c]) for e, c in zip(entries, mask.tolist())]
 
 
 def build_complex(primes, n1: int) -> CubicalComplex:
@@ -249,12 +273,9 @@ def build_complex(primes, n1: int) -> CubicalComplex:
             t.inv[j] = (step * T + np.ravel_multi_index(flip, sizes)).ravel()
         tables[mask] = t
 
-    bits = ["".join(str((c >> j) & 1) for j in range(g)) for c in range(1 << g)]
-    entries = quat._decode(G.codes[vertex_group], n1).T.tolist()
-    labels = ["{},{},{},{}|{}".format(*e, bits[c])
-              for e, c in zip(entries, (codes & ((1 << g) - 1)).tolist())]
-    X = CubicalComplex(g, r, tables, parities, labels)
-    X.arith = ArithData(gens.primes, n1, gens, vertex_group, parities, vstep, n // G.order)
+    ar = ArithData(gens.primes, n1, gens, vertex_group, parities, vstep, n // G.order)
+    X = CubicalComplex(g, r, tables, parities, functools.partial(_vertex_labels, ar))
+    X.arith = ar
 
     report = verify_axioms(X)
     if not report.passed:

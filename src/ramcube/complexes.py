@@ -67,9 +67,16 @@ class CubicalComplex:
         self.regularities = tuple(regularities)
         self.tables = tables
         self.parities = None if parities is None else np.asarray(parities, dtype=np.uint8)
-        self.vertex_labels = vertex_labels
+        self._vertex_labels = vertex_labels
         self.arith = None  # set by the arithmetic builder
         self._origin_cache: dict[int, np.ndarray] = {}
+
+    @property
+    def vertex_labels(self) -> list[str] | None:
+        """Vertex names, or None; a function given for them runs on first read."""
+        if callable(self._vertex_labels):
+            self._vertex_labels = self._vertex_labels()
+        return self._vertex_labels
 
     @property
     def n_vertices(self) -> int:
@@ -344,7 +351,13 @@ class LinkGraph:
     origin: np.ndarray
     terminus: np.ndarray
     opposite: np.ndarray
-    vertex_labels: list[str] | None = None
+    source: CubicalComplex | None = field(default=None, repr=False)
+
+    @property
+    def vertex_labels(self) -> list[str] | None:
+        """The source's vertex labels, for a link of vertices (I empty)."""
+        labels = None if self.mask or self.source is None else self.source.vertex_labels
+        return None if labels is None else [labels[i] for i in self.vertex_cubes.tolist()]
 
 
 def link_graph(X: CubicalComplex, j: int, dirs=()) -> LinkGraph:
@@ -375,11 +388,7 @@ def link_graph(X: CubicalComplex, j: int, dirs=()) -> LinkGraph:
     if origin.min(initial=0) < 0 or terminus.min(initial=0) < 0 or opposite.min(initial=0) < 0:
         raise ConstructionError("link extraction hit a non-canonical face; parities inconsistent")
 
-    labels = None
-    if mask == 0 and X.vertex_labels is not None:
-        labels = [X.vertex_labels[i] for i in verts]
-    return LinkGraph(j, mask, X.r(j), len(verts), verts, edges,
-                     origin, terminus, opposite, labels)
+    return LinkGraph(j, mask, X.r(j), len(verts), verts, edges, origin, terminus, opposite, X)
 
 
 def connected_components(n_vertices: int, origin: np.ndarray, terminus: np.ndarray):

@@ -220,11 +220,16 @@ def verify_flatness(X: CubicalComplex, L: LocalSystem) -> FlatnessReport:
         diff = np.einsum("nab,nbc->nac", T_BC, T_AB) - np.einsum("nab,nbc->nac", T_DC, T_AD)
         if diff.size == 0:
             continue
-        norms = np.linalg.svd(diff, compute_uv=False)[:, 0]
-        idx = int(np.argmax(norms))
-        if norms[idx] >= worst:
-            worst = float(norms[idx])
-            witness = (mask, idx)
+        # fro / sqrt(m) <= spectral norm <= fro: only squares with fro near or
+        # above max fro / sqrt(m) can hold the largest, and zeros need no SVD
+        fro = np.linalg.norm(diff, axis=(1, 2))
+        top = fro.max()
+        cand = np.flatnonzero(fro >= top * (1 - 1e-8) / np.sqrt(L.fiber_dim)) if top else [0]
+        norms = np.linalg.svd(diff[cand], compute_uv=False)[:, 0]
+        k = int(np.argmax(norms))
+        if norms[k] >= worst:
+            worst = float(norms[k])
+            witness = (mask, int(cand[k]))
     return FlatnessReport(worst, witness, total)
 
 

@@ -21,6 +21,7 @@ arrays of entries decoded from those codes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -200,14 +201,24 @@ def mat_code(m, n1: int):
     return ((m[0] * n1 + m[1]) * n1 + m[2]) * n1 + m[3]
 
 
+@functools.lru_cache(maxsize=None)
+def _least_multiplier(scalars: frozenset[int], n1: int) -> np.ndarray:
+    """best[e] = the s in scalars with the least s*e mod n1, from a table of
+    |scalars| x n1 products (smaller than one n1^3 slice of the scan)."""
+    s = np.array(sorted(scalars), dtype=np.int64)
+    best = s[np.argmin(np.outer(s, np.arange(n1)) % n1, axis=0)]
+    best.flags.writeable = False  # shared by every caller through the cache
+    return best
+
+
 def _least_code(m, scalars, n1: int) -> np.ndarray:
     """Least code among the scalar multiples s*m, s in scalars, of each of
-    the matrices whose entries are the arrays m[0..3]."""
-    best = None
-    for s in scalars:
-        code = mat_code([(s * e) % n1 for e in m], n1)
-        best = code if best is None else np.minimum(best, code, out=best)
-    return best
+    the matrices whose entries m[0..3] in [0, n1) broadcast together.  Every
+    multiple has the zero pattern of m and s -> s*e is injective, so the
+    first nonzero entry e picks the multiplier: _least_multiplier[e]."""
+    m = np.stack(np.broadcast_arrays(*m))
+    e = np.take_along_axis(m, np.argmax(m != 0, axis=0)[None], axis=0)[0]
+    return mat_code(_least_multiplier(scalars, n1)[e] * m % n1, n1)
 
 
 def _decode(codes: np.ndarray, n1: int) -> np.ndarray:
@@ -339,9 +350,7 @@ def build_group(primes, n1: int) -> MatrixGroupPair:
         for scalars, out in ((B, coarse), (B_prime, fine)):
             if m00 == 0:
                 out.append(code[det_ok & (code == _least_code(m, scalars, n1))])
-            elif m00 == min((s * m00) % n1 for s in scalars):
-                # s * m00 = m00 only for s = 1, so the leading entry alone
-                # makes every matrix of this slice the least of its orbit
+            elif _least_multiplier(scalars, n1)[m00] == 1:  # m00 decides alone
                 out.append(code[det_ok])
     return MatrixGroupPair(primes, n1, residue, A, B, B_prime,
                            np.concatenate(coarse), np.concatenate(fine))

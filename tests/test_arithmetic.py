@@ -91,6 +91,37 @@ def test_reorder_matches_candidate_scan_on_three_primes(gens51317, order, dst, i
     assert gens51317.reorder(word, dst) == scan_reorder(gens51317, word, dst)
 
 
+@pytest.mark.parametrize("fixture,src,dst", [
+    ("gens513", (1, 2), (2, 1)), ("gens513", (2, 1), (1, 2)),
+    ("gens51317", (1, 2, 3), (3, 1, 2)), ("gens51317", (3, 2, 1), (1, 2, 3))])
+def test_batched_reorder_matches_per_word_reorder(request, fixture, src, dst):
+    """Ranges rewrite the whole grid of words at once: every entry, unit
+    included, is the per-word rewriting and, on a sample, the candidate
+    scan's; a fixed index beside a range keeps an axis of length 1."""
+    gens = request.getfixturevalue(fixture)
+    sizes = [gens.regularities[d - 1] for d in src]
+    indices, units = gens.reorder(tuple((d, range(r)) for d, r in zip(src, sizes)), dst)
+    assert indices.shape == (len(dst), *sizes) and units.shape == tuple(sizes)
+    assert set(units.ravel().tolist()) == {1, -1}
+    for k, pos in enumerate(itertools.product(*map(range, sizes))):
+        word = tuple(zip(src, pos))
+        expected = gens.reorder(word, dst)
+        assert (tuple(indices[(slice(None), *pos)].tolist()), units[pos]) == expected
+        if k % 97 == 0:
+            assert expected == scan_reorder(gens, word, dst)
+    part, signs = gens.reorder(((2, 3), (1, range(6))), (1, 2))
+    assert part.shape == (2, 1, 6) and signs.shape == (1, 6)
+    for a in range(6):
+        assert (tuple(part[:, 0, a].tolist()), signs[0, a]) == gens.reorder(((2, 3), (1, a)), (1, 2))
+
+
+def test_batched_reorder_names_the_first_failing_word(gens513):
+    with pytest.raises(ConstructionError, match=r"\(\(1, 0\),\) into order \(2,\): 0 left"):
+        gens513.reorder(((1, range(6)),), (2,))
+    with pytest.raises(ConstructionError, match=r"\(\(1, 0\), \(2, 0\)\) .*not a sign"):
+        gens513.reorder(((1, range(6)), (2, range(14))), (1,))
+
+
 def check_swap_pair(gens, i, j):
     S, back = gens.swap(i, j), gens.swap(j, i)
     ri, rj = gens.regularities[i - 1], gens.regularities[j - 1]
@@ -113,7 +144,8 @@ def test_swap_rejects_a_table_that_is_not_a_bijection(monkeypatch):
     """The reverse table is scattered from the forward one, so two words
     rewritten to the same pair must stop the build, not overwrite a slot."""
     gens = GeneratorSystem([5, 13], 3)
-    monkeypatch.setattr(gens, "reorder", lambda word, dst: ((0, 0), 1))
+    monkeypatch.setattr(gens, "reorder", lambda word, dst: (np.zeros((2, 6, 14), dtype=np.int64),
+                                                            np.ones((6, 14), dtype=np.int64)))
     with pytest.raises(ConstructionError, match="not a bijection"):
         gens.swap(1, 2)
 
@@ -189,6 +221,25 @@ def test_cube_tables_match_word_rewriting(request, fixture):
             for j in want:
                 assert got[j].dtype == want[j].dtype
                 assert np.array_equal(got[j], want[j])
+
+
+def test_vertex_labels_are_formed_on_first_read(monkeypatch):
+    """Building, extracting a vertex link and the girth search form no
+    labels; the first read forms them once, and the link reads X's."""
+    from ramcube import arithmetic
+    calls = []
+    honest = arithmetic._vertex_labels
+    monkeypatch.setattr(arithmetic, "_vertex_labels", lambda ar: calls.append(1) or honest(ar))
+    X = rc.build_complex([5, 13], 3)
+    lg = rc.link_graph(X, 1)
+    rc.girth(X)
+    assert calls == []
+    labels = X.vertex_labels
+    assert calls == [1] and X.vertex_labels is labels and len(labels) == X.n_vertices
+    assert labels[0] == "1,0,0,1|00"
+    assert lg.vertex_labels == [labels[v] for v in lg.vertex_cubes]
+    assert rc.link_graph(X, 1, (2,)).vertex_labels is None
+    assert calls == [1]
 
 
 def test_generator_system_validation():

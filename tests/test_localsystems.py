@@ -3,6 +3,7 @@ import pytest
 
 import ramcube as rc
 from ramcube import Quaternion, symm_rep
+from ramcube.complexes import dirs_of
 from ramcube.errors import CentralConditionError
 from tuple_reference import TupleGroup, vertex_keys
 
@@ -189,6 +190,46 @@ def test_flatness_violation_detected():
     fl = rc.verify_flatness(X, L)
     assert fl.witness is not None
     assert abs(fl.max_residual - 2.0) < 1e-12
+
+
+def _flatness_by_full_svd(X, L):
+    """Reference: the spectral norm of every square's defect, then the
+    first maximum, the last direction pair winning a tie."""
+    worst, witness = 0.0, None
+    for mask in X.masks_of_dim(2):
+        j, jp = dirs_of(mask)
+        t = X.tables[mask]
+        T = L.transitions
+        diff = (np.einsum("nab,nbc->nac", T[jp - 1][t.top[j]], T[j - 1][X.edge_vector(mask, j)])
+                - np.einsum("nab,nbc->nac", T[j - 1][t.top[jp]], T[jp - 1][X.edge_vector(mask, jp)]))
+        norms = np.linalg.svd(diff, compute_uv=False)[:, 0]
+        idx = int(np.argmax(norms))
+        if norms[idx] >= worst:
+            worst, witness = float(norms[idx]), (mask, idx)
+    return worst, witness
+
+
+def test_flatness_screen_matches_full_svd(cover513):
+    """The Frobenius screen keeps the value and the witness of the SVD of
+    every square: on a flat weight-2 system, with one transition and with
+    many transitions perturbed, and with exact zero and tied defects."""
+    L = rc.build_symm_system(cover513, 2)
+    cases = [(cover513, L)]
+    rng = np.random.default_rng(3)
+    for count, scale in ((1, 1e-3), (40, 1e-6)):
+        M = rc.build_symm_system(cover513, 2)
+        for j in (0, 1):
+            pick = rng.choice(len(M.transitions[j]), count, replace=False)
+            M.transitions[j][pick] += scale * rng.standard_normal(M.transitions[j][pick].shape)
+        cases.append((cover513, M))
+    box = rc.box_complex(2)
+    broken = rc.trivial_system(box)
+    broken.transitions[0][0] = -broken.transitions[0][0]
+    cases += [(box, rc.trivial_system(box)), (box, broken)]
+    for X, M in cases:
+        fl = rc.verify_flatness(X, M)
+        assert (fl.max_residual, fl.witness) == _flatness_by_full_svd(X, M)
+    assert rc.verify_flatness(*cases[1]).max_residual > 1e-5
 
 
 def test_odd_weight_flatness_needs_epsilon():

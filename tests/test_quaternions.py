@@ -7,7 +7,8 @@ import pytest
 import ramcube as rc
 from ramcube import Quaternion
 from ramcube.errors import ConstructionError, GeneratorCountError, InvalidModulusError
-from ramcube.quaternions import MAT_IDENTITY, mat_det, mat_mul
+from ramcube.quaternions import (MAT_IDENTITY, _cyclic_subgroup, _least_code, mat_code, mat_det,
+                                 mat_mul)
 from tuple_reference import TupleGroup, canonical
 
 ONE = Quaternion(1, 0, 0, 0)
@@ -196,6 +197,27 @@ def test_canonical_representative_is_minimal():
         m = elements[rng.randrange(G.order)]
         orbit = [tuple((s * x) % 13 for x in m) for s in G.B]
         assert min(orbit) == m
+
+
+@pytest.mark.parametrize("n1", [3, 5, 13, 17, 29, 37])
+def test_least_code_matches_minimum_over_scalar_multiples(n1):
+    """The code decided by the first nonzero entry is the least code over
+    all scalar multiples in B and in B', also for matrices with leading
+    zero entries and for the zero matrix, from an entry array and from
+    build_group's (scalar m00, arrays) form."""
+    units = [p % n1 for p in (5, 13, 17) if p % n1][:2]
+    B_prime = _cyclic_subgroup(units, n1)
+    B = _cyclic_subgroup(units + [n1 - 1], n1)
+    rng = np.random.default_rng(n1)
+    m = rng.integers(0, n1, size=(4, 500))
+    m[rng.random(m.shape) < 0.4] = 0
+    m[:, 0] = 0
+    m0 = m.copy()
+    m0[0] = 0
+    for scalars in (B, B_prime):
+        for entries, given in ((m, m), (m0, (0, *m0[1:]))):
+            brute = np.min([mat_code(s * entries % n1, n1) for s in scalars], axis=0)
+            assert np.array_equal(_least_code(given, scalars, n1), brute)
 
 
 def scan_group(G):
