@@ -64,12 +64,6 @@ class GeneratorSystem:
     def regularities(self) -> tuple[int, ...]:
         return tuple(len(g) for g in self.gens)
 
-    def word_product(self, word) -> Quaternion:
-        q = quat.QUATERNION_ONE
-        for d, i in word:
-            q = q * self.gens[d - 1][i]
-        return q
-
     def reorder(self, word, dst_dirs):
         """Rewrite a generator word into the target direction order.
 

@@ -3,7 +3,7 @@
 Configs are strict JSON; every run writes a deterministic report.json into
 the output directory (partial, with a stage marker, when a stage fails).
 Exit codes: 0 success, 2 config error, 3 construction failure,
-4 negative verification, 5 internal error, 6 resource cap exceeded.
+4 negative verification, 5 internal error, 6 not enough memory.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ COMMANDS = ("build", "verify", "spectrum", "ramanujan", "girth",
 
 DEFAULT_TOLERANCES = {"spectral": 1e-8, "matrix": 1e-12, "rank": 1e-8}
 
-_ALLOWED_KEYS = {"primes", "N1", "k", "out", "tolerances", "max_dim", "max_depth"}
+_ALLOWED_KEYS = {"primes", "N1", "k", "out", "tolerances", "max_depth"}
 
 
 @dataclass
@@ -44,7 +44,6 @@ class RunConfig:
     k: int = 0
     out: str = "."
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-    max_dim: int = 20000
     max_depth: int = 12
     raw: dict = field(default_factory=dict)
 
@@ -104,16 +103,13 @@ def validate_config(data: dict) -> RunConfig:
         if not _is_positive(val):
             raise ConfigError(f"tolerance {key} must be positive")
         tol[key] = float(val)
-    max_dim = data.get("max_dim", 20000)
     max_depth = data.get("max_depth", 12)
-    if not _is_int(max_dim) or max_dim <= 0:
-        raise ConfigError("max_dim must be a positive integer")
     if not _is_int(max_depth) or max_depth <= 0:
         raise ConfigError("max_depth must be a positive integer")
     out = data.get("out", ".")
     if not isinstance(out, str):
         raise ConfigError("out must be a string (a directory path)")
-    return RunConfig(tuple(sorted(primes)), n1, k, out, tol, max_dim, max_depth, data)
+    return RunConfig(tuple(sorted(primes)), n1, k, out, tol, max_depth, data)
 
 
 def _link_spec(j: int, dirs_text: str, g: int):
@@ -160,8 +156,8 @@ def run(cfg: RunConfig, command: str, out_dir=None, link_spec=None):
     except VerificationError as e:
         report["exit_stage"] = {"stage": "verification", "error": str(e)}
         code = 4
-    except ResourceError as e:
-        report["exit_stage"] = {"stage": "resource", "error": str(e)}
+    except (ResourceError, MemoryError) as e:
+        report["exit_stage"] = {"stage": "resource", "error": str(e) or "out of memory"}
         code = 6
     except RamcubeError as e:
         report["exit_stage"] = {"stage": "internal", "error": str(e)}
@@ -255,7 +251,7 @@ def _pipeline(cfg: RunConfig, command: str, out: Path, report: dict, link_spec):
 
     # stage: spectra (spectrum / ramanujan / report)
     H = Harmonics(X, L)
-    sp = spectrum_report(X, L, cfg.tolerances["spectral"], cfg.max_dim, workspace=H)
+    sp = spectrum_report(X, L, cfg.tolerances["spectral"], workspace=H)
     report["spectra"] = [
         {
             "j": e.j,
@@ -358,8 +354,6 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default=None, help="output directory (default: config)")
     ap.add_argument("--tol", type=float, default=None,
                     help="override the spectral tolerance")
-    ap.add_argument("--max-dim", type=int, default=None,
-                    help="override the cochain dimension cap of the star solves")
     ap.add_argument("--max-depth", type=int, default=None,
                     help="override the girth search depth cap")
     ap.add_argument("--link-j", type=int, default=None,
@@ -374,10 +368,6 @@ def main(argv=None) -> int:
             if not _is_positive(args.tol):
                 raise ConfigError("--tol must be positive")
             cfg.tolerances["spectral"] = args.tol
-        if args.max_dim is not None:
-            if args.max_dim <= 0:
-                raise ConfigError("--max-dim must be a positive integer")
-            cfg.max_dim = args.max_dim
         if args.max_depth is not None:
             if args.max_depth <= 0:
                 raise ConfigError("--max-depth must be a positive integer")

@@ -34,4 +34,5 @@ class VerificationError(RamcubeError):
 
 
 class ResourceError(RamcubeError):
-    """A run would exceed a resource cap (max_dim, on star solves); not a verdict."""
+    """A run would not fit in memory (the dense star blocks, checked before
+    the first solve); not a verdict."""

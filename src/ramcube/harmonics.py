@@ -58,9 +58,10 @@ vertices have opposite j-parity, so with parities each star (and each of
 its Fourier blocks, since an orbit keeps its parity) is bipartite,
 S = [[0, B^H], [B, 0]] up to a permutation, and spec(S) = +-sigma(B) padded
 with zeros.  ``_parity_rows`` checks that on the COO entries and keeps those
-of B, from which ``block_spectrum`` scatters each Fourier block of B (and
-``spectrum`` B itself); without parities (e.g. complete graphs) the dense
-``eigvalsh`` path, also the tests' reference, stays.
+of B, from which ``block_spectrum`` scatters each Fourier block of B;
+without parities (e.g. complete graphs) it solves each Fourier block with
+``spectrum``, the dense ``eigvalsh`` that is also the tests' reference.
+``spectrum_report`` sizes every star's dense blocks before the first solve.
 
 Cohomology, by Garland's step: the Hodge Laplacian d d* + d* d of level i
 is block diagonal over the direction sets, and every term of its block
@@ -465,17 +466,6 @@ class Harmonics:
 
     # -- spectra, cohomology, Hodge ---------------------------------------
 
-    def _capped_dim(self, mask: int, max_dim: int) -> int:
-        """dim C^I, refused above the cap: a star solve on C^I holds one
-        dense Fourier block of its parity block B at a time (B itself when
-        there is a single block; without parities, the Fourier block)."""
-        dim = self.dim(mask)
-        if dim > max_dim:
-            raise ResourceError(
-                f"operators on C^{dirs_of(mask)} have dimension {dim}, above the cap "
-                f"{max_dim}; raise max_dim to proceed")
-        return dim
-
     def _parallel_sections(self, mask: int, window: float) -> np.ndarray:
         """Orthonormal basis, as columns on C^I, of W_I, the intersection
         of ker d_j over the j outside I.  The link edges s(top) = M s(bot),
@@ -581,17 +571,25 @@ class Harmonics:
         taken with its multiplicity (one dense block when N = 1).  With
         parity, a class per coordinate as from star_parity, each block is
         the block of B alone, class-1 by class-0 orbits (module notes)."""
-        rows = cols = orbits = self.coordinate_orbits([mask])
         if parity is not None:
             A = _parity_rows(A if isinstance(A, Coo) else A.tocoo(), parity)
-            ids, shift, _ = orbits  # orbits share a parity; leaders come in orbit order
-            pos, (n0, n1) = _class_positions(np.asarray(parity)[shift == 0])
-            rows, cols = (pos[ids], shift, n1), (pos[ids], shift, n0)
         parts = []
-        for block, mult in self.fourier_blocks(A, rows, cols):
+        for block, mult in self.fourier_blocks(A, *self._block_axes(mask, parity)):
             parts += [spectrum(block) if parity is None else _bipartite_spectrum(block)] * mult
             del block
         return np.sort(np.concatenate(parts))[::-1]
+
+    def _block_axes(self, mask: int, parity):
+        """The rows and cols that ``block_spectrum`` hands ``fourier_blocks``
+        for an operator on C^I: its coordinate orbits, or with a parity the
+        class-1 and class-0 orbits, each numbered within its class."""
+        orbits = self.coordinate_orbits([mask])
+        if parity is None:
+            return orbits, orbits
+        ids, shift, _ = orbits  # orbits share a parity; leaders come in orbit order
+        one = np.asarray(parity)[shift == 0] == 1
+        pos = np.where(one, np.cumsum(one), np.cumsum(~one))[ids] - 1
+        return (pos, shift, int(one.sum())), (pos, shift, int((~one).sum()))
 
     def eigenspace_transfer_check(self, j: int, mask: int, tol: float = 1e-8):
         """Nonzero spectra of box_j agree on C^I and C^(I + {j}) (with
@@ -640,33 +638,21 @@ def _kernel(A: np.ndarray, window: float, mask: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 # spectra and classification
 
-def spectrum(M: np.ndarray, hermitian_tol: float = 1e-10, parity=None) -> np.ndarray:
-    """All real eigenvalues of a Hermitian matrix, descending.
-
-    ``parity`` (a 0/1 class per row, e.g. ``Harmonics.star_parity``) declares
-    M bipartite (checked by ``_parity_rows``); the spectrum then comes from
-    the singular values of the block B from class 0 to class 1, half the
-    dimension of the dense ``eigvalsh`` that is the reference path.
-    """
+def spectrum(M: np.ndarray, hermitian_tol: float = 1e-10) -> np.ndarray:
+    """All real eigenvalues of a Hermitian matrix, descending: the dense
+    ``eigvalsh`` that is the reference for ``Harmonics.block_spectrum``."""
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("spectrum expects a square matrix")
-    if parity is None:
-        if not np.allclose(M, M.conj().T, rtol=0.0, atol=hermitian_tol):
-            raise ValueError("matrix is not Hermitian within tolerance")
-        return np.linalg.eigvalsh(M)[::-1]
-    row, col = np.nonzero(M)
-    A = _parity_rows(Coo(row, col, M[row, col], M.shape), parity, hermitian_tol)
-    pos, (n0, n1) = _class_positions(np.asarray(parity))
-    B = np.zeros((n1, n0), dtype=M.dtype)
-    B[pos[A.row], pos[A.col]] = A.data
-    return _bipartite_spectrum(B)
+    if not np.allclose(M, M.conj().T, rtol=0.0, atol=hermitian_tol):
+        raise ValueError("matrix is not Hermitian within tolerance")
+    return np.linalg.eigvalsh(M)[::-1]
 
 
-def _parity_rows(A: Coo, parity, hermitian_tol: float = 1e-10) -> Coo:
+def _parity_rows(A: Coo, parity) -> Coo:
     """The entries of B, from class 0 to class 1 of parity (0/1 per row),
     once A is checked bipartite (every same-class entry exactly zero) and
-    Hermitian (A - A^H, from one ``Coo.canonical``, within the tolerance)."""
+    Hermitian (A - A^H, from one ``Coo.canonical``, within 1e-10)."""
     parity = np.asarray(parity)
     if parity.shape != (A.shape[0],) or not np.isin(parity, (0, 1)).all():
         raise ValueError("parity must give a 0/1 class for every row")
@@ -674,16 +660,10 @@ def _parity_rows(A: Coo, parity, hermitian_tol: float = 1e-10) -> Coo:
         raise ValueError("matrix couples two rows of the same parity class")
     skew = Coo.canonical(np.concatenate([A.row, A.col]), np.concatenate([A.col, A.row]),
                          np.concatenate([A.data, -A.data.conj()]), A.shape)
-    if not (np.abs(skew.data) <= hermitian_tol).all():
+    if not (np.abs(skew.data) <= 1e-10).all():
         raise ValueError("matrix is not Hermitian within tolerance")
     keep = parity[A.row] > parity[A.col]
     return Coo(A.row[keep], A.col[keep], A.data[keep], A.shape)
-
-
-def _class_positions(parity: np.ndarray):
-    """Position of every coordinate within its 0/1 class; sizes (n0, n1)."""
-    one = parity == 1
-    return np.where(one, np.cumsum(one), np.cumsum(~one)) - 1, (int((~one).sum()), int(one.sum()))
 
 
 def _bipartite_spectrum(B: np.ndarray) -> np.ndarray:
@@ -739,29 +719,49 @@ class SpectrumReport:
     def overall_ramanujan(self) -> bool:
         return all(e.verdict.is_ramanujan for e in self.entries)
 
-    def mu_by_level(self) -> dict:
-        """Per (j, i): the maximum mu over direction sets of size i."""
-        out: dict = {}
-        for e in self.entries:
-            key = (e.j, len(e.dirs))
-            out[key] = max(out.get(key, 0.0), e.verdict.mu)
-        return out
+
+def _memory_headroom() -> int:
+    """Bytes the kernel can still give this process: MemAvailable, which
+    nets out every process's memory and counts the reclaimable page cache;
+    without /proc/meminfo, physical memory less this process's peak RSS."""
+    import os
+    import resource
+    import sys
+    try:
+        with open("/proc/meminfo") as fh:
+            return next(int(x.split()[1]) * 1024 for x in fh if x.startswith("MemAvailable:"))
+    except (OSError, StopIteration):
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, else KiB
+        return (os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+                - peak * (1 if sys.platform == "darwin" else 1024))
 
 
 def spectrum_report(X: CubicalComplex, L: LocalSystem | None = None,
-                    tol: float = 1e-8, max_dim: int = 20000,
+                    tol: float = 1e-8,
                     workspace: Harmonics | None = None) -> SpectrumReport:
     """Star spectra and Ramanujan verdicts for every admissible (j, I),
-    each the union of the spectra of the star's Fourier blocks."""
+    each the union of the spectra of the star's Fourier blocks.  Before
+    the first solve, ResourceError refuses the run when twice the largest
+    dense block of a star (LAPACK copies its input) exceeds the headroom."""
     H = workspace if workspace is not None else Harmonics(X, L)
+    stars = [(j, mask) for mask in X.masks() for j in range(1, X.g + 1)
+             if not mask & (1 << (j - 1)) and (mask | (1 << (j - 1))) in X.tables]
+    shapes = {(j, mask): tuple(axis[2] for axis in H._block_axes(mask, H.star_parity(j, mask)))
+              for j, mask in stars}
+    if shapes:
+        j, mask = max(shapes, key=lambda star: math.prod(shapes[star]))
+        # block 0 keeps the operator's dtype, every other block is complex
+        dtype = H.dtype if H.symmetry_order() == 1 else np.complex128
+        need = 2 * math.prod(shapes[j, mask]) * np.dtype(dtype).itemsize
+        headroom = _memory_headroom()
+        if need > headroom:
+            raise ResourceError(
+                f"the star on (j={j}, I={dirs_of(mask)}) needs a dense "
+                f"{shapes[j, mask][0]}x{shapes[j, mask][1]} block, {need / 2**20:.1f} MiB with "
+                f"the solver's copy, above the {headroom / 2**20:.1f} MiB available")
     report = SpectrumReport()
-    for mask in X.masks():
-        for j in range(1, X.g + 1):
-            bit = 1 << (j - 1)
-            if mask & bit or (mask | bit) not in X.tables:
-                continue
-            dim = H._capped_dim(mask, max_dim)
-            eigs = H.block_spectrum(H._star(j, mask), mask, H.star_parity(j, mask))
-            verdict = classify_ramanujan(eigs, X.r(j), tol)
-            report.entries.append(SpectrumEntry(j, dirs_of(mask), dim, eigs, verdict))
+    for j, mask in stars:
+        eigs = H.block_spectrum(H._star(j, mask), mask, H.star_parity(j, mask))
+        verdict = classify_ramanujan(eigs, X.r(j), tol)
+        report.entries.append(SpectrumEntry(j, dirs_of(mask), H.dim(mask), eigs, verdict))
     return report

@@ -10,6 +10,7 @@ import pytest
 
 import ramcube as rc
 import ramcube.cli as cli
+import ramcube.harmonics as harmonics
 from ramcube.complexes import mask_of
 from ramcube.errors import ConfigError
 
@@ -49,7 +50,7 @@ def test_parse_config_auto_and_overrides(tmp_path):
     ({"primes": [5], "N1": 13, "k": True}, "nonnegative integer"),
     ({"primes": [True], "N1": 13}, "list of integers"),
     ({"primes": [5], "N1": True}, "odd prime"),
-    ({"primes": [5], "N1": 13, "max_dim": True}, "max_dim"),
+    ({"primes": [5], "N1": 13, "max_dim": 100}, "max_dim"),
     ({"primes": [5], "N1": 13, "max_depth": True}, "max_depth"),
     ({"primes": [5], "N1": 13, "tolerances": {"rank": True}}, "tolerance rank"),
     ({"primes": [5], "N1": 13, "tolerances": {"matrix": float("nan")}}, "tolerance matrix"),
@@ -149,25 +150,40 @@ def test_main_end_to_end(tmp_path, capsys):
     assert (tmp_path / "o" / "report.json").exists()
 
 
-def test_main_resource_cap_exit_code(tmp_path, capsys):
-    """A star above max_dim is a resource failure (6), not a negative
-    verdict (4)."""
+def test_main_resource_cap_exit_code(tmp_path, capsys, monkeypatch):
+    """A star whose dense blocks do not fit in the memory left is a
+    resource failure (6), not a negative verdict (4)."""
+    monkeypatch.setattr(harmonics, "_memory_headroom", lambda: 100)
     cfg_path = write_cfg(tmp_path, {"primes": [5, 13], "N1": 7})
-    code = cli.main(["ramanujan", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
-                     "--max-dim", "100"])
+    code = cli.main(["ramanujan", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     assert code == 6
     assert "resource failure" in capsys.readouterr().err
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert report["exit_stage"]["stage"] == "resource"
 
 
-def test_main_cohomology_cap_exit_code(tmp_path, capsys):
-    """max_dim caps the star solves only: the cohomology holds no operator
-    of the size of a cochain space, so it completes under a cap of 100
-    that every C^I of [5,13]@7 exceeds."""
+def test_main_memory_error_exit_code(tmp_path, capsys, monkeypatch):
+    """A MemoryError in any stage is a resource failure (6) with a report,
+    not an internal error (5)."""
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 7.3 GiB")
+
+    monkeypatch.setattr(cli, "girth", exhausted)
+    cfg_path = write_cfg(tmp_path, {"primes": [5], "N1": 3})
+    code = cli.main(["girth", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 6
+    assert "resource failure: Unable to allocate" in capsys.readouterr().err
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["exit_stage"] == {"stage": "resource", "error": "Unable to allocate 7.3 GiB"}
+
+
+def test_main_cohomology_cap_exit_code(tmp_path, capsys, monkeypatch):
+    """The memory check guards the star solves only: the cohomology holds
+    no operator of the size of a cochain space, so it completes with no
+    headroom at all."""
+    monkeypatch.setattr(harmonics, "_memory_headroom", lambda: 0)
     cfg_path = write_cfg(tmp_path, {"primes": [5, 13], "N1": 7})
-    code = cli.main(["cohomology", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
-                     "--max-dim", "100"])
+    code = cli.main(["cohomology", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     assert code == 0
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert report["exit_stage"] is None
@@ -246,7 +262,7 @@ def test_main_config_error(tmp_path, capsys):
     ({}, ["--link-j", "3"], "--link-j"),
     ({"primes": [5, 13]}, ["--link-j", "1", "--link-dirs", "1"], "--link-dirs"),
     ({"primes": [5, 13]}, ["--link-dirs", "2"], "--link-dirs needs --link-j"),
-    ({}, ["--max-dim", "0"], "--max-dim"),
+    ({"max_dim": 100}, [], "unknown config keys"),
     ({}, ["--max-depth", "0"], "--max-depth"),
     ({}, ["--tol", "nan"], "--tol"),
 ])

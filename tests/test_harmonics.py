@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import ramcube as rc
 from dense_reference import (coboundary_by_sum, cohomology_by_gram, cohomology_by_svd,
                              expand_by_bfs, fourier_blocks_unfolded, total_dstar_by_sum)
-from ramcube import Harmonics
+from ramcube import Harmonics, harmonics
 from ramcube.complexes import CubeTable, CubicalComplex, mask_of
 from ramcube.errors import ResourceError, VerificationError
 from ramcube.harmonics import Coo
@@ -191,9 +191,11 @@ def test_star_matrix_matches_edge_loop(cover_spaces, x511):
 
 def test_star_matrix_sums_parallel_edges():
     X = rc.graph_complex(2, [(0, 1), (0, 1), (0, 1)], r=3, parities=[[0], [1]])
-    S = Harmonics(X).star_matrix(1, 0)
+    H = Harmonics(X)
+    S = H.star_matrix(1, 0)
     assert np.array_equal(S, [[0.0, 3.0], [3.0, 0.0]])
-    assert np.array_equal(rc.spectrum(S, parity=[0, 1]), [3.0, -3.0])
+    fast = H.block_spectrum(H._star(1, 0), 0, H.star_parity(1, 0))
+    assert np.abs(fast - rc.spectrum(S)).max() <= 1e-10
 
 
 def _system(X, k):
@@ -201,8 +203,8 @@ def _system(X, k):
 
 
 def _assert_bipartite_route_matches_dense(H):
-    """The parity route matches the dense eigensolve, and the Fourier-block
-    route of spectrum_report matches the parity route, on every star."""
+    """The parity and Fourier-block route of spectrum_report matches the
+    dense eigensolve on every star."""
     X = H.X
     blocks = {(e.j, mask_of(e.dirs)): e.eigenvalues
               for e in rc.spectrum_report(X, H.L, workspace=H).entries}
@@ -214,9 +216,7 @@ def _assert_bipartite_route_matches_dense(H):
             S = H.star_matrix(j, mask)
             parity = H.star_parity(j, mask)
             assert parity is not None and len(parity) == len(S)
-            fast = rc.spectrum(S, parity=parity)
-            assert np.abs(fast - rc.spectrum(S)).max() <= 1e-10
-            assert np.abs(blocks[j, mask] - fast).max() <= 1e-10
+            assert np.abs(blocks[j, mask] - rc.spectrum(S)).max() <= 1e-10
             n_stars += 1
     assert n_stars == len(blocks) > 0
 
@@ -245,8 +245,8 @@ def test_bipartite_spectrum_matches_dense_for_odd_weight(cover513, x511):
     ("x511", 1, 1), ("x5137", 0, 2), ("lps513", 0, 3), ("cover513", 2, 3)])
 def test_parity_block_route_matches_dense(request, complex_fixture, k, n_classes):
     """block_spectrum with a parity scatters only the block B of each
-    Fourier block from the star's entries.  It matches the dense parity
-    route on every star, in each case of ``_block_classes``: N = 1
+    Fourier block from the star's entries.  It matches the dense eigensolve
+    on every star, in each case of ``_block_classes``: N = 1
     (complex), a real operator with N = 3 mod 4 (two classes), three
     classes (real, N = 13) and a complex operator (three classes)."""
     X = request.getfixturevalue(complex_fixture)
@@ -259,7 +259,7 @@ def test_parity_block_route_matches_dense(request, complex_fixture, k, n_classes
                 continue
             parity = H.star_parity(j, mask)
             fast = H.block_spectrum(H._star(j, mask), mask, parity)
-            dense = rc.spectrum(H.star_matrix(j, mask), parity=parity)
+            dense = rc.spectrum(H.star_matrix(j, mask))
             assert len(fast) == len(dense) and np.abs(fast - dense).max() <= 1e-10
             n_stars += 1
     assert n_stars > 0
@@ -283,34 +283,45 @@ def test_parity_block_route_rejects_broken_entries(cover_spaces):
         H.block_spectrum(S._replace(data=data), 0, parity)
 
 
+def _parity_route(M, parity):
+    """block_spectrum of the dense matrix M with the given parity, as an
+    operator on the vertices of a bipartite path (N = 1)."""
+    M = np.asarray(M)
+    n = len(M)
+    X = rc.graph_complex(n, [(v, v + 1) for v in range(n - 1)], r=2,
+                         parities=[[v % 2] for v in range(n)])
+    row, col = np.nonzero(M)
+    return Harmonics(X).block_spectrum(Coo(row, col, M[row, col], M.shape), 0, parity)
+
+
 def test_bipartite_spectrum_rejects_same_class_entries():
     triangle = np.ones((3, 3)) - np.eye(3)
     with pytest.raises(ValueError, match="same parity class"):
-        rc.spectrum(triangle, parity=[0, 1, 0])
+        _parity_route(triangle, [0, 1, 0])
     with pytest.raises(ValueError, match="same parity class"):
-        rc.spectrum(np.diag([1.0, 0.0]), parity=[0, 1])
+        _parity_route(np.diag([1.0, 0.0]), [0, 1])
 
 
 def test_bipartite_spectrum_rejects_non_adjoint_blocks():
     with pytest.raises(ValueError, match="Hermitian"):
-        rc.spectrum(np.array([[0.0, 1.0], [2.0, 0.0]]), parity=[0, 1])
+        _parity_route(np.array([[0.0, 1.0], [2.0, 0.0]]), [0, 1])
     with pytest.raises(ValueError, match="Hermitian"):
-        rc.spectrum(np.array([[0.0, 1j], [1j, 0.0]]), parity=[1, 0])
+        _parity_route(np.array([[0.0, 1j], [1j, 0.0]]), [1, 0])
 
 
 def test_bipartite_spectrum_rejects_bad_parity_vectors():
     M = np.array([[0.0, 1.0], [1.0, 0.0]])
     for parity in ([0], [0, 1, 0], [0, 2]):
         with pytest.raises(ValueError, match="parity"):
-            rc.spectrum(M, parity=parity)
+            _parity_route(M, parity)
 
 
 def test_bipartite_spectrum_pads_unequal_classes():
     path = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    eigs = rc.spectrum(path, parity=[0, 1, 0])
+    eigs = _parity_route(path, [0, 1, 0])
     assert np.allclose(eigs, [np.sqrt(2), 0.0, -np.sqrt(2)], atol=1e-14)
     assert np.abs(eigs - rc.spectrum(path)).max() <= 1e-14
-    assert np.array_equal(rc.spectrum(np.zeros((3, 3)), parity=[1, 1, 1]), np.zeros(3))
+    assert np.array_equal(_parity_route(np.zeros((3, 3)), [1, 1, 1]), np.zeros(3))
 
 
 def test_spectrum_report_without_parities():
@@ -603,7 +614,7 @@ def test_fold_matches_unfolded_blocks_and_dense(request, complex_fixture, k):
         unfolded = np.concatenate([rc.spectrum(B)
                                    for B in fourier_blocks_unfolded(H, S, orbits, orbits)])
         assert np.abs(e.eigenvalues - np.sort(unfolded)[::-1]).max() <= 1e-10
-        dense = rc.spectrum(S.toarray(), parity=H.star_parity(e.j, mask))
+        dense = rc.spectrum(S.toarray())
         assert np.abs(e.eigenvalues - dense).max() <= 1e-10
 
 
@@ -664,15 +675,46 @@ def test_total_laplacian_identity(cover_spaces, small_spaces, x511):
             assert abs(lhs - rhs).max() < 1e-11, (n, i)
 
 
-def test_spectrum_report_and_cap(cover513):
+def test_spectrum_report_and_cap(cover513, monkeypatch):
     sp = rc.spectrum_report(cover513)
     assert len(sp.entries) == 4
     assert sp.overall_ramanujan
-    mus = sp.mu_by_level()
-    assert set(mus) == {(1, 0), (2, 0), (1, 1), (2, 1)}
+    assert {(e.j, len(e.dirs)) for e in sp.entries} == {(1, 0), (2, 0), (1, 1), (2, 1)}
     assert all(len(e.eigenvalues) == e.dim for e in sp.entries)
+    monkeypatch.setattr(harmonics, "_memory_headroom", lambda: 0)
     with pytest.raises(ResourceError):
-        rc.spectrum_report(cover513, max_dim=100)
+        rc.spectrum_report(cover513)
+
+
+def test_memory_check_boundary(cover513, monkeypatch):
+    """The run is refused exactly when twice the largest dense block of a
+    star, n_r x n_c complex orbits of the two parity classes, exceeds the
+    headroom, and the refusal comes before any Fourier block is formed."""
+    H = Harmonics(cover513)
+    assert H.symmetry_order() > 1  # every block but block 0 is complex
+    need = 0
+    for e in rc.spectrum_report(cover513, workspace=H).entries:
+        mask = mask_of(e.dirs)
+        _, shift, _ = H.coordinate_orbits([mask])
+        leaders = H.star_parity(e.j, mask)[shift == 0]
+        n_r, n_c = int(leaders.sum()), int((leaders == 0).sum())
+        need = max(need, 2 * n_r * n_c * np.dtype(np.complex128).itemsize)
+    calls = []
+    fourier_blocks = Harmonics.fourier_blocks
+
+    def spy(self, *args):
+        calls.append(args)
+        return fourier_blocks(self, *args)
+
+    monkeypatch.setattr(Harmonics, "fourier_blocks", spy)
+    monkeypatch.setattr(harmonics, "_memory_headroom", lambda: need)
+    assert rc.spectrum_report(cover513).overall_ramanujan
+    assert len(calls) == 4
+    calls.clear()
+    monkeypatch.setattr(harmonics, "_memory_headroom", lambda: need - 1)
+    with pytest.raises(ResourceError, match="block"):
+        rc.spectrum_report(cover513)
+    assert calls == []
 
 
 def test_boundary_norm_bound(lps513):

@@ -1,13 +1,15 @@
 """Scalar references, one tuple at a time: the integer-coded vertex groups
 with matrices as entry tuples (m00, m01, m10, m11), canonicalised over the
-scalar subgroup independently of the array code in ramcube.quaternions; and
-the cube tables of an arithmetic complex by rewriting each generator word
-with GeneratorSystem.reorder, independently of its square tables."""
+scalar subgroup independently of the array code in ramcube.quaternions; the
+product of a generator word; and the cube tables of an arithmetic complex
+by rewriting the generator words with GeneratorSystem.reorder,
+independently of its square tables."""
 
-import itertools
 import math
 
 import numpy as np
+
+from ramcube.quaternions import QUATERNION_ONE
 
 
 def mat_mul(a, b, n1):
@@ -43,6 +45,15 @@ class TupleGroup:
         return self.find((d * dinv, -b * dinv, -c * dinv, a * dinv))
 
 
+def word_product(gens, word):
+    """The integer quaternion of a word of (direction, index) pairs of a
+    GeneratorSystem."""
+    q = QUATERNION_ONE
+    for d, i in word:
+        q = q * gens.gens[d - 1][i]
+    return q
+
+
 def vertex_keys(ar):
     """(coarse group element, parity tuple) of each vertex of an ArithData."""
     return list(zip(ar.vertex_group.tolist(), map(tuple, ar.parities.tolist())))
@@ -57,32 +68,37 @@ def _rank(dirs, regular, tup):
 
 def reorder_tables(ar, n):
     """{mask: (bot, top, inv)}, each a {direction: array} dict, for the
-    arithmetic complex of ar on n vertices: every face and inversion of
-    every index tuple by a general `reorder` of its word."""
+    arithmetic complex of ar on n vertices: every face of every index tuple
+    by a general `reorder` of the grid of all words of the direction set,
+    and every inversion by a `reorder` of its own word."""
     gens, vstep, r = ar.gens, ar.vstep, ar.gens.regularities
     verts = np.arange(n)
     out = {}
     for mask in range(1, 1 << gens.g):
         dirs = tuple(d for d in range(1, gens.g + 1) if mask >> (d - 1) & 1)
         T = math.prod(r[d - 1] for d in dirs)
-        bot, top, inv = ({j: np.empty(n * T, dtype=np.int64) for j in dirs} for _ in range(3))
-        for tup in itertools.product(*(range(r[d - 1]) for d in dirs)):
-            rows = verts * T + _rank(dirs, r, tup)
-            word = tuple(zip(dirs, tup))
-            for j in dirs:
-                others = tuple(d for d in dirs if d != j)
-                sub = T // r[j - 1]
-                # top: pull direction j to the front of the word
-                front, _ = gens.reorder(word, (j,) + others)
-                f = front[0]
-                top[j][rows] = vstep[j - 1][f] * sub + _rank(others, r, front[1:])
-                # bot: push direction j to the back, keep the leading block
-                back, _ = gens.reorder(word, others + (j,))
-                bot[j][rows] = verts * sub + _rank(others, r, back[:-1])
-                # inversion: step across j, then the reversed edge followed by
-                # the bottom block, rewritten into ascending order
-                inv_word = ((j, gens.iota[j - 1][f]),) + tuple(zip(others, back[:-1]))
+        grid = tuple((d, range(r[d - 1])) for d in dirs)  # tuple rank = C order
+        bot, top, inv = ({} for _ in range(3))
+        for j in dirs:
+            others = tuple(d for d in dirs if d != j)
+            sub = T // r[j - 1]
+            steps = np.stack(vstep[j - 1])  # (generator, vertex)
+            # top: pull direction j to the front of every word
+            front = gens.reorder(grid, (j,) + others)[0].reshape(len(dirs), T)
+            f = front[0]
+            top[j] = (steps[f].T * sub + _rank(others, r, front[1:])).ravel()
+            # bot: push direction j to the back, keep the leading block
+            back = gens.reorder(grid, others + (j,))[0].reshape(len(dirs), T)
+            bot[j] = np.broadcast_to(verts[:, None] * sub + _rank(others, r, back[:-1]),
+                                     (n, T)).ravel()
+            # inversion: step across j, then the reversed edge followed by
+            # the bottom block, rewritten into ascending order
+            inv[j] = np.empty((n, T), dtype=np.int64)
+            for rank in range(T):
+                inv_word = (((j, gens.iota[j - 1][f[rank]]),)
+                            + tuple(zip(others, back[:-1, rank].tolist())))
                 itup, _ = gens.reorder(inv_word, dirs)
-                inv[j][rows] = vstep[j - 1][f] * T + _rank(dirs, r, itup)
+                inv[j][:, rank] = steps[f[rank]] * T + _rank(dirs, r, itup)
+            inv[j] = inv[j].ravel()
         out[mask] = (bot, top, inv)
     return out
