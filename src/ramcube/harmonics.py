@@ -53,15 +53,24 @@ block is the operator itself.  Star and Laplacian spectra
 (``block_spectrum``) are the union over the blocks with their
 multiplicities.
 
+Isotypic split: when u, the torus and the Weyl element generate h0, the
+parity-0 subgroup of the vertex group (``_h0``), every block splits along
+the eigenspaces of the central Z = sum over h0 of f(g) L_g, f a function
+of tr^2/det (``_isotypic``).  In a block k != 0 each irreducible of PSL2
+appears at most once (multiplicity one of Whittaker models), so a piece
+has d_rho coordinates per slot (parity class, tuple, fibre) where the
+block has |h0|/N (``_pieces``).
+
 Star spectra: every direction-j link edge joins I-cubes whose bottom
 vertices have opposite j-parity, so with parities each star (and each of
 its Fourier blocks, since an orbit keeps its parity) is bipartite,
 S = [[0, B^H], [B, 0]] up to a permutation, and spec(S) = +-sigma(B) padded
 with zeros.  ``_parity_rows`` checks that on the COO entries and keeps those
-of B, from which ``block_spectrum`` scatters each Fourier block of B;
-without parities (e.g. complete graphs) it solves each Fourier block with
-``spectrum``, the dense ``eigvalsh`` that is also the tests' reference.
-``spectrum_report`` sizes every star's dense blocks before the first solve.
+of B, from which ``block_spectrum`` scatters each Fourier block of B or
+its pieces; without parities (e.g. complete graphs) it solves each block
+with ``spectrum``, the dense ``eigvalsh`` that is also the tests'
+reference.  ``spectrum_report`` plans every star once (``_plan``) and,
+before the first solve, sizes what each solve holds (``_solve_bytes``).
 
 Cohomology, by Garland's step: the Hodge Laplacian d d* + d* d of level i
 is block diagonal over the direction sets, and every term of its block
@@ -79,12 +88,14 @@ needs no solve.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from . import quaternions as quat
 from .complexes import CubicalComplex, connected_components, dirs_of, link_graph
 from .errors import ConstructionError, ResourceError, VerificationError
 from .localsystems import LocalSystem, trivial_system
@@ -135,6 +146,7 @@ class Harmonics:
         self._bnd: dict[tuple[int, int], Coo] = {}
         self._symmetry = None
         self._torus: int | None = None
+        self._iso: dict[int, tuple[np.ndarray, list[int]]] = {}
 
     # -- representative bookkeeping ------------------------------------
 
@@ -412,6 +424,70 @@ class Harmonics:
         return all(np.array_equal(tr[perm[1 << (j - 1)]], tr)
                    for j, tr in enumerate(self.L.transitions, 1) if len(tr))
 
+    @functools.cached_property
+    def _h0(self):
+        """(class, alpha, elements), or None unless the Weyl element
+        [[0, -1], [1, 0]] passes ``_is_symmetry`` as u and the torus did and
+        the three carry one vertex to its whole parity class: the action is
+        free, so they then generate h0.  Per vertex, its parity class and
+        its u-orbit among those of its class, in leader order;
+        elements[class, alpha] is the group element of that leader."""
+        N, leader, shift = self._translation()
+        ar = self.X.arith
+        weyl = ar.left_translation((0, -1, 1, 0)) if N > 1 else None
+        if weyl is None or not self._is_symmetry(weyl):
+            return None
+        steps = [ar.left_translation((1, 1, 0, 1)), weyl,
+                 ar.left_translation((self._torus, 0, 0, pow(self._torus, -1, N)))]
+        code = self.X.parities.astype(np.int64) @ (1 << np.arange(self.X.g))
+        seen, front = np.zeros(len(code), dtype=bool), np.zeros(1, dtype=np.int64)
+        while front.size:
+            seen[front] = True
+            reached = np.zeros_like(seen)
+            reached[np.concatenate([p[front] for p in steps])] = True
+            front = np.flatnonzero(reached & ~seen)
+        if seen.sum() != np.sum(code == code[0]):
+            return None
+        cls = np.unique(code, return_inverse=True)[1]
+        lead = np.flatnonzero(shift == 0)
+        elements = np.empty((cls.max() + 1, len(lead) // (cls.max() + 1)), dtype=np.int64)
+        alpha = np.empty(len(code), dtype=np.int64)
+        alpha[lead[np.argsort(cls[lead], kind="stable")]] = np.arange(len(lead)) % len(elements[0])
+        elements[cls[lead], alpha[lead]] = ar.vertex_group[lead]
+        return cls, alpha[leader], elements
+
+    def _isotypic(self, k: int) -> tuple[np.ndarray, list[int]]:
+        """(Q, sizes): per parity class, the eigenvectors of Z_k on its
+        u-orbits by ascending eigenvalue, and the cluster sizes of those
+        eigenvalues (``_clusters``).  f(g) = F[tr(g)^2 / det g] is a class
+        function, so Z = sum over h0 of f(g) L_g is central and real
+        symmetric; F[x] = sin(x + 1) is linearly independent over the
+        algebraic numbers (Lindemann), so only components that no function
+        of tr^2/det tells apart share an eigenvalue.  For the leaders of
+        orbits a and b, M = h_b adj(h_a) and Z_k[a, b] = sum over t of
+        f(u^t M) w^(k t).  tr(u^t M) = tr M + t M_10 runs over Z/N when
+        M_10 != 0, so that is w^(-m tr M) Phi[det M, m], m = k / M_10,
+        Phi[D, m] = sum over s of F[s^2 / D] w^(m s); else N f(M) [k = 0]."""
+        if k not in self._iso:
+            _, _, elements = self._h0
+            N = self.symmetry_order()
+            s = np.arange(N)
+            inv = np.array([0] + [pow(int(x), -1, N) for x in s[1:]])
+            F, root = np.sin(s + 1.0), np.exp(2j * np.pi * s / N)
+            phi = F[s * s * inv[:, None] % N] @ root[np.outer(s, s) % N]
+            h = quat._decode(self.X.arith.group.codes[elements.ravel()], N)
+            h = h.reshape(4, *elements.shape)
+            (a, b, c, d), (a2, b2, c2, d2) = h[..., :, None], h[..., None, :]
+            tr = (a2 * d - b2 * c - c2 * b + d2 * a) % N
+            low = (c2 * d - d2 * c) % N
+            det = (a * d - b * c) * (a2 * d2 - b2 * c2) % N
+            m = k * inv[low] % N
+            Z = np.where(low > 0, phi[det, m] * root[-m * tr % N],
+                         N * F[tr * tr * inv[det] % N] * (k == 0))
+            values, Q = np.linalg.eigh(Z.real if k == 0 else Z)
+            self._iso[k] = Q, _clusters(values[0])
+        return self._iso[k]
+
     def coordinate_orbits(self, masks) -> tuple[np.ndarray, np.ndarray, int]:
         """Orbit coordinate and shift t of every coordinate of the cochains
         on the direction sets (concatenated in the given order), with
@@ -436,14 +512,16 @@ class Harmonics:
             off += len(rep) // N
         return np.concatenate(ids), np.concatenate(shifts), off * m
 
-    def fourier_blocks(self, A: Coo | sparse.spmatrix, rows, cols):
+    def fourier_blocks(self, A: Coo | sparse.spmatrix, rows, cols, split=None,
+                       tol: float = 1e-8):
         """Dense Fourier blocks of an operator (its Coo entries or a scipy
         matrix) that commutes with the translation; rows and cols are
         coordinate_orbits of its range and domain (for B, of class 1 and
         class 0, numbered within their class).  Yields (block, multiplicity),
         one at a time, for the blocks ``_block_classes`` picks, one per torus
         class: block 0, block 1 and a non-square, or blocks 0 and 1 for a
-        real operator with N = 3 mod 4 (the operator itself when N = 1).
+        real operator with N = 3 mod 4 (the operator itself when N = 1), or
+        with a split (``_plan``) the blocks' pieces (``_pieces``).
 
         Block k has the entries A[l, c] * w^(k (shift(c) - shift(l))),
         w = exp(2 pi i / N), summed at (orbit of l, orbit of c) over the
@@ -459,10 +537,49 @@ class Harmonics:
         phase = np.exp(2j * np.pi * np.arange(N) / N)
         for k, mult in self._block_classes(not np.iscomplexobj(val)):
             w = val if k == 0 else val * phase[k * t % N]
+            if split is not None:
+                yield from ((piece, mult) for piece in self._pieces(k, ri, ci, w, split, tol))
+                continue
             block = np.zeros((n_r, n_c), dtype=w.dtype)
             np.add.at(block, (ri, ci), w)
             yield block, mult
             del block  # freed before the next block is scattered
+
+    def _pieces(self, k: int, ri, ci, w, split, tol: float):
+        """The pieces B_rho = Q_r^H B_k Q_c of block k (entries w at (ri,
+        ci)), one per cluster of Z_k, Q its eigenvectors in every slot.
+        The entries are sorted once by (pair of slots, row alpha); per
+        cluster, one ``np.add.reduceat`` of the entries times their rows of
+        Q_c gives B_k Q_c as a (|h0|/N) x d matrix per pair of slots, which
+        a batched product takes to B_rho.  VerificationError unless the
+        pieces fill the block and the residual ||B_k Q_c - Q_r B_rho|| over
+        all clusters is at most tol."""
+        Q, sizes = self._isotypic(k)
+        (r_slot, r_alpha, r_cls, n_sr), (c_slot, c_alpha, c_cls, n_sc) = split
+        n_o = Q.shape[1]
+        if n_sr * sum(sizes) != len(r_slot) or n_sc * sum(sizes) != len(c_slot):
+            raise VerificationError(f"the isotypic pieces {sizes} do not fill Fourier block {k}")
+        pair, at = np.unique(r_slot[ri] * n_sc + c_slot[ci], return_inverse=True)
+        row = at * n_o + r_alpha[ri]
+        order = np.argsort(row, kind="stable")
+        row, w, ci = row[order], w[order], ci[order]
+        starts = np.flatnonzero(np.diff(row, prepend=-1))
+        q_cls, q_alpha, square = c_cls[c_slot[ci]], c_alpha[ci], 0.0
+        for lo, d in zip(np.cumsum([0] + sizes[:-1]), sizes):
+            Qr = Q[:, :, lo:lo + d][r_cls[pair // n_sc]]
+            BQ = np.zeros((len(pair) * n_o, d), dtype=np.result_type(w, Q))
+            BQ[row[starts]] = np.add.reduceat(w[:, None] * Q[q_cls, q_alpha, lo:lo + d], starts)
+            BQ = BQ.reshape(len(pair), n_o, d)
+            part = Qr.conj().transpose(0, 2, 1) @ BQ
+            square += np.linalg.norm(BQ - Qr @ part) ** 2
+            if square > tol * tol:
+                raise VerificationError(f"the isotypic split of Fourier block {k} leaves a "
+                                        f"residual {math.sqrt(square):.3e} above {tol:.1e}")
+            del Qr, BQ
+            piece = np.zeros((n_sr, d, n_sc, d), dtype=part.dtype)
+            piece[pair // n_sc, :, pair % n_sc, :] = part
+            yield piece.reshape(n_sr * d, n_sc * d)
+            del piece
 
     # -- spectra, cohomology, Hodge ---------------------------------------
 
@@ -564,32 +681,85 @@ class Harmonics:
             p_ds = self._project_onto_range(self.total_d(i).conj().T.tocsr(), c)
         return c - p_d - p_ds, p_d, p_ds
 
-    def block_spectrum(self, A: Coo | sparse.spmatrix, mask: int,
-                       parity=None) -> np.ndarray:
+    def block_spectrum(self, A: Coo | sparse.spmatrix, mask: int, parity=None,
+                       plan=None, tol: float = 1e-8) -> np.ndarray:
         """Spectrum of a Hermitian operator on C^I that commutes with the
-        translation, descending: the spectra of its Fourier blocks, each
-        taken with its multiplicity (one dense block when N = 1).  With
-        parity, a class per coordinate as from star_parity, each block is
-        the block of B alone, class-1 by class-0 orbits (module notes)."""
+        translation, descending: the spectra of its Fourier blocks, or of
+        their pieces, each taken with its multiplicity (one dense block
+        when N = 1).  With parity, a class per coordinate as from
+        star_parity, each block is the block of B alone, class-1 by class-0
+        orbits (module notes).  plan defaults to ``_plan(mask, parity)``;
+        tol bounds the residual of the split (``_pieces``)."""
         if parity is not None:
             A = _parity_rows(A if isinstance(A, Coo) else A.tocoo(), parity)
         parts = []
-        for block, mult in self.fourier_blocks(A, *self._block_axes(mask, parity)):
+        for block, mult in self.fourier_blocks(A, *(plan or self._plan(mask, parity)), tol=tol):
             parts += [spectrum(block) if parity is None else _bipartite_spectrum(block)] * mult
             del block
         return np.sort(np.concatenate(parts))[::-1]
 
-    def _block_axes(self, mask: int, parity):
-        """The rows and cols that ``block_spectrum`` hands ``fourier_blocks``
-        for an operator on C^I: its coordinate orbits, or with a parity the
-        class-1 and class-0 orbits, each numbered within its class."""
+    def _plan(self, mask: int, parity):
+        """(rows, cols, split) for ``fourier_blocks`` on C^I: the coordinate
+        orbits, or with a parity the class-1 and class-0 orbits numbered
+        within their class; split, per axis the slot (parity class, tuple,
+        fibre) and alpha of every block coordinate, the class of every slot
+        and their count.  split is None when h0 is not verified, when a slot
+        misses an orbit, and when each axis has one slot: the block is then
+        no larger than the Z_k that would split it."""
         orbits = self.coordinate_orbits([mask])
-        if parity is None:
-            return orbits, orbits
         ids, shift, _ = orbits  # orbits share a parity; leaders come in orbit order
-        one = np.asarray(parity)[shift == 0] == 1
-        pos = np.where(one, np.cumsum(one), np.cumsum(~one))[ids] - 1
-        return (pos, shift, int(one.sum())), (pos, shift, int((~one).sum()))
+        lead = shift == 0
+        sides = [slice(None)] * 2
+        axes = orbits, orbits
+        if parity is not None:
+            one = np.asarray(parity)[lead] == 1
+            pos = np.where(one, np.cumsum(one), np.cumsum(~one))[ids] - 1
+            sides = [one, ~one]
+            axes = (pos, shift, int(one.sum())), (pos, shift, int((~one).sum()))
+        if self.symmetry_order() == 1:
+            return *axes, None
+        m, T = self.m, self.X.tables[mask].n // self.X.n_vertices
+        rep = np.repeat(self.reps(mask), m)[lead]
+        v = rep // T
+        code = self.X.parities[v].astype(np.int64) @ (1 << np.arange(self.X.g))
+        key = (code * T + rep % T) * m + np.flatnonzero(lead) % m
+        keyed = [np.unique(key[side], return_inverse=True) for side in sides]
+        if len(keyed[0][0]) * len(keyed[1][0]) == 1 or self._h0 is None:
+            return *axes, None
+        cls, alpha, elements = self._h0
+        split = []
+        for side, (keys, slot) in zip(sides, keyed):
+            a, n_o = alpha[v[side]], elements.shape[1]
+            if len(keys) * n_o != len(a) or np.any(np.bincount(slot * n_o + a) != 1):
+                return *axes, None
+            slot_cls = np.empty(len(keys), dtype=np.int64)
+            slot_cls[slot] = cls[v[side]]
+            split.append((slot, a, slot_cls, len(keys)))
+        return *axes, tuple(split)
+
+    def _solve_bytes(self, j: int, mask: int, plan) -> tuple[int, tuple[int, int]]:
+        """(bytes, shape) of the star's solve with its plan: twice the
+        largest dense piece, of that shape (LAPACK copies it; complex when
+        N > 1), the entries of the star and of B (3/2 nnz of 16 + itemsize
+        bytes, nnz <= dim r_j m), with a split the Z bases (a class x
+        (|h0|/N)^2 complex per block), the entries times a row of Q_c (nnz
+        d / N complex) and the two (|h0|/N) x d complex arrays of
+        ``_pieces`` for each of <= n_sr min(n_sc, r_j m) slot pairs (a row
+        slot meets r_j tuples and m fibres), and a quarter of all that."""
+        (_, _, n_r), (_, _, n_c), split = plan
+        N, r = self.symmetry_order(), self.X.r(j)
+        item = np.dtype(self.dtype if N == 1 else np.complex128).itemsize
+        nnz = self.dim(mask) * r * self.m
+        held = 3 * nnz * (16 + np.dtype(self.dtype).itemsize) // 2
+        if split is not None:
+            classes = self._block_classes(self.dtype == np.float64)
+            d = max(max(self._isotypic(k)[1]) for k, _ in classes)
+            n_cls, n_o = self._h0[2].shape
+            n_sr, n_sc = split[0][3], split[1][3]
+            pairs = n_sr * min(n_sc, r * self.m)
+            held += (len(classes) * n_cls * n_o**2 + 2 * pairs * n_o * d + nnz * d // N) * 16
+            n_r, n_c = n_sr * d, n_sc * d
+        return (2 * n_r * n_c * item + held) * 5 // 4, (n_r, n_c)
 
     def eigenspace_transfer_check(self, j: int, mask: int, tol: float = 1e-8):
         """Nonzero spectra of box_j agree on C^I and C^(I + {j}) (with
@@ -649,18 +819,32 @@ def spectrum(M: np.ndarray, hermitian_tol: float = 1e-10) -> np.ndarray:
     return np.linalg.eigvalsh(M)[::-1]
 
 
+def _clusters(values: np.ndarray) -> list[int]:
+    """Sizes of the runs of the ascending values whose steps are at most
+    1e-6 of the largest |value|, far above rounding; a merged cluster only
+    makes a larger piece."""
+    cut = np.flatnonzero(np.diff(values) > 1e-6 * np.abs(values).max()) + 1
+    return np.diff(np.concatenate([[0], cut, [len(values)]])).tolist()
+
+
 def _parity_rows(A: Coo, parity) -> Coo:
     """The entries of B, from class 0 to class 1 of parity (0/1 per row),
     once A is checked bipartite (every same-class entry exactly zero) and
-    Hermitian (A - A^H, from one ``Coo.canonical``, within 1e-10)."""
+    Hermitian (A - A^H within 1e-10: each entry against its adjoint
+    partner, found by binary search in the ascending row-major keys, or
+    against zero when A has no entry there)."""
     parity = np.asarray(parity)
     if parity.shape != (A.shape[0],) or not np.isin(parity, (0, 1)).all():
         raise ValueError("parity must give a 0/1 class for every row")
     if A.data[parity[A.row] == parity[A.col]].any():
         raise ValueError("matrix couples two rows of the same parity class")
-    skew = Coo.canonical(np.concatenate([A.row, A.col]), np.concatenate([A.col, A.row]),
-                         np.concatenate([A.data, -A.data.conj()]), A.shape)
-    if not (np.abs(skew.data) <= 1e-10).all():
+    n = max(A.shape[1], 1)
+    if np.any(np.diff(A.row * n + A.col) <= 0):
+        A = Coo.canonical(A.row, A.col, A.data, A.shape)
+    key, adjoint = A.row * n + A.col, A.col * n + A.row
+    at = np.minimum(np.searchsorted(key, adjoint), len(key) - 1)
+    partner = np.where(key[at] == adjoint, A.data[at].conj(), 0)
+    if not (np.abs(A.data - partner) <= 1e-10).all():
         raise ValueError("matrix is not Hermitian within tolerance")
     keep = parity[A.row] > parity[A.col]
     return Coo(A.row[keep], A.col[keep], A.data[keep], A.shape)
@@ -740,28 +924,27 @@ def spectrum_report(X: CubicalComplex, L: LocalSystem | None = None,
                     tol: float = 1e-8,
                     workspace: Harmonics | None = None) -> SpectrumReport:
     """Star spectra and Ramanujan verdicts for every admissible (j, I),
-    each the union of the spectra of the star's Fourier blocks.  Before
-    the first solve, ResourceError refuses the run when twice the largest
-    dense block of a star (LAPACK copies its input) exceeds the headroom."""
+    each the union of the spectra of the pieces of the star's Fourier
+    blocks.  Each star is planned once (``_plan``).  Before the first
+    solve, ResourceError refuses the run when the bytes a star's solve
+    holds (``_solve_bytes``) exceed the headroom."""
     H = workspace if workspace is not None else Harmonics(X, L)
-    stars = [(j, mask) for mask in X.masks() for j in range(1, X.g + 1)
-             if not mask & (1 << (j - 1)) and (mask | (1 << (j - 1))) in X.tables]
-    shapes = {(j, mask): tuple(axis[2] for axis in H._block_axes(mask, H.star_parity(j, mask)))
-              for j, mask in stars}
-    if shapes:
-        j, mask = max(shapes, key=lambda star: math.prod(shapes[star]))
-        # block 0 keeps the operator's dtype, every other block is complex
-        dtype = H.dtype if H.symmetry_order() == 1 else np.complex128
-        need = 2 * math.prod(shapes[j, mask]) * np.dtype(dtype).itemsize
+    plans = {(j, mask): H._plan(mask, H.star_parity(j, mask))
+             for mask in X.masks() for j in range(1, X.g + 1)
+             if not mask & (1 << (j - 1)) and (mask | (1 << (j - 1))) in X.tables}
+    if plans:
+        sizes = {star: H._solve_bytes(*star, plan) for star, plan in plans.items()}
+        j, mask = max(sizes, key=lambda star: sizes[star][0])
+        need, shape = sizes[j, mask]
         headroom = _memory_headroom()
         if need > headroom:
             raise ResourceError(
-                f"the star on (j={j}, I={dirs_of(mask)}) needs a dense "
-                f"{shapes[j, mask][0]}x{shapes[j, mask][1]} block, {need / 2**20:.1f} MiB with "
-                f"the solver's copy, above the {headroom / 2**20:.1f} MiB available")
+                f"the star on (j={j}, I={dirs_of(mask)}) needs {need / 2**20:.1f} MiB to "
+                f"solve, with a dense {shape[0]}x{shape[1]} piece of a Fourier block, the "
+                f"solver's copy and its entries, above the {headroom / 2**20:.1f} MiB available")
     report = SpectrumReport()
-    for j, mask in stars:
-        eigs = H.block_spectrum(H._star(j, mask), mask, H.star_parity(j, mask))
+    for (j, mask), plan in plans.items():
+        eigs = H.block_spectrum(H._star(j, mask), mask, H.star_parity(j, mask), plan, tol)
         verdict = classify_ramanujan(eigs, X.r(j), tol)
         report.entries.append(SpectrumEntry(j, dirs_of(mask), H.dim(mask), eigs, verdict))
     return report

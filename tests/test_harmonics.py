@@ -597,10 +597,10 @@ def x5137():
 @pytest.mark.parametrize("complex_fixture, k", [
     ("x511", 0), ("x511", 2), ("lps513", 0), ("x5137", 0), ("cover513", 0), ("cover513", 2)])
 def test_fold_matches_unfolded_blocks_and_dense(request, complex_fixture, k):
-    """Every star's spectrum from one Fourier block per torus class equals
-    the union of the spectra of all N blocks and the dense route.  The fold
-    solves 2 blocks for a real operator with n1 = 3 (mod 4) and 3 blocks
-    otherwise."""
+    """Every star's spectrum from one Fourier block per torus class, each
+    split into its isotypic pieces, equals the union of the spectra of all
+    N blocks and the dense route.  The fold solves 2 blocks for a real
+    operator with n1 = 3 (mod 4) and 3 blocks otherwise."""
     X = request.getfixturevalue(complex_fixture)
     H = Harmonics(X, _system(X, k))
     N = H.symmetry_order()
@@ -608,6 +608,9 @@ def test_fold_matches_unfolded_blocks_and_dense(request, complex_fixture, k):
     real = H.dtype == np.float64
     for e in rc.spectrum_report(X, H.L, workspace=H).entries:
         mask = mask_of(e.dirs)
+        (_, _, n_r), (_, _, n_c), split = H._plan(mask, H.star_parity(e.j, mask))
+        # split unless each axis is one slot of |h0|/N orbits (one prime, k = 0)
+        assert (split is None) == (n_r == n_c == H._h0[2].shape[1])
         S = H.star_operator(e.j, mask)
         assert _blocks_formed(H, S, mask) == (2 if real and N % 4 == 3 else 3)
         orbits = H.coordinate_orbits([mask])
@@ -687,24 +690,38 @@ def test_spectrum_report_and_cap(cover513, monkeypatch):
 
 
 def test_memory_check_boundary(cover513, monkeypatch):
-    """The run is refused exactly when twice the largest dense block of a
-    star, n_r x n_c complex orbits of the two parity classes, exceeds the
-    headroom, and the refusal comes before any Fourier block is formed."""
+    """The run is refused exactly when the bytes a star's solve holds
+    exceed the headroom, and the refusal comes before any Fourier block is
+    formed.  On [5,13]@3, h0 = PSL2(3) (order 12, N = 3) has |h0|/N = 4
+    orbits per parity class and 3 as its largest irreducible dimension, so
+    the largest piece is 3 n_sr x 3 n_sc complex for n_sr and n_sc slots.
+    To twice that add the star's entries and its rows of B (3/2 of at most
+    nnz = dim r_j entries of 16 + 8 bytes), the Z bases of the 2 blocks
+    solved on the 4 parity classes (4 x 4 complex each), the entries times
+    a row of Q (nnz 3 / 3 complex) and two 4 x 3 complex arrays for each of
+    at most n_sr min(n_sc, r_j) pairs of slots, then a quarter."""
     H = Harmonics(cover513)
-    assert H.symmetry_order() > 1  # every block but block 0 is complex
+    assert H.symmetry_order() == 3 and H.dtype == np.float64
+    n_o, d, complex_bytes = 12 // 3, 3, np.dtype(np.complex128).itemsize
+    n_classes = len(np.unique(cover513.parities, axis=0))
     need = 0
     for e in rc.spectrum_report(cover513, workspace=H).entries:
-        mask = mask_of(e.dirs)
+        mask, r = mask_of(e.dirs), cover513.r(e.j)
         _, shift, _ = H.coordinate_orbits([mask])
         leaders = H.star_parity(e.j, mask)[shift == 0]
-        n_r, n_c = int(leaders.sum()), int((leaders == 0).sum())
-        need = max(need, 2 * n_r * n_c * np.dtype(np.complex128).itemsize)
+        n_sr, n_sc = int(leaders.sum()) // n_o, int((leaders == 0).sum()) // n_o
+        nnz = e.dim * r
+        assert len(H._star(e.j, mask).data) <= nnz
+        held = 3 * nnz * (16 + 8) // 2
+        held += (2 * n_classes * n_o**2 + 2 * n_sr * min(n_sc, r) * n_o * d + nnz * d // 3) \
+            * complex_bytes
+        need = max(need, (2 * (d * n_sr) * (d * n_sc) * complex_bytes + held) * 5 // 4)
     calls = []
     fourier_blocks = Harmonics.fourier_blocks
 
-    def spy(self, *args):
+    def spy(self, *args, **kwargs):
         calls.append(args)
-        return fourier_blocks(self, *args)
+        return fourier_blocks(self, *args, **kwargs)
 
     monkeypatch.setattr(Harmonics, "fourier_blocks", spy)
     monkeypatch.setattr(harmonics, "_memory_headroom", lambda: need)
@@ -712,9 +729,85 @@ def test_memory_check_boundary(cover513, monkeypatch):
     assert len(calls) == 4
     calls.clear()
     monkeypatch.setattr(harmonics, "_memory_headroom", lambda: need - 1)
-    with pytest.raises(ResourceError, match="block"):
+    with pytest.raises(ResourceError, match="piece of a Fourier block"):
         rc.spectrum_report(cover513)
     assert calls == []
+
+
+def _pieces(H, j, mask):
+    """Shapes of the pieces ``block_spectrum`` solves for the star S_{j,I}."""
+    parity = H.star_parity(j, mask)
+    B = harmonics._parity_rows(H._star(j, mask), parity)
+    return [p.shape for p, _ in H.fourier_blocks(B, *H._plan(mask, parity))]
+
+
+def test_isotypic_pieces_have_irreducible_sizes(x5137):
+    """On [5,13]@7, h0 = PSL2(7) of order 168 has irreducibles of dimension
+    1, 3, 3, 6, 7 and 8, and N = 7, so a block has 24 orbits per slot.
+    Block 0 holds the trivial, the Steinberg (7) and the principal series
+    (8) twice; block 1 holds one each of 3 (one of the two), 6, 7 and 8.
+    Every piece is that dimension times the slots of each axis."""
+    H = Harmonics(x5137)
+    assert H._h0[2].shape == (4, 24)
+    assert [sorted(H._isotypic(k)[1]) for k in (0, 1)] == [[1, 7, 16], [3, 6, 7, 8]]
+    for j, mask in ((1, 0), (2, 0), (2, 0b01), (1, 0b10)):
+        (_, _, n_r), (_, _, n_c), _ = H._plan(mask, H.star_parity(j, mask))
+        n_sr, n_sc = n_r // 24, n_c // 24
+        assert sorted(_pieces(H, j, mask)) == sorted(
+            (d * n_sr, d * n_sc) for d in (1, 7, 16, 3, 6, 7, 8))
+
+
+def test_isotypic_split_falls_back_without_weyl(cover513, monkeypatch):
+    """When the Weyl element fails ``_is_symmetry``, h0 is not verified:
+    there is no split, and the route forms today's Fourier blocks."""
+    weyl = cover513.arith.left_translation((0, -1, 1, 0))
+    is_symmetry = Harmonics._is_symmetry
+    monkeypatch.setattr(Harmonics, "_is_symmetry", lambda self, sigma: (
+        not np.array_equal(sigma, weyl) and is_symmetry(self, sigma)))
+    H = Harmonics(cover513)
+    assert H.symmetry_order() == 3 and H._h0 is None
+    formed = []
+    fourier_blocks = Harmonics.fourier_blocks
+
+    def spy(self, *args, **kwargs):
+        blocks = list(fourier_blocks(self, *args, **kwargs))
+        formed.append(blocks)
+        return iter(blocks)
+
+    monkeypatch.setattr(Harmonics, "fourier_blocks", spy)
+    sp = rc.spectrum_report(cover513, workspace=H)
+    for e, blocks in zip(sp.entries, formed):
+        mask = mask_of(e.dirs)
+        parity = H.star_parity(e.j, mask)
+        rows, cols, split = H._plan(mask, parity)
+        assert split is None
+        B = harmonics._parity_rows(H._star(e.j, mask), parity)
+        today = list(fourier_blocks(H, B, rows, cols))
+        assert len(blocks) == len(today) == 2
+        assert all(np.array_equal(a, b) and m == n for (a, m), (b, n) in zip(blocks, today))
+        assert np.abs(e.eigenvalues - rc.spectrum(H.star_matrix(e.j, mask))).max() <= 1e-10
+
+
+def test_isotypic_split_certificates(cover513, monkeypatch):
+    """A cluster of Z cut in two leaves entries between the halves, which
+    the residual certificate refuses; two clusters merged only make a
+    larger piece with the same spectrum."""
+    clusters = harmonics._clusters
+    expected = [e.eigenvalues for e in rc.spectrum_report(cover513).entries]
+
+    def cut(values):
+        sizes = clusters(values)
+        at = next(i for i, n in enumerate(sizes) if n > 1)
+        return sizes[:at] + [1, sizes[at] - 1] + sizes[at + 1:]
+
+    monkeypatch.setattr(harmonics, "_clusters", cut)
+    with pytest.raises(VerificationError, match="residual"):
+        rc.spectrum_report(cover513)
+    monkeypatch.setattr(harmonics, "_clusters", lambda values: [sum(clusters(values))])
+    H = Harmonics(cover513)
+    assert _pieces(H, 1, 0) == [(8, 8), (8, 8)]  # one piece per block, the whole block
+    merged = rc.spectrum_report(cover513, workspace=H).entries
+    assert all(np.abs(e.eigenvalues - x).max() <= 1e-10 for e, x in zip(merged, expected))
 
 
 def test_boundary_norm_bound(lps513):
