@@ -9,7 +9,7 @@ Exit codes: 0 success, 2 config error, 3 construction failure,
 from __future__ import annotations
 
 import argparse
-import hashlib
+import importlib
 import json
 import math
 import sys
@@ -21,13 +21,30 @@ import numpy as np
 from . import __version__
 from .arithmetic import build_complex, find_valid_level, girth, irreducibility_report
 from .complexes import dirs_of, export_dot, link_graph, mask_of
-from .errors import (CentralConditionError, ConfigError, ConstructionError,
-                     GeneratorCountError, RamcubeError, ResourceError,
-                     VerificationError)
-from .harmonics import Harmonics, spectrum_report
-from .localsystems import (build_symm_system, central_condition_check,
-                           trivial_system, verify_flatness, verify_unitarity)
+from .errors import (CentralConditionError, ConfigError, ConstructionError, GeneratorCountError,
+                     RamcubeError, ResourceError, VerificationError)
 from .quaternions import is_prime
+
+# The names used from the modules of the later stages.  ``_pipeline`` imports the modules
+# its command runs before the build: compiled after it, they would raise the peak RSS.
+_LATER = {"localsystems": ("build_symm_system", "central_condition_check", "trivial_system",
+                           "verify_flatness", "verify_unitarity"),
+          "harmonics": ("Harmonics", "spectrum_report")}
+
+
+def _load(module: str) -> None:  # a name bound already (say, a wrapper) stays
+    mod = importlib.import_module(f".{module}", __package__)
+    for name in _LATER[module]:
+        globals().setdefault(name, getattr(mod, name))
+
+
+def __getattr__(name: str):  # a name of ``_LATER`` looked up before ``_pipeline`` ran
+    for module, names in _LATER.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 COMMANDS = ("build", "verify", "spectrum", "ramanujan", "girth",
             "cohomology", "export-dot", "report")
@@ -129,8 +146,8 @@ def _link_spec(j: int, dirs_text: str, g: int):
 
 
 def _config_hash(cfg: RunConfig) -> str:
-    blob = json.dumps(cfg.raw, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    import hashlib  # maps libcrypto (3.6 MB), so ``run`` calls this after the pipeline
+    return hashlib.sha256(json.dumps(cfg.raw, sort_keys=True).encode()).hexdigest()
 
 
 def run(cfg: RunConfig, command: str, out_dir=None, link_spec=None):
@@ -141,11 +158,9 @@ def run(cfg: RunConfig, command: str, out_dir=None, link_spec=None):
         "tool": {"name": "ramcube", "version": __version__},
         "command": command,
         "config": cfg.raw,
-        "config_sha256": _config_hash(cfg),
         "tolerances": cfg.tolerances,
         "exit_stage": None,
     }
-    code = 0
     try:
         code = _pipeline(cfg, command, out, report, link_spec)
     except ConfigError:
@@ -162,11 +177,16 @@ def run(cfg: RunConfig, command: str, out_dir=None, link_spec=None):
     except RamcubeError as e:
         report["exit_stage"] = {"stage": "internal", "error": str(e)}
         code = 5
+    report["config_sha256"] = _config_hash(cfg)
     _write_json(out / "report.json", report)
     return report, code
 
 
 def _pipeline(cfg: RunConfig, command: str, out: Path, report: dict, link_spec):
+    if command not in ("build", "export-dot"):  # see _LATER
+        _load("localsystems")
+        if command not in ("verify", "girth"):
+            _load("harmonics")
     # stage: build
     if cfg.n1 == "auto":
         try:
@@ -204,8 +224,7 @@ def _pipeline(cfg: RunConfig, command: str, out: Path, report: dict, link_spec):
                              "edges": sum(X.unoriented_counts()[1 << (j - 1)]
                                           for j in range(1, X.g + 1))}
         else:
-            j, dirs = link_spec
-            lg = link_graph(X, j, dirs)
+            lg = link_graph(X, *link_spec)
             export_dot(lg, out / "complex.dot")
             report["dot"] = {"file": "complex.dot", "nodes": lg.n_vertices,
                              "edges": len(lg.edge_cubes) // 2}
@@ -213,8 +232,7 @@ def _pipeline(cfg: RunConfig, command: str, out: Path, report: dict, link_spec):
 
     # stage: local system
     if cfg.k > 0:
-        central = central_condition_check(cfg.primes, n1, cfg.k)
-        if not central:
+        if not central_condition_check(cfg.primes, n1, cfg.k):
             raise CentralConditionError(
                 f"k={cfg.k} fails the central condition for primes={cfg.primes}, N1={n1}")
         L = build_symm_system(X, cfg.k)
@@ -245,12 +263,12 @@ def _pipeline(cfg: RunConfig, command: str, out: Path, report: dict, link_spec):
     if command == "girth":
         return 0 if _girth_report(X, cfg, report) else 4
 
+    H = Harmonics(X, L)
     if command == "cohomology":
-        _cohomology_report(Harmonics(X, L), cfg, report)
+        _cohomology_report(H, cfg, report)
         return 0
 
     # stage: spectra (spectrum / ramanujan / report)
-    H = Harmonics(X, L)
     sp = spectrum_report(X, L, cfg.tolerances["spectral"], workspace=H)
     report["spectra"] = [
         {
@@ -318,12 +336,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
+    if isinstance(obj, (np.integer, np.floating, np.ndarray)):
+        return obj.tolist()  # Python int, float or list
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 

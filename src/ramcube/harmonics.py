@@ -219,8 +219,7 @@ class Harmonics:
 
     def _blocks_to_coo(self, rows, cols, blocks, n_row_blocks, n_col_blocks) -> Coo:
         m = self.m
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
+        rows, cols = (np.asarray(x, dtype=np.int64) for x in (rows, cols))
         blocks = np.asarray(blocks, dtype=self.dtype)
         shape = (len(rows), m, m)
         rr = np.broadcast_to(rows[:, None, None] * m + np.arange(m)[None, :, None], shape)
@@ -239,8 +238,7 @@ class Harmonics:
         t = self.X.tables[up]
         reps_up = self.reps(up)
         slot_lo, coeff_lo = self.expand(mask)
-        tops = t.top[j][reps_up]
-        bots = t.bot[j][reps_up]
+        tops, bots = t.top[j][reps_up], t.bot[j][reps_up]
         # T^{-1} = conjugate transpose for unitary transitions
         tinv = self._edge_transitions(up, j)[reps_up].conj().transpose(0, 2, 1)
         return (slot_lo[tops], slot_lo[bots],
@@ -404,23 +402,21 @@ class Harmonics:
     def _is_symmetry(self, sigma: np.ndarray) -> bool:
         X = self.X
         n = X.n_vertices
-        if not X.has_parities or not np.array_equal(X.parities[sigma], X.parities):
+        if (not X.has_parities or not np.array_equal(X.parities[sigma], X.parities)
+                or any(t.n % n for t in X.tables.values())):
             return False
-        if any(t.n % n for t in X.tables.values()):
-            return False
-        perm = {}
+        # cube v*T + s (T cubes per vertex) goes to sigma(v)*T + s; a map a of a table needs
+        # a[perm] == image[a], both sides taken into two buffers ("clip" is unbuffered)
+        perm = {mask: (sigma[:, None] * (t.n // n) + np.arange(t.n // n)).ravel()
+                for mask, t in X.tables.items()}
         for mask, t in X.tables.items():
-            c = np.arange(t.n)
-            T = t.n // n
-            perm[mask] = sigma[c // T] * T + c % T
-        for mask, t in X.tables.items():
-            p = perm[mask]
+            moved, mapped = np.empty((2, t.n), dtype=np.int64)
             for j in dirs_of(mask):
                 q = perm[mask & ~(1 << (j - 1))]
-                if not (np.array_equal(t.bot[j][p], q[t.bot[j]])
-                        and np.array_equal(t.top[j][p], q[t.top[j]])
-                        and np.array_equal(t.inv[j][p], p[t.inv[j]])):
-                    return False
+                for a, image in ((t.bot[j], q), (t.top[j], q), (t.inv[j], perm[mask])):
+                    if not np.array_equal(np.take(a, perm[mask], out=moved, mode="clip"),
+                                          np.take(image, a, out=mapped, mode="clip")):
+                        return False
         return all(np.array_equal(tr[perm[1 << (j - 1)]], tr)
                    for j, tr in enumerate(self.L.transitions, 1) if len(tr))
 
@@ -657,10 +653,8 @@ class Harmonics:
 
     def euler_characteristic(self) -> int:
         """Independent alternating sum over unoriented cube counts."""
-        chi = 0
-        for mask, cnt in self.X.unoriented_counts().items():
-            chi += (-1) ** bin(mask).count("1") * cnt * self.m
-        return chi
+        return sum((-1) ** bin(mask).count("1") * cnt * self.m
+                   for mask, cnt in self.X.unoriented_counts().items())
 
     @staticmethod
     def _project_onto_range(A: sparse.csr_matrix, c: np.ndarray) -> np.ndarray:
@@ -673,12 +667,9 @@ class Harmonics:
     def hodge_project(self, i: int, c: np.ndarray):
         """Split a level-i cochain into (harmonic, image of d, image of d*)."""
         c = np.asarray(c, dtype=self.dtype)
-        p_d = np.zeros_like(c)
-        p_ds = np.zeros_like(c)
-        if i > 0:
-            p_d = self._project_onto_range(self.total_d(i - 1), c)
-        if i < self.X.g:
-            p_ds = self._project_onto_range(self.total_d(i).conj().T.tocsr(), c)
+        p_d = self._project_onto_range(self.total_d(i - 1), c) if i > 0 else np.zeros_like(c)
+        p_ds = (self._project_onto_range(self.total_d(i).conj().T.tocsr(), c)
+                if i < self.X.g else np.zeros_like(c))
         return c - p_d - p_ds, p_d, p_ds
 
     def block_spectrum(self, A: Coo | sparse.spmatrix, mask: int, parity=None,
@@ -768,13 +759,11 @@ class Harmonics:
         lo = self.block_spectrum(self.laplacian(j, mask), mask)
         hi = self.block_spectrum(self.laplacian(j, up), up)
         zero_tol = tol * max(1.0, self.X.r(j))
-        lo_nz = lo[lo > zero_tol]
-        hi_nz = hi[hi > zero_tol]
+        lo_nz, hi_nz = lo[lo > zero_tol], hi[hi > zero_tol]
         if len(lo_nz) != len(hi_nz):
             return False, {"lower": len(lo_nz), "upper": len(hi_nz)}
         mism = float(np.max(np.abs(lo_nz - hi_nz))) if len(lo_nz) else 0.0
-        return mism <= tol * max(1.0, self.X.r(j)), {"max_mismatch": mism,
-                                                     "count": len(lo_nz)}
+        return mism <= zero_tol, {"max_mismatch": mism, "count": len(lo_nz)}
 
 
 def _primitive_root(n: int) -> int:
@@ -876,8 +865,7 @@ def classify_ramanujan(eigs, r: int, tol: float = 1e-8) -> RamanujanVerdict:
     link graph (for the trivial system) and -r its bipartite components."""
     eigs = np.asarray(eigs, dtype=float)
     window = tol * max(r, 1)
-    plus = np.abs(eigs - r) <= window
-    minus = np.abs(eigs + r) <= window
+    plus, minus = np.abs(eigs - r) <= window, np.abs(eigs + r) <= window
     nontrivial = eigs[~(plus | minus)]
     mu = float(np.max(np.abs(nontrivial))) if nontrivial.size else 0.0
     bound = 2.0 * math.sqrt(max(r - 1, 0))

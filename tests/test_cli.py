@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -19,6 +21,17 @@ def write_cfg(tmp_path, payload, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return path
+
+
+def _sha256_of(raw: dict) -> str:
+    return hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest()
+
+
+def _src_env():
+    """The environment of a child Python that imports this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def test_parse_config_minimal(tmp_path):
@@ -99,7 +112,9 @@ def test_report_content(tmp_path):
     assert report["ramanujan_overall"] is True
     assert report["cohomology"]["euler_consistent"] is True
     assert report["girth"]["satisfied"] is True
-    assert report["config_sha256"]
+    assert report["config_sha256"] == _sha256_of(cfg.raw)
+    written = json.loads((tmp_path / "report.json").read_text())
+    assert written["config_sha256"] == _sha256_of(cfg.raw)
     lines = (tmp_path / "spectrum.csv").read_text().strip().splitlines()
     assert lines[0] == "j,dirs_mask,index,eigenvalue,class"
     assert len(lines) == 1 + 24  # one row per eigenvalue
@@ -177,6 +192,22 @@ def test_main_memory_error_exit_code(tmp_path, capsys, monkeypatch):
     assert report["exit_stage"] == {"stage": "resource", "error": "Unable to allocate 7.3 GiB"}
 
 
+def test_config_hash_in_reports_of_failed_runs(tmp_path, monkeypatch):
+    """The config hash is taken when the report is written, so a partial
+    report carries it too: construction failure (3) and resource failure (6)."""
+    raw = {"primes": [7], "N1": 3}
+    assert cli.main(["build", "--config", str(write_cfg(tmp_path, raw)),
+                     "--out", str(tmp_path / "o3")]) == 3
+    monkeypatch.setattr(harmonics, "_memory_headroom", lambda: 0)
+    raw6 = {"primes": [5], "N1": 3}
+    assert cli.main(["ramanujan", "--config", str(write_cfg(tmp_path, raw6, "six.json")),
+                     "--out", str(tmp_path / "o6")]) == 6
+    for out, payload, stage in (("o3", raw, "construction"), ("o6", raw6, "resource")):
+        report = json.loads((tmp_path / out / "report.json").read_text())
+        assert report["exit_stage"]["stage"] == stage
+        assert report["config_sha256"] == _sha256_of(payload)
+
+
 def test_main_cohomology_cap_exit_code(tmp_path, capsys, monkeypatch):
     """The memory check guards the star solves only: the cohomology holds
     no operator of the size of a cochain space, so it completes with no
@@ -209,11 +240,8 @@ assert "scipy" not in sys.modules, "the CLI imported scipy"
 def test_cli_path_runs_without_scipy(tmp_path):
     """build, ramanujan, cohomology and report need numpy alone: importing
     scipy would cost most of every invocation's start-up."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=_src_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -227,24 +255,80 @@ class Spy:
 assert "numpy" not in sys.modules
 sys.meta_path.insert(0, Spy())
 import ramcube
+assert "numpy" not in sys.modules, "import ramcube loaded numpy"
+exec(sys.argv[1])
 print(json.dumps(seen))
 """
 
 
 @pytest.mark.parametrize("preset,expected", [(None, "20"), ("28", "28")])
 def test_openblas_timeout_set_before_numpy_loads(preset, expected):
-    """OpenBLAS reads its thread timeout when numpy first loads it, so
-    `import ramcube` must set the default before that; a preset value stays."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    """OpenBLAS reads its thread timeout when numpy first loads it, so the
+    package must set the default before the first name or submodule that
+    loads numpy; a preset value stays."""
+    env = _src_env()
     env.pop("OPENBLAS_THREAD_TIMEOUT", None)  # this process has set it
     if preset is not None:
         env["OPENBLAS_THREAD_TIMEOUT"] = preset
-    proc = subprocess.run([sys.executable, "-c", _NUMPY_IMPORT_SPY],
-                          env=env, capture_output=True, text=True, timeout=60)
+    for trigger in ("ramcube.build_complex", "import ramcube.cli"):
+        proc = subprocess.run([sys.executable, "-c", _NUMPY_IMPORT_SPY, trigger],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [expected], trigger
+
+
+_LOADED_MODULES_SCRIPT = """
+import json, sys
+from pathlib import Path
+import ramcube
+loaded = {"import": sorted(m for m in sys.modules if m.startswith("ramcube.") or m == "numpy")}
+import ramcube.cli
+out = Path(sys.argv[1])
+cfg = out / "run.json"
+cfg.write_text(json.dumps({"primes": [5], "N1": 3}))
+for command in ("build", "export-dot", "girth", "ramanujan"):
+    code = ramcube.cli.main([command, "--config", str(cfg), "--out", str(out / command)])
+    assert code == 0, (command, code)
+    loaded[command] = sorted(m for m in sys.modules if m.startswith("ramcube."))
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_load_only_the_modules_they_run(tmp_path):
+    """The package namespace is lazy and the CLI imports a later stage's
+    module only for the commands that run that stage: `import ramcube` loads
+    neither numpy nor a submodule, build and export-dot load neither
+    localsystems nor harmonics, and girth does not load harmonics.  The
+    commands run in one process in this order, so each list holds what the
+    ones before it loaded too."""
+    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES_SCRIPT, str(tmp_path)],
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [expected]
+    loaded = json.loads(proc.stdout.splitlines()[-1])  # after the command summaries
+    assert loaded["import"] == []
+    for command in ("build", "export-dot"):
+        assert "ramcube.harmonics" not in loaded[command], command
+        assert "ramcube.localsystems" not in loaded[command], command
+    assert "ramcube.harmonics" not in loaded["girth"]
+    assert {"ramcube.harmonics", "ramcube.localsystems"} <= set(loaded["ramanujan"])
+
+
+def test_package_namespace_resolves_every_export():
+    """Each of the 50 public names resolves, on first use, to the object its
+    defining module holds, and dir() lists them all."""
+    assert len(rc.__all__) == len(set(rc.__all__)) == 50
+    for name in rc.__all__:
+        obj = getattr(rc, name)
+        module = importlib.import_module(obj.__module__)
+        assert module.__name__.startswith("ramcube.") and getattr(module, name) is obj, name
+    assert set(rc.__all__) <= set(dir(rc))
+    assert "__version__" in dir(rc)
+
+
+def test_package_namespace_rejects_unknown_names():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rc.no_such_name
+    assert not hasattr(rc, "spectrum_reports")
 
 
 def test_main_config_error(tmp_path, capsys):

@@ -549,6 +549,21 @@ def test_cohomology_rejects_impossible_ranks(monkeypatch):
         Harmonics(rc.box_complex(2)).cohomology_dims()
 
 
+def test_is_symmetry_refuses_a_mutated_translation(cover513):
+    """u with the images of two vertices of one parity class swapped keeps
+    every parity and the trivial transitions, so only the face and
+    inversion maps of the cube tables can refuse it."""
+    H = Harmonics(cover513)
+    u = cover513.arith.left_translation((1, 1, 0, 1))
+    assert H._is_symmetry(u)
+    par = cover513.parities
+    b = next(v for v in range(1, len(u)) if np.array_equal(par[v], par[0]))
+    mutated = u.copy()
+    mutated[[0, b]] = u[[b, 0]]
+    assert np.array_equal(par[mutated], par)
+    assert not H._is_symmetry(mutated)
+
+
 def test_symmetry_falls_back_to_one_block(cover513, x511):
     assert Harmonics(rc.complete_graph_complex(4)).symmetry_order() == 1
     # odd weight with a kernel of order 2: invariant only up to the epsilon
