@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 config error, 3 construction failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import json
 import math
@@ -146,8 +147,12 @@ def _link_spec(j: int, dirs_text: str, g: int):
 
 
 def _config_hash(cfg: RunConfig) -> str:
-    import hashlib  # maps libcrypto (3.6 MB), so ``run`` calls this after the pipeline
-    return hashlib.sha256(json.dumps(cfg.raw, sort_keys=True).encode()).hexdigest()
+    """sha256 of the canonical config, from CPython's built-in module:
+    hashlib would map libcrypto, ~3.5 MB of RSS, for the same digest."""
+    text = json.dumps(cfg.raw, sort_keys=True).encode()
+    for module in ("_sha2", "_sha256", "hashlib"):  # 3.12+, 3.10 and 3.11, else
+        with contextlib.suppress(ImportError):
+            return importlib.import_module(module).sha256(text).hexdigest()
 
 
 def run(cfg: RunConfig, command: str, out_dir=None, link_spec=None):
@@ -343,20 +348,19 @@ def _json_default(obj):
 
 def _write_csv(path: Path, sp) -> None:
     """Rows (j, dirs-bitmask, index, eigenvalue, class) in the bytes of
-    csv.writer: repr floats and \\r\\n line ends.  An eigenvalue is
-    trivial+ or trivial- within tol * max(r, 1) of +r or -r, as in
-    classify_ramanujan, and nontrivial otherwise."""
-    lines = ["j,dirs_mask,index,eigenvalue,class\r\n"]
-    for e in sp.entries:
-        r, eigs = e.verdict.r, e.eigenvalues
-        window = e.verdict.tol * max(r, 1)
-        cls = np.where(np.abs(eigs - r) <= window, "trivial+",
-                       np.where(np.abs(eigs + r) <= window, "trivial-", "nontrivial"))
-        head = f"{e.j},{mask_of(e.dirs)},"
-        lines += [f"{head}{i},{lam!r},{c}\r\n"
-                  for i, (lam, c) in enumerate(zip(eigs.tolist(), cls.tolist()))]
+    csv.writer: repr floats and \\r\\n line ends, written entry by entry.
+    An eigenvalue is trivial+ or trivial- within tol * max(r, 1) of +r or
+    -r, as in classify_ramanujan, and nontrivial otherwise."""
     with open(path, "w", newline="") as fh:
-        fh.write("".join(lines))
+        fh.write("j,dirs_mask,index,eigenvalue,class\r\n")
+        for e in sp.entries:
+            r, eigs = e.verdict.r, e.eigenvalues
+            window = e.verdict.tol * max(r, 1)
+            cls = np.where(np.abs(eigs - r) <= window, "trivial+",
+                           np.where(np.abs(eigs + r) <= window, "trivial-", "nontrivial"))
+            head = f"{e.j},{mask_of(e.dirs)},"
+            fh.writelines(f"{head}{i},{lam!r},{c}\r\n"
+                          for i, (lam, c) in enumerate(zip(eigs.tolist(), cls.tolist())))
 
 
 def main(argv=None) -> int:

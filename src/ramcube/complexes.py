@@ -106,10 +106,10 @@ class CubicalComplex:
             self._origin_cache[mask] = idx
         return self._origin_cache[mask]
 
-    def edge_vector(self, mask: int, j: int) -> np.ndarray:
-        """Oriented direction-j edge at the bottom corner of each cube
-        (iterated bottom over all other directions)."""
-        idx = np.arange(self.tables[mask].n)
+    def edge_vector(self, mask: int, j: int, cubes=None) -> np.ndarray:
+        """Oriented direction-j edge at the bottom corner of each cube, or of
+        the given cubes (iterated bottom over all other directions)."""
+        idx = np.arange(self.tables[mask].n) if cubes is None else cubes
         m = mask
         for k in dirs_of(mask):
             if k == j:
@@ -350,7 +350,7 @@ class LinkGraph:
     edge_cubes: np.ndarray      # oriented (I+{j})-cube index per link edge
     origin: np.ndarray
     terminus: np.ndarray
-    opposite: np.ndarray
+    opposite: np.ndarray | None  # None for a link restricted to some rows
     source: CubicalComplex | None = field(default=None, repr=False)
 
     @property
@@ -360,9 +360,11 @@ class LinkGraph:
         return None if labels is None else [labels[i] for i in self.vertex_cubes.tolist()]
 
 
-def link_graph(X: CubicalComplex, j: int, dirs=()) -> LinkGraph:
+def link_graph(X: CubicalComplex, j: int, dirs=(), rows=None) -> LinkGraph:
     """The graph whose vertices are the I-cubes and whose edges are the
-    (I + {j})-cubes, for j not in I.  Requires parities."""
+    (I + {j})-cubes, for j not in I.  Requires parities.  With rows, a flag
+    per link vertex, only the edges that end at a flagged vertex are kept,
+    and opposite is None."""
     mask = mask_of(dirs) if not isinstance(dirs, int) else dirs
     if mask & (1 << (j - 1)):
         raise ConstructionError(f"direction {j} lies in the cube directions")
@@ -378,14 +380,19 @@ def link_graph(X: CubicalComplex, j: int, dirs=()) -> LinkGraph:
     for k in dirs_of(mask):
         keep &= X.parities[o, k - 1] == 0
     edges = np.flatnonzero(keep)
-    epos = -np.ones(X.tables[up].n, dtype=np.int64)
-    epos[edges] = np.arange(len(edges))
 
     t = X.tables[up]
-    origin = vpos[t.bot[j][edges]]
     terminus = vpos[t.top[j][edges]]
-    opposite = epos[t.inv[j][edges]]
-    if origin.min(initial=0) < 0 or terminus.min(initial=0) < 0 or opposite.min(initial=0) < 0:
+    opposite = None
+    if rows is not None:
+        kept = np.asarray(rows)[terminus] | (terminus < 0)  # a bad face stays to be refused
+        edges, terminus = edges[kept], terminus[kept]
+    else:
+        epos = -np.ones(t.n, dtype=np.int64)
+        epos[edges] = np.arange(len(edges))
+        opposite = epos[t.inv[j][edges]]
+    origin = vpos[t.bot[j][edges]]
+    if min(x.min(initial=0) for x in (origin, terminus, opposite) if x is not None) < 0:
         raise ConstructionError("link extraction hit a non-canonical face; parities inconsistent")
 
     return LinkGraph(j, mask, X.r(j), len(verts), verts, edges, origin, terminus, opposite, X)

@@ -67,10 +67,15 @@ its Fourier blocks, since an orbit keeps its parity) is bipartite,
 S = [[0, B^H], [B, 0]] up to a permutation, and spec(S) = +-sigma(B) padded
 with zeros.  ``_parity_rows`` checks that on the COO entries and keeps those
 of B, from which ``block_spectrum`` scatters each Fourier block of B or
-its pieces; without parities (e.g. complete graphs) it solves each block
-with ``spectrum``, the dense ``eigvalsh`` that is also the tests'
-reference.  ``spectrum_report`` plans every star once (``_plan``) and,
-before the first solve, sizes what each solve holds (``_solve_bytes``).
+its pieces.  A block reads only the rows that lead their u-orbit, so
+``spectrum_report`` assembles (``_star``) and checks just those, of both
+classes: the adjoint partner (c, l) of an entry (l, c) is read translated
+back to a leader row, (leader(c), sigma^-shift(c) l), and the other rows
+are pinned by the verified symmetry (with N = 1 every row leads).  Without
+parities (e.g. complete graphs) ``block_spectrum`` solves each block with
+``spectrum``, the dense ``eigvalsh`` that is also the tests' reference.
+``spectrum_report`` plans every star once (``_plan``) and, before the
+first solve, sizes what each solve holds (``_solve_bytes``).
 
 Cohomology, by Garland's step: the Hodge Laplacian d d* + d* d of level i
 is block diagonal over the direction sets, and every term of its block
@@ -178,11 +183,10 @@ class Harmonics:
     def level_dim(self, i: int) -> int:
         return sum(self.dim(mask) for mask in self.X.masks_of_dim(i))
 
-    def _edge_transitions(self, mask: int, j: int) -> np.ndarray:
-        """T_{c,j} for every oriented cube of the direction set (the
+    def _edge_transitions(self, mask: int, j: int, cubes: np.ndarray) -> np.ndarray:
+        """T_{c,j} for the given oriented cubes of the direction set (the
         transition of the direction-j edge at the bottom corner)."""
-        edges = self.X.edge_vector(mask, j)
-        return self.L.transitions[j - 1][edges]
+        return self.L.transitions[j - 1][self.X.edge_vector(mask, j, cubes)]
 
     def expand(self, mask: int):
         """Alternation data: per oriented cube, the representative slot and
@@ -208,7 +212,7 @@ class Harmonics:
             for j in dirs_of(mask):
                 s = t.inv[j][cur]
                 slot[s] = slot[cur]
-                coeff[s] = -self._edge_transitions(mask, j)[cur] @ coeff[cur]
+                coeff[s] = -self._edge_transitions(mask, j, cur) @ coeff[cur]
                 cur = np.concatenate([cur, s])
             if len(cur) != t.n or np.any(slot < 0):
                 raise ConstructionError("orientation orbits do not reach representatives")
@@ -240,7 +244,7 @@ class Harmonics:
         slot_lo, coeff_lo = self.expand(mask)
         tops, bots = t.top[j][reps_up], t.bot[j][reps_up]
         # T^{-1} = conjugate transpose for unitary transitions
-        tinv = self._edge_transitions(up, j)[reps_up].conj().transpose(0, 2, 1)
+        tinv = self._edge_transitions(up, j, reps_up).conj().transpose(0, 2, 1)
         return (slot_lo[tops], slot_lo[bots],
                 np.einsum("nab,nbc->nac", tinv, coeff_lo[tops]), -coeff_lo[bots])
 
@@ -307,12 +311,13 @@ class Harmonics:
         return sum(self.laplacian(j, mask) for j in range(1, self.X.g + 1)
                    if mask & (1 << (j - 1)) or (mask | (1 << (j - 1))) in self.X.tables).tocsr()
 
-    def _star(self, j: int, mask: int) -> Coo:
+    def _star(self, j: int, mask: int, rows=None) -> Coo:
         """Entries of the Hermitian star operator on C^I: the
         transition-twisted adjacency operator of the directional link graph
-        (parallel link edges add up)."""
-        lg = link_graph(self.X, j, mask)
-        trans = self._edge_transitions(mask | (1 << (j - 1)), j)[lg.edge_cubes]
+        (parallel link edges add up); with rows, a flag per representative,
+        the rows of the flagged ones only."""
+        lg = link_graph(self.X, j, mask, rows)
+        trans = self._edge_transitions(mask | (1 << (j - 1)), j, lg.edge_cubes)
         n = lg.n_vertices
         return self._blocks_to_coo(lg.terminus, lg.origin, trans, n, n)
 
@@ -682,7 +687,8 @@ class Harmonics:
         orbits (module notes).  plan defaults to ``_plan(mask, parity)``;
         tol bounds the residual of the split (``_pieces``)."""
         if parity is not None:
-            A = _parity_rows(A if isinstance(A, Coo) else A.tocoo(), parity)
+            A = _parity_rows(A if isinstance(A, Coo) else A.tocoo(), parity,
+                             self.coordinate_orbits([mask]))
         parts = []
         for block, mult in self.fourier_blocks(A, *(plan or self._plan(mask, parity)), tol=tol):
             parts += [spectrum(block) if parity is None else _bipartite_spectrum(block)] * mult
@@ -731,16 +737,17 @@ class Harmonics:
     def _solve_bytes(self, j: int, mask: int, plan) -> tuple[int, tuple[int, int]]:
         """(bytes, shape) of the star's solve with its plan: twice the
         largest dense piece, of that shape (LAPACK copies it; complex when
-        N > 1), the entries of the star and of B (3/2 nnz of 16 + itemsize
-        bytes, nnz <= dim r_j m), with a split the Z bases (a class x
-        (|h0|/N)^2 complex per block), the entries times a row of Q_c (nnz
-        d / N complex) and the two (|h0|/N) x d complex arrays of
-        ``_pieces`` for each of <= n_sr min(n_sc, r_j m) slot pairs (a row
-        slot meets r_j tuples and m fibres), and a quarter of all that."""
+        N > 1), the entries of the star's rows that lead their orbit, of
+        both classes, and of B (3/2 nnz of 16 + itemsize bytes, nnz <=
+        dim r_j m / N), with a split the Z bases (a class x (|h0|/N)^2
+        complex per block), the entries times a row of Q_c (nnz d complex)
+        and the two (|h0|/N) x d complex arrays of ``_pieces`` for each of
+        <= n_sr min(n_sc, r_j m) slot pairs (a row slot meets r_j tuples and
+        m fibres), and a quarter of all that."""
         (_, _, n_r), (_, _, n_c), split = plan
         N, r = self.symmetry_order(), self.X.r(j)
         item = np.dtype(self.dtype if N == 1 else np.complex128).itemsize
-        nnz = self.dim(mask) * r * self.m
+        nnz = self.dim(mask) * r * self.m // N
         held = 3 * nnz * (16 + np.dtype(self.dtype).itemsize) // 2
         if split is not None:
             classes = self._block_classes(self.dtype == np.float64)
@@ -748,7 +755,7 @@ class Harmonics:
             n_cls, n_o = self._h0[2].shape
             n_sr, n_sc = split[0][3], split[1][3]
             pairs = n_sr * min(n_sc, r * self.m)
-            held += (len(classes) * n_cls * n_o**2 + 2 * pairs * n_o * d + nnz * d // N) * 16
+            held += (len(classes) * n_cls * n_o**2 + 2 * pairs * n_o * d + nnz * d) * 16
             n_r, n_c = n_sr * d, n_sc * d
         return (2 * n_r * n_c * item + held) * 5 // 4, (n_r, n_c)
 
@@ -816,12 +823,15 @@ def _clusters(values: np.ndarray) -> list[int]:
     return np.diff(np.concatenate([[0], cut, [len(values)]])).tolist()
 
 
-def _parity_rows(A: Coo, parity) -> Coo:
+def _parity_rows(A: Coo, parity, orbits) -> Coo:
     """The entries of B, from class 0 to class 1 of parity (0/1 per row),
     once A is checked bipartite (every same-class entry exactly zero) and
-    Hermitian (A - A^H within 1e-10: each entry against its adjoint
-    partner, found by binary search in the ascending row-major keys, or
-    against zero when A has no entry there)."""
+    Hermitian (A - A^H within 1e-10).  A commutes with the translation pi
+    whose orbits (``coordinate_orbits``) number its coordinates, and may
+    hold only the rows that lead their orbit: the adjoint partner of an
+    entry (l, c), conj A[c, l], is conj A[leader(c), pi^(shift(l) -
+    shift(c)) leader(l)], read from members[orbit, shift] by binary search
+    in the ascending row-major keys, or zero when A has no entry there."""
     parity = np.asarray(parity)
     if parity.shape != (A.shape[0],) or not np.isin(parity, (0, 1)).all():
         raise ValueError("parity must give a 0/1 class for every row")
@@ -830,7 +840,12 @@ def _parity_rows(A: Coo, parity) -> Coo:
     n = max(A.shape[1], 1)
     if np.any(np.diff(A.row * n + A.col) <= 0):
         A = Coo.canonical(A.row, A.col, A.data, A.shape)
-    key, adjoint = A.row * n + A.col, A.col * n + A.row
+    ids, shift, n_orb = orbits
+    N = shift.max(initial=0) + 1
+    members = np.empty((n_orb, N), dtype=np.int64)
+    members[ids, shift] = np.arange(len(ids))
+    turn = (shift[A.row] - shift[A.col]) % N
+    key, adjoint = A.row * n + A.col, members[ids[A.col], 0] * n + members[ids[A.row], turn]
     at = np.minimum(np.searchsorted(key, adjoint), len(key) - 1)
     partner = np.where(key[at] == adjoint, A.data[at].conj(), 0)
     if not (np.abs(A.data - partner) <= 1e-10).all():
@@ -913,9 +928,10 @@ def spectrum_report(X: CubicalComplex, L: LocalSystem | None = None,
                     workspace: Harmonics | None = None) -> SpectrumReport:
     """Star spectra and Ramanujan verdicts for every admissible (j, I),
     each the union of the spectra of the pieces of the star's Fourier
-    blocks.  Each star is planned once (``_plan``).  Before the first
-    solve, ResourceError refuses the run when the bytes a star's solve
-    holds (``_solve_bytes``) exceed the headroom."""
+    blocks.  Each star is planned once (``_plan``) and assembled on the
+    rows that lead their u-orbit, all that its blocks read.  Before the
+    first solve, ResourceError refuses the run when the bytes a star's
+    solve holds (``_solve_bytes``) exceed the headroom."""
     H = workspace if workspace is not None else Harmonics(X, L)
     plans = {(j, mask): H._plan(mask, H.star_parity(j, mask))
              for mask in X.masks() for j in range(1, X.g + 1)
@@ -932,7 +948,9 @@ def spectrum_report(X: CubicalComplex, L: LocalSystem | None = None,
                 f"solver's copy and its entries, above the {headroom / 2**20:.1f} MiB available")
     report = SpectrumReport()
     for (j, mask), plan in plans.items():
-        eigs = H.block_spectrum(H._star(j, mask), mask, H.star_parity(j, mask), plan, tol)
+        leaders = plan[0][1][::H.m] == 0  # the star's rows that lead their u-orbit
+        eigs = H.block_spectrum(H._star(j, mask, leaders), mask, H.star_parity(j, mask),
+                                plan, tol)
         verdict = classify_ramanujan(eigs, X.r(j), tol)
         report.entries.append(SpectrumEntry(j, dirs_of(mask), H.dim(mask), eigs, verdict))
     return report

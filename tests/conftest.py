@@ -25,3 +25,9 @@ def x511():
 def cover13373():
     """primes={13,37}, N1=3: the (14,38)-regular square complex."""
     return rc.build_complex([13, 37], 3)
+
+
+@pytest.fixture(scope="session")
+def x5137():
+    """primes={5,13}, N1=7: four real stars, two on edges."""
+    return rc.build_complex([5, 13], 7)

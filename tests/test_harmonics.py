@@ -283,6 +283,75 @@ def test_parity_block_route_rejects_broken_entries(cover_spaces):
         H.block_spectrum(S._replace(data=data), 0, parity)
 
 
+def _leaders(H, mask):
+    """The representatives of C^I that lead their u-orbit: the rows that
+    ``spectrum_report`` assembles."""
+    return H.coordinate_orbits([mask])[1][::H.m] == 0
+
+
+@pytest.mark.parametrize("complex_fixture, k", [
+    ("x5137", 0), ("x5137", 2), ("lps513", 0), ("lps513", 2), ("cover513", 0), ("cover513", 2)])
+def test_leader_row_star_is_the_leader_rows_of_the_star(request, complex_fixture, k):
+    """The star assembled on the rows that lead their u-orbit holds exactly
+    those rows of the star operator, the sparse form of ``star_matrix``,
+    and nothing on the other rows."""
+    X = request.getfixturevalue(complex_fixture)
+    H = Harmonics(X, _system(X, k))
+    assert H.symmetry_order() == X.arith.n1
+    for j, mask in _boundary_keys(X):
+        lead = _leaders(H, mask)
+        rows = np.repeat(lead, H.m)
+        assert 0 < rows.sum() == len(rows) // H.symmetry_order()
+        part, full = H._star(j, mask, lead).tocsr(), H.star_operator(j, mask)
+        assert part.shape == full.shape and part[~rows].nnz == 0
+        assert part[rows].nnz == full[rows].nnz and abs(part[rows] - full[rows]).max() == 0
+
+
+def test_leader_row_star_checks_translated_partners(cover_spaces):
+    """On the leader rows alone the adjoint partner of an entry (l, c) with c
+    off the leader rows is absent; the check reads it translated back to the
+    leader of c, so the intact entries pass and give the dense spectrum,
+    while a same-class entry or a non-Hermitian entry with such a partner
+    is refused."""
+    H = cover_spaces[1]
+    S, parity = H._star(1, 0, _leaders(H, 0)), H.star_parity(1, 0)
+    assert np.iscomplexobj(S.data) and H.symmetry_order() == 3
+    fast = H.block_spectrum(S, 0, parity)
+    assert np.abs(fast - rc.spectrum(H.star_matrix(1, 0))).max() <= 1e-10
+    off = np.flatnonzero(~np.repeat(_leaders(H, 0), H.m)[S.col] & (S.data.imag != 0))
+    assert off.size
+    row = S.row[0]
+    same = np.flatnonzero(parity == parity[row])[1]
+    coupled = Coo.canonical(np.append(S.row, row), np.append(S.col, same),
+                            np.append(S.data, 1.0), S.shape)
+    with pytest.raises(ValueError, match="same parity class"):
+        H.block_spectrum(coupled, 0, parity)
+    data = S.data.copy()
+    data[off[0]] += 1e-6
+    with pytest.raises(ValueError, match="Hermitian"):
+        H.block_spectrum(S._replace(data=data), 0, parity)
+
+
+def test_tampered_edge_off_the_leader_rows_refuses_symmetry(cover513):
+    """An edge whose two ends both lie off the leader rows, and its
+    reversal, never enter the leader-row star.  Tampering with their
+    transitions makes ``_is_symmetry`` refuse u, so N = 1, every row leads,
+    and the spectra still match the dense star."""
+    L = rc.build_symm_system(cover513, 2)
+    _, _, shift = Harmonics(cover513, L)._translation()
+    t = cover513.tables[1]
+    edge = next(e for e in range(t.n) if shift[t.top[1][e]] and shift[t.bot[1][e]])
+    back = t.inv[1][edge]
+    unread = rc.link_graph(cover513, 1, 0, shift == 0).edge_cubes
+    assert edge not in unread and back not in unread
+    L.transitions[0][[edge, back]] *= -1
+    H = Harmonics(cover513, L)
+    assert H.symmetry_order() == 1 and _leaders(H, 0).all()
+    for e in rc.spectrum_report(cover513, L, workspace=H).entries:
+        S = H.star_matrix(e.j, mask_of(e.dirs))
+        assert np.abs(e.eigenvalues - rc.spectrum(S)).max() <= 1e-10
+
+
 def _parity_route(M, parity):
     """block_spectrum of the dense matrix M with the given parity, as an
     operator on the vertices of a bipartite path (N = 1)."""
@@ -603,12 +672,6 @@ def test_fourier_blocks_keep_singular_values(cover_spaces, x511, lps513):
         assert np.abs(blocks - full).max() <= 1e-10
 
 
-@pytest.fixture(scope="module")
-def x5137():
-    """primes={5,13}, N1=7: four real stars, two on edges."""
-    return rc.build_complex([5, 13], 7)
-
-
 @pytest.mark.parametrize("complex_fixture, k", [
     ("x511", 0), ("x511", 2), ("lps513", 0), ("x5137", 0), ("cover513", 0), ("cover513", 2)])
 def test_fold_matches_unfolded_blocks_and_dense(request, complex_fixture, k):
@@ -710,11 +773,12 @@ def test_memory_check_boundary(cover513, monkeypatch):
     formed.  On [5,13]@3, h0 = PSL2(3) (order 12, N = 3) has |h0|/N = 4
     orbits per parity class and 3 as its largest irreducible dimension, so
     the largest piece is 3 n_sr x 3 n_sc complex for n_sr and n_sc slots.
-    To twice that add the star's entries and its rows of B (3/2 of at most
-    nnz = dim r_j entries of 16 + 8 bytes), the Z bases of the 2 blocks
-    solved on the 4 parity classes (4 x 4 complex each), the entries times
-    a row of Q (nnz 3 / 3 complex) and two 4 x 3 complex arrays for each of
-    at most n_sr min(n_sc, r_j) pairs of slots, then a quarter."""
+    To twice that add the entries of the star's leader rows and its rows of
+    B (3/2 of at most nnz = dim r_j / 3 entries of 16 + 8 bytes), the Z
+    bases of the 2 blocks solved on the 4 parity classes (4 x 4 complex
+    each), the entries times a row of Q (nnz 3 complex) and two 4 x 3
+    complex arrays for each of at most n_sr min(n_sc, r_j) pairs of slots,
+    then a quarter."""
     H = Harmonics(cover513)
     assert H.symmetry_order() == 3 and H.dtype == np.float64
     n_o, d, complex_bytes = 12 // 3, 3, np.dtype(np.complex128).itemsize
@@ -725,10 +789,10 @@ def test_memory_check_boundary(cover513, monkeypatch):
         _, shift, _ = H.coordinate_orbits([mask])
         leaders = H.star_parity(e.j, mask)[shift == 0]
         n_sr, n_sc = int(leaders.sum()) // n_o, int((leaders == 0).sum()) // n_o
-        nnz = e.dim * r
-        assert len(H._star(e.j, mask).data) <= nnz
+        nnz = e.dim * r // 3
+        assert len(H._star(e.j, mask, shift == 0).data) <= nnz
         held = 3 * nnz * (16 + 8) // 2
-        held += (2 * n_classes * n_o**2 + 2 * n_sr * min(n_sc, r) * n_o * d + nnz * d // 3) \
+        held += (2 * n_classes * n_o**2 + 2 * n_sr * min(n_sc, r) * n_o * d + nnz * d) \
             * complex_bytes
         need = max(need, (2 * (d * n_sr) * (d * n_sc) * complex_bytes + held) * 5 // 4)
     calls = []
@@ -742,6 +806,7 @@ def test_memory_check_boundary(cover513, monkeypatch):
     monkeypatch.setattr(harmonics, "_memory_headroom", lambda: need)
     assert rc.spectrum_report(cover513).overall_ramanujan
     assert len(calls) == 4
+    assert all(np.all(rows[1][B.row] == 0) for B, rows, *_ in calls)  # leader rows only
     calls.clear()
     monkeypatch.setattr(harmonics, "_memory_headroom", lambda: need - 1)
     with pytest.raises(ResourceError, match="piece of a Fourier block"):
@@ -752,7 +817,7 @@ def test_memory_check_boundary(cover513, monkeypatch):
 def _pieces(H, j, mask):
     """Shapes of the pieces ``block_spectrum`` solves for the star S_{j,I}."""
     parity = H.star_parity(j, mask)
-    B = harmonics._parity_rows(H._star(j, mask), parity)
+    B = harmonics._parity_rows(H._star(j, mask), parity, H.coordinate_orbits([mask]))
     return [p.shape for p, _ in H.fourier_blocks(B, *H._plan(mask, parity))]
 
 
@@ -796,7 +861,7 @@ def test_isotypic_split_falls_back_without_weyl(cover513, monkeypatch):
         parity = H.star_parity(e.j, mask)
         rows, cols, split = H._plan(mask, parity)
         assert split is None
-        B = harmonics._parity_rows(H._star(e.j, mask), parity)
+        B = harmonics._parity_rows(H._star(e.j, mask), parity, H.coordinate_orbits([mask]))
         today = list(fourier_blocks(H, B, rows, cols))
         assert len(blocks) == len(today) == 2
         assert all(np.array_equal(a, b) and m == n for (a, m), (b, n) in zip(blocks, today))
