@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quaternions as quat
-from .complexes import CubeTable, CubicalComplex, dirs_of, verify_axioms, verify_parities
+from .complexes import (CubeTable, CubicalComplex, connected_components, dirs_of, link_graph,
+                        verify_axioms, verify_parities)
 from .errors import ConstructionError, InvalidModulusError, LevelRejectedError
 from .quaternions import Quaternion
 
@@ -311,7 +312,6 @@ def irreducibility_report(X: CubicalComplex) -> dict:
     (a parity in another direction is constant along them); the counts are
     reported, not asserted.
     """
-    from .complexes import connected_components, link_graph
     out = {}
     for mask in X.masks():
         for j in range(1, X.g + 1):

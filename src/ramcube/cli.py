@@ -158,7 +158,10 @@ def _config_hash(cfg: RunConfig) -> str:
 def run(cfg: RunConfig, command: str, out_dir=None, link_spec=None):
     """Execute one subcommand; returns (report dict, exit code)."""
     out = Path(out_dir if out_dir is not None else cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create the output directory {out}: {e.strerror}") from e
     report = {
         "tool": {"name": "ramcube", "version": __version__},
         "command": command,

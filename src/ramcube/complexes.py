@@ -251,36 +251,30 @@ def verify_parities(X: CubicalComplex):
 
 
 def infer_parities(X: CubicalComplex):
-    """Propagate parities from an arbitrary basepoint of each component.
+    """Propagate parities from the least vertex of each component, where
+    they are 0.
 
+    Per direction j, the parity double cover has the vertices (v, b) at
+    v + b n; a j-edge joins (bot, b) to (top, 1 - b), any other edge (bot,
+    b) to (top, b).  p_j(v) = 1 when (v, 0) shares a component with (root,
+    1), root the least vertex of v's component: components are labelled by
+    least vertex, so when (v, 0) has the larger label of (v, 0), (v, 1).
     Returns an (n_vertices, g) array, or None when no consistent assignment
-    exists (some direction has an odd closed walk)."""
-    n = X.n_vertices
-    par = -np.ones((n, X.g), dtype=np.int16)
-    adj = [[] for _ in range(n)]
+    exists: some (v, 0) and (v, 1) share a component (an odd closed walk)."""
+    n, start = X.n_vertices, [np.zeros(0, np.int64)]
+    edges = [(j, X.tables[1 << (j - 1)]) for j in range(1, X.g + 1) if 1 << (j - 1) in X.tables]
+    bot = np.concatenate(start + [t.bot[j] for j, t in edges])
+    top = np.concatenate(start + [t.top[j] for j, t in edges])
+    along = np.concatenate(start + [np.full(t.n, j) for j, t in edges])
+    par = np.zeros((n, X.g), dtype=np.uint8)
     for j in range(1, X.g + 1):
-        mask = 1 << (j - 1)
-        if mask not in X.tables:
-            continue
-        t = X.tables[mask]
-        for e in range(t.n):
-            adj[t.bot[j][e]].append((t.top[j][e], j))
-    for s in range(n):
-        if par[s, 0] >= 0:
-            continue
-        par[s] = 0
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for w, j in adj[v]:
-                want = par[v].copy()
-                want[j - 1] ^= 1
-                if par[w, 0] < 0:
-                    par[w] = want
-                    stack.append(w)
-                elif not np.array_equal(par[w], want):
-                    return None
-    return par.astype(np.uint8)
+        cross = n * (along == j)
+        _, label = connected_components(2 * n, np.concatenate([bot, bot + n]),
+                                        np.concatenate([top + cross, top + n - cross]))
+        if np.any(label[:n] == label[n:]):
+            return None
+        par[:, j - 1] = label[:n] > label[n:]
+    return par
 
 
 def product(X1: CubicalComplex, X2: CubicalComplex) -> CubicalComplex:

@@ -48,8 +48,8 @@ non-squares.  ``fourier_blocks`` forms one block per class (blocks 0, 1
 and a) with the class size as its multiplicity; for a real operator block
 N - k is the complex conjugate of block k, so when N = 3 (mod 4), -1 being
 a non-square, blocks 0 and 1 suffice.  Both translations are verified
-before use (``symmetry_order``); unless both pass, N = 1 and the single
-block is the operator itself.  Star and Laplacian spectra
+once, into one record (``_symmetry``); unless both pass, N = 1 and the
+single block is the operator itself.  Star and Laplacian spectra
 (``block_spectrum``) are the union over the blocks with their
 multiplicities.
 
@@ -149,8 +149,6 @@ class Harmonics:
         self._rep_pos: dict[int, np.ndarray] = {}
         self._expand: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._bnd: dict[tuple[int, int], Coo] = {}
-        self._symmetry = None
-        self._torus: int | None = None
         self._iso: dict[int, tuple[np.ndarray, list[int]]] = {}
 
     # -- representative bookkeeping ------------------------------------
@@ -343,52 +341,43 @@ class Harmonics:
 
     def symmetry_order(self) -> int:
         """Order N of the verified translation symmetry (1 without one)."""
-        return self._translation()[0]
+        return self._symmetry[0]
 
-    def _translation(self):
-        """(N, leader, shift): the least vertex of each vertex's orbit and
-        the t with vertex = sigma^t(leader); (1, None, None) unless the
-        unipotent translation is verified to commute with every cube map
-        and to fix every edge transition, and the torus translation too
-        (``_verify_torus``)."""
-        if self._symmetry is None:
-            self._symmetry = (1, None, None)
-            X = self.X
-            sigma = X.arith.left_translation((1, 1, 0, 1)) if X.arith is not None else None
-            if sigma is not None and self._is_symmetry(sigma):
-                N, n = X.arith.n1, X.n_vertices
-                idx = np.arange(n)
-                walk, leader, back = idx, idx.copy(), np.zeros(n, dtype=np.int64)
-                for t in range(1, N):
-                    walk = sigma[walk]
-                    if np.any(walk == idx):  # an orbit shorter than N
-                        return self._symmetry
-                    better = walk < leader
-                    leader[better] = walk[better]
-                    back[better] = t
-                if np.array_equal(sigma[walk], idx):
-                    self._torus = self._verify_torus(sigma, N)
-                    if self._torus is not None:
-                        self._symmetry = (N, leader, (N - back) % N)
-        return self._symmetry
-
-    def _verify_torus(self, sigma: np.ndarray, N: int) -> int | None:
-        """a, a primitive root mod N, when the left translation tau by
-        diag(a, 1/a) is a symmetry (``_is_symmetry``) that conjugates the
-        unipotent translation sigma to sigma^(a^2); None otherwise.  Then
-        Fourier block k of every operator is unitarily equivalent to block
-        a^2 k, so the blocks fall into the classes {0}, the squares and the
-        non-squares mod N (``_block_classes``)."""
+    @functools.cached_property
+    def _symmetry(self):
+        """(N, leader, shift, a, u, tau): the least vertex of each vertex's
+        orbit under the unipotent translation u and the t with vertex =
+        u^t(leader), a the least primitive root mod N, and the vertex
+        permutations of u and of the torus translation tau by diag(a, 1/a).
+        (1, None, None, None, None, None) unless u and tau pass
+        ``_is_symmetry``, every u-orbit has exactly N vertices and tau
+        conjugates u to u^(a^2), which the one orbit walk records as it
+        passes.  Then Fourier block k of every operator is unitarily
+        equivalent to block a^2 k, so the blocks fall into the classes {0},
+        the squares and the non-squares mod N (``_block_classes``)."""
+        none = (1, None, None, None, None, None)
+        ar = self.X.arith
+        u = ar.left_translation((1, 1, 0, 1)) if ar is not None else None
+        if u is None or not self._is_symmetry(u):
+            return none
+        N, n = ar.n1, self.X.n_vertices
         a = _primitive_root(N)
-        tau = self.X.arith.left_translation((a, 0, 0, pow(a, -1, N)))
-        if tau is None or not self._is_symmetry(tau):
-            return None
-        inverse = np.empty_like(tau)
-        inverse[tau] = np.arange(len(tau))
-        power = np.arange(len(tau))
-        for _ in range(a * a % N):
-            power = sigma[power]
-        return a if np.array_equal(tau[sigma[inverse]], power) else None
+        idx = np.arange(n)
+        walk, leader, back = idx, idx.copy(), np.zeros(n, dtype=np.int64)
+        for t in range(1, N):
+            walk = u[walk]
+            if np.any(walk == idx):  # an orbit shorter than N
+                return none
+            better = walk < leader
+            leader[better] = walk[better]
+            back[better] = t
+            if t == a * a % N:
+                power = walk
+        tau = ar.left_translation((a, 0, 0, pow(a, -1, N)))
+        if (not np.array_equal(u[walk], idx) or tau is None or not self._is_symmetry(tau)
+                or not np.array_equal(tau[u], power[tau])):
+            return none
+        return N, leader, (N - back) % N, a, u, tau
 
     def _block_classes(self, real: bool) -> list[tuple[int, int]]:
         """(k, multiplicity) of the Fourier blocks that represent all N:
@@ -397,12 +386,12 @@ class Harmonics:
         with N = 3 (mod 4), -1 is a non-square and block a has the spectrum
         of conj(block 1), so block 1 counts N - 1 times.  With N = 1, the
         operator itself."""
-        N = self.symmetry_order()
+        N, _, _, a, _, _ = self._symmetry
         if N == 1:
             return [(0, 1)]
         if real and N % 4 == 3:
             return [(0, 1), (1, N - 1)]
-        return [(0, 1), (1, (N - 1) // 2), (self._torus, (N - 1) // 2)]
+        return [(0, 1), (1, (N - 1) // 2), (a, (N - 1) // 2)]
 
     def _is_symmetry(self, sigma: np.ndarray) -> bool:
         X = self.X
@@ -428,24 +417,22 @@ class Harmonics:
     @functools.cached_property
     def _h0(self):
         """(class, alpha, elements), or None unless the Weyl element
-        [[0, -1], [1, 0]] passes ``_is_symmetry`` as u and the torus did and
-        the three carry one vertex to its whole parity class: the action is
-        free, so they then generate h0.  Per vertex, its parity class and
-        its u-orbit among those of its class, in leader order;
-        elements[class, alpha] is the group element of that leader."""
-        N, leader, shift = self._translation()
+        [[0, -1], [1, 0]] passes ``_is_symmetry`` as u and the torus of
+        ``_symmetry`` did and the three carry one vertex to its whole parity
+        class: the action is free, so they then generate h0.  Per vertex, its
+        parity class and its u-orbit among those of its class, in leader
+        order; elements[class, alpha] is the group element of that leader."""
+        N, leader, shift, _, u, tau = self._symmetry
         ar = self.X.arith
         weyl = ar.left_translation((0, -1, 1, 0)) if N > 1 else None
         if weyl is None or not self._is_symmetry(weyl):
             return None
-        steps = [ar.left_translation((1, 1, 0, 1)), weyl,
-                 ar.left_translation((self._torus, 0, 0, pow(self._torus, -1, N)))]
         code = self.X.parities.astype(np.int64) @ (1 << np.arange(self.X.g))
         seen, front = np.zeros(len(code), dtype=bool), np.zeros(1, dtype=np.int64)
         while front.size:
             seen[front] = True
             reached = np.zeros_like(seen)
-            reached[np.concatenate([p[front] for p in steps])] = True
+            reached[np.concatenate([p[front] for p in (u, weyl, tau)])] = True
             front = np.flatnonzero(reached & ~seen)
         if seen.sum() != np.sum(code == code[0]):
             return None
@@ -495,7 +482,7 @@ class Harmonics:
         representative = pi^t(leader of its orbit), and the number of
         orbit coordinates: the size of one Fourier block.  Orbits are
         numbered in the order of their leaders."""
-        N, leader, shift = self._translation()
+        N, leader, shift, *_ = self._symmetry
         m = self.m
         ids, shifts, off = [], [], 0
         for mask in masks:

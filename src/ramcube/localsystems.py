@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import CubicalComplex, dirs_of
+from .complexes import CubicalComplex, dirs_of, product
 from .errors import CentralConditionError, ConstructionError
 from .quaternions import Quaternion, _cyclic_subgroup
 
@@ -155,30 +155,15 @@ def external_product(X1: CubicalComplex, L1: LocalSystem,
     Returns (product complex, system): a direction-j edge acts by the
     factor transition tensored with the identity of the other fiber.
     """
-    from .complexes import product
     X = product(X1, X2)
     m1, m2 = L1.fiber_dim, L2.fiber_dim
-    n1v, n2v = X1.n_vertices, X2.n_vertices
-    trans = []
-    for j in range(1, X1.g + 1):
-        t1 = L1.transitions[j - 1]
-        n_e = t1.shape[0]
-        out = np.empty((n_e * n2v, m1 * m2, m1 * m2), dtype=np.result_type(t1, L2.dtype))
-        eye = np.eye(m2)
-        for e in range(n_e):
-            blk = np.kron(t1[e], eye)
-            out[e * n2v:(e + 1) * n2v] = blk
-        trans.append(out)
-    for j2 in range(1, X2.g + 1):
-        t2 = L2.transitions[j2 - 1]
-        n_e = t2.shape[0]
-        out = np.empty((n1v * n_e, m1 * m2, m1 * m2), dtype=np.result_type(L1.dtype, t2))
-        eye = np.eye(m1)
-        if n_e:
-            kr = np.stack([np.kron(eye, t2[e]) for e in range(n_e)])
-            for i1 in range(n1v):
-                out[i1 * n_e:(i1 + 1) * n_e] = kr
-        trans.append(out)
+    # the identity takes the other system's dtype, so that every direction has
+    # the result_type of both; ``product`` numbers the copies of edge e of X1
+    # e * |V(X2)| + v2, and those of edge e of X2 v1 * (edges of X2) + e
+    trans = [np.repeat(np.kron(t1, np.eye(m2, dtype=L2.dtype)[None]), X2.n_vertices, axis=0)
+             for t1 in L1.transitions]
+    trans += [np.tile(np.kron(np.eye(m1, dtype=L1.dtype)[None], t2), (X1.n_vertices, 1, 1))
+              for t2 in L2.transitions]
     kind = f"product({L1.kind},{L2.kind})"
     return X, LocalSystem(m1 * m2, trans, kind)
 

@@ -340,6 +340,19 @@ def test_main_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_main_output_directory_that_cannot_be_created(tmp_path, capsys, below):
+    """--out naming an existing file, or a path below one, is a config
+    error (exit 2) that names the path, not an internal error."""
+    cfg_path = write_cfg(tmp_path, {"primes": [5], "N1": 3})
+    out = tmp_path / "file" / below
+    (tmp_path / "file").write_text("")
+    code = cli.main(["build", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot create the output directory") and str(out) in err
+
+
 @pytest.mark.parametrize("payload,extra,fragment", [
     ({"k": True}, [], "k must be"),
     ({"out": 5}, [], "out must be"),

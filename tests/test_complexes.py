@@ -3,7 +3,7 @@ import pytest
 
 import ramcube as rc
 from dense_reference import components_by_csgraph
-from ramcube.complexes import dirs_of, link_dot, mask_of, skeleton_dot
+from ramcube.complexes import CubicalComplex, dirs_of, link_dot, mask_of, skeleton_dot
 from ramcube.errors import ConstructionError
 
 
@@ -64,6 +64,20 @@ def test_parities_cycles():
     assert inferred is not None
     X4.parities = inferred
     assert rc.verify_parities(X4)[0]
+
+
+def test_infer_parities_recovers_stored_parities():
+    """With the parities stripped, the inference from the least vertex of
+    each component gives back the stored ones, and None when a direction
+    has an odd cycle."""
+    def stripped(X):
+        return CubicalComplex(X.g, X.regularities, X.tables)
+
+    for X in (rc.box_complex(3), rc.build_complex([5, 13], 3),
+              rc.product(rc.cycle_complex(4), rc.cycle_complex(6))):
+        inferred = rc.infer_parities(stripped(X))
+        assert inferred.dtype == np.uint8 and np.array_equal(inferred, X.parities)
+    assert rc.infer_parities(stripped(rc.product(rc.cycle_complex(4), rc.cycle_complex(5)))) is None
 
 
 def test_product_counts_and_axioms():

@@ -8,6 +8,7 @@ import ramcube as rc
 from dense_reference import (coboundary_by_sum, cohomology_by_gram, cohomology_by_svd,
                              expand_by_bfs, fourier_blocks_unfolded, total_dstar_by_sum)
 from ramcube import Harmonics, harmonics
+from ramcube.arithmetic import ArithData
 from ramcube.complexes import CubeTable, CubicalComplex, mask_of
 from ramcube.errors import ResourceError, VerificationError
 from ramcube.harmonics import Coo
@@ -338,7 +339,7 @@ def test_tampered_edge_off_the_leader_rows_refuses_symmetry(cover513):
     transitions makes ``_is_symmetry`` refuse u, so N = 1, every row leads,
     and the spectra still match the dense star."""
     L = rc.build_symm_system(cover513, 2)
-    _, _, shift = Harmonics(cover513, L)._translation()
+    _, _, shift, *_ = Harmonics(cover513, L)._symmetry
     t = cover513.tables[1]
     edge = next(e for e in range(t.n) if shift[t.top[1][e]] and shift[t.bot[1][e]])
     back = t.inv[1][edge]
@@ -542,7 +543,7 @@ def _rotation_gauge(X):
     1 and N - 1, and the transports of the parallel sections are nontrivial
     rotations: the count needs the holonomy invariants, not just the
     number of components."""
-    N, _, shift = Harmonics(X)._translation()
+    N, _, shift, *_ = Harmonics(X)._symmetry
     theta = 2 * np.pi * np.arange(N) / N
     c, s = np.cos(theta), np.sin(theta)
     rot = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=1)
@@ -866,6 +867,27 @@ def test_isotypic_split_falls_back_without_weyl(cover513, monkeypatch):
         assert len(blocks) == len(today) == 2
         assert all(np.array_equal(a, b) and m == n for (a, m), (b, n) in zip(blocks, today))
         assert np.abs(e.eigenvalues - rc.spectrum(H.star_matrix(e.j, mask))).max() <= 1e-10
+
+
+def test_symmetry_is_verified_once(x5137, monkeypatch):
+    """A split spectrum report looks up and checks u, the torus and the
+    Weyl element once each: h0 reads u and the torus from the one record
+    of the verified symmetry."""
+    counts = {"left_translation": 0, "_is_symmetry": 0}
+
+    def counted(cls, name):
+        method = getattr(cls, name)
+
+        def spy(*args):
+            counts[name] += 1
+            return method(*args)
+        monkeypatch.setattr(cls, name, spy)
+
+    counted(ArithData, "left_translation")
+    counted(Harmonics, "_is_symmetry")
+    sp = rc.spectrum_report(x5137)
+    assert sp.overall_ramanujan
+    assert counts == {"left_translation": 3, "_is_symmetry": 3}
 
 
 def test_isotypic_split_certificates(cover513, monkeypatch):

@@ -270,6 +270,28 @@ def test_external_product_with_unit_fiber_keeps_transitions():
     assert rc.verify_axioms(X).passed
 
 
+def test_external_product_matches_per_edge_kron():
+    """Each direction of a product system is the factor transition of the
+    edge tensored with the other fiber's identity, edge by edge, and keeps
+    the result_type of both systems: a trivial direction beside a complex
+    weight-2 factor is complex too."""
+    A = rc.build_complex([5], 3)
+    LA, B = rc.build_symm_system(A, 2), rc.cycle_complex(4)
+    LB = rc.trivial_system(B, 2)
+    for X1, L1, X2, L2 in ((A, LA, B, LB), (B, LB, A, LA)):
+        _, L = rc.external_product(X1, L1, X2, L2)
+        m1, m2 = L1.fiber_dim, L2.fiber_dim
+        dtype = np.result_type(L1.dtype, L2.dtype)
+        reference = [np.array([np.kron(t, np.eye(m2)) for t in t1 for _ in range(X2.n_vertices)],
+                              dtype=dtype) for t1 in L1.transitions]
+        reference += [np.array([np.kron(np.eye(m1), t) for _ in range(X1.n_vertices) for t in t2],
+                               dtype=dtype) for t2 in L2.transitions]
+        assert len(L.transitions) == len(reference) and L.dtype == dtype == np.complex128
+        for got, want in zip(L.transitions, reference):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
 def test_external_product_of_arithmetic_systems_flat():
     A = rc.build_complex([5], 3)
     B = rc.build_complex([13], 3)
