@@ -12,7 +12,8 @@ Oriented J-cubes are pairs (vertex, index tuple): the tuple lists, per
 direction of J in ascending order, the generator stepping the monotone path
 that starts at the vertex.  Face and inversion maps compose the square rule
 gen_i[a] gen_j[b] = +-gen_j[b'] gen_i[a'] of each pair of directions (exact
-and unique), applied to all index tuples at once.
+and unique), applied to all index tuples at once, and are kept as factors:
+a vertex step and a map of the tuple (``FactoredMap``).
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quaternions as quat
-from .complexes import (CubeTable, CubicalComplex, connected_components, dirs_of, link_graph,
-                        verify_axioms, verify_parities)
+from .complexes import (AxiomFailure, AxiomReport, CubeTable, CubicalComplex, FactoredMap,
+                        connected_components, dirs_of, link_graph, verify_axioms,
+                        verify_parities)
 from .errors import ConstructionError, InvalidModulusError, LevelRejectedError
 from .quaternions import Quaternion
 
@@ -147,7 +149,7 @@ class ArithData:
     gens: GeneratorSystem
     vertex_group: np.ndarray  # coarse group element index of each vertex
     parities: np.ndarray  # (vertex, direction - 1) -> parity bit
-    vstep: list[list[np.ndarray]]  # [direction-1][generator] -> vertex permutation
+    vstep: list[np.ndarray]  # [direction-1][generator] -> vertex permutation
     cover_index: int  # vertex count / group order
 
     @property
@@ -238,41 +240,42 @@ def build_complex(primes, n1: int) -> CubicalComplex:
 
     steps = np.stack([vertex_of[c] for c in neighbours(codes)])
     offsets = np.cumsum((0,) + r)
-    vstep = [list(steps[offsets[j]:offsets[j + 1]]) for j in range(g)]
+    vstep = [steps[offsets[j]:offsets[j + 1]] for j in range(g)]
     vertex_group = codes >> g
     parities = ((codes[:, None] >> np.arange(g)) & 1).astype(np.uint8)
 
-    # cube (v, tuple) is v * T + rank(tuple): rewrite all T words, broadcast over v
-    tables: dict[int, CubeTable] = {0: CubeTable(n)}
+    # cube (v, tuple) is v * T + rank(tuple): rewrite all T words; a map is
+    # the step across j by the leading letter (top, inv), then a tuple part
+    tables: dict[int, CubeTable] = {0: CubeTable(n, T=1)}
     for mask in range(1, 1 << g):
         dirs = dirs_of(mask)
         sizes = [r[d - 1] for d in dirs]
         T = math.prod(sizes)
         tuples = np.indices(sizes).reshape(len(dirs), T)
-        t = CubeTable(n * T)
+        t = CubeTable(n * T, T=T)
         for k, j in enumerate(dirs):
             sub = T // r[j - 1]
             # top: pull direction j to the front of the word
             order, front = _bubble(gens, dirs, tuples, range(k - 1, -1, -1))
-            step = steps[offsets[j - 1] + front[0]].T  # (vertex, tuple) -> vertex across j
             rank = np.ravel_multi_index(front, [r[d - 1] for d in order])
-            t.top[j] = (step * sub + rank % sub).ravel()
+            t.top[j] = FactoredMap(n * T, T, sub, rank % sub, vstep[j - 1], front[0])
             # bot: push direction j to the back, keep the leading block
             order, back = _bubble(gens, dirs, tuples, range(k, len(dirs) - 1))
             rank = np.ravel_multi_index(back, [r[d - 1] for d in order])
-            t.bot[j] = (np.arange(n)[:, None] * sub + rank // r[j - 1]).ravel()
+            t.bot[j] = FactoredMap(n * T, T, sub, rank // r[j - 1])
             # inversion: step across j, then the reversed edge followed by
             # the bottom block, rewritten into ascending order
             reverse = np.asarray(gens.iota[j - 1])[front[0]]
             _, flip = _bubble(gens, [j] + order[:-1], [reverse] + back[:-1], range(k))
-            t.inv[j] = (step * T + np.ravel_multi_index(flip, sizes)).ravel()
+            t.inv[j] = FactoredMap(n * T, T, T, np.ravel_multi_index(flip, sizes),
+                                   vstep[j - 1], front[0])
         tables[mask] = t
 
     ar = ArithData(gens.primes, n1, gens, vertex_group, parities, vstep, n // G.order)
     X = CubicalComplex(g, r, tables, parities, functools.partial(_vertex_labels, ar))
     X.arith = ar
 
-    report = verify_axioms(X)
+    report = verify_factors(X)
     if not report.passed:
         f = report.failures[0]
         raise LevelRejectedError(
@@ -283,6 +286,24 @@ def build_complex(primes, n1: int) -> CubicalComplex:
         raise LevelRejectedError(
             f"level n1={n1} rejected: parity relation fails at {witness}")
     return X
+
+
+def verify_factors(X: CubicalComplex) -> AxiomReport:
+    """The cube axioms of an arithmetic complex, on its factors: each vertex
+    step is the right multiplication by its generator image and parity bit
+    (O(n sum r_j); a wrong one fails as axiom 0), which makes
+    ``verify_axioms`` on one base vertex per parity class exhaustive."""
+    ar, g = X.arith, X.g
+    bits = ar.parities.astype(np.int64) @ (1 << np.arange(g))
+    codes = (ar.vertex_group << g) | bits
+    for j in range(g):
+        for b, img in enumerate(ar.gens.images[j]):
+            moved = (ar.group.right_multiplication(img)[ar.vertex_group] << g) | (bits ^ 1 << j)
+            ok = codes[ar.vstep[j][b]] == moved
+            if not ok.all():
+                why = f"vstep[{j}][{b}] is not the right multiplication by its generator"
+                return AxiomReport(False, [AxiomFailure(0, 1 << j, int(np.argmin(ok)), why)], {})
+    return verify_axioms(X)
 
 
 def find_valid_level(primes, start: int = 3, limit: int = 10000):
@@ -358,7 +379,7 @@ def girth(X: CubicalComplex, max_depth: int = 12) -> GirthResult:
         raise ConstructionError("girth requires an arithmetic complex")
     ar = X.arith
     gens = ar.gens
-    steps = [(j, gens.primes[j - 1], i, q.coeffs())
+    steps = [(gens.primes[j - 1], q.coeffs(), ar.vstep[j - 1][i])
              for j in range(1, gens.g + 1) for i, q in enumerate(gens.gens[j - 1])]
 
     base = (1, 0, 0, 0)
@@ -372,8 +393,8 @@ def girth(X: CubicalComplex, max_depth: int = 12) -> GirthResult:
             break
         nxt = []
         for state, img in frontier:
-            for j, p, i, gen in steps:
-                img2 = int(ar.vstep[j - 1][i][img])
+            for p, gen, step in steps:
+                img2 = int(step[img])
                 a0, a1, a2, a3 = quat.hamilton(state, gen)
                 if not (a0 % p or a1 % p or a2 % p or a3 % p):
                     a0, a1, a2, a3 = a0 // p, a1 // p, a2 // p, a3 // p

@@ -15,7 +15,9 @@ subject to the axioms
   (4) every oriented I-cube is the j-th top of exactly r_j oriented
       (I + {j})-cubes for j not in I.
 
-Direction subsets are keyed by bitmask (bit j-1 for direction j).  Vertices
+Direction subsets are keyed by bitmask (bit j-1 for direction j).  A map
+is read by indexing it with cube indices or a slice: an array, or for an
+arithmetic table a ``FactoredMap`` that gathers the rows from factors.  Vertices
 may carry per-direction parities p_j in {0,1}, flipped exactly by
 direction-j edges; when parities are present each unoriented cube has a
 canonical orientation (the one whose bottom vertex has parity 0 in every
@@ -50,14 +52,38 @@ def dirs_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+class FactoredMap:
+    """A cube map of a table whose cube v*T + s has bottom vertex v: of n
+    cubes, cube v*T + s goes to step[lead[s], v] * size + part[s], step a
+    (generator, vertex) -> vertex array, or to v * size + part[s] without
+    step.  Indexing by cube indices or a slice gathers those rows, as an
+    array would."""
+
+    __iter__ = None  # read by indexing only, so that numpy never reads it row by row
+
+    def __init__(self, n: int, T: int, size: int, part: np.ndarray, step=None, lead=None):
+        self.n, self.T, self.size, self.part, self.step, self.lead = n, T, size, part, step, lead
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, cubes):
+        v, s = np.divmod(np.arange(self.n)[cubes] if isinstance(cubes, slice) else cubes, self.T)
+        if self.step is not None:
+            v = self.step[self.lead[s], v]
+        return v * self.size + self.part[s]
+
+
 @dataclass
 class CubeTable:
-    """Oriented cubes of one direction set, with face and inversion maps."""
+    """Oriented cubes of one direction set, with face and inversion maps;
+    T > 0 when cube v*T + s has bottom vertex v."""
 
     n: int
-    bot: dict[int, np.ndarray] = field(default_factory=dict)
-    top: dict[int, np.ndarray] = field(default_factory=dict)
-    inv: dict[int, np.ndarray] = field(default_factory=dict)
+    bot: dict = field(default_factory=dict)
+    top: dict = field(default_factory=dict)
+    inv: dict = field(default_factory=dict)
+    T: int = 0
 
 
 class CubicalComplex:
@@ -69,7 +95,6 @@ class CubicalComplex:
         self.parities = None if parities is None else np.asarray(parities, dtype=np.uint8)
         self._vertex_labels = vertex_labels
         self.arith = None  # set by the arithmetic builder
-        self._origin_cache: dict[int, np.ndarray] = {}
 
     @property
     def vertex_labels(self) -> list[str] | None:
@@ -95,42 +120,37 @@ class CubicalComplex:
     def r(self, j: int) -> int:
         return self.regularities[j - 1]
 
-    def origin(self, mask: int) -> np.ndarray:
-        """Iterated bottom vertex of every oriented cube of this direction set."""
-        if mask not in self._origin_cache:
-            idx = np.arange(self.tables[mask].n)
-            m = mask
-            for j in dirs_of(mask):
-                idx = self.tables[m].bot[j][idx]
-                m &= ~(1 << (j - 1))
-            self._origin_cache[mask] = idx
-        return self._origin_cache[mask]
+    def origin(self, mask: int, cubes=None) -> np.ndarray:
+        """Iterated bottom vertex of every oriented cube of this direction
+        set, or of the given cubes: cube v*T + s has v when T > 0."""
+        t = self.tables[mask]
+        if t.T:
+            return (np.arange(t.n) if cubes is None else cubes) // t.T
+        return self.edge_vector(mask, 0, cubes)
 
     def edge_vector(self, mask: int, j: int, cubes=None) -> np.ndarray:
         """Oriented direction-j edge at the bottom corner of each cube, or of
-        the given cubes (iterated bottom over all other directions)."""
+        the given cubes (iterated bottom over all other directions; over
+        all of them for j = 0, which gives the bottom vertex)."""
         idx = np.arange(self.tables[mask].n) if cubes is None else cubes
-        m = mask
-        for k in dirs_of(mask):
-            if k == j:
-                continue
-            idx = self.tables[m].bot[k][idx]
-            m &= ~(1 << (k - 1))
+        for k in dirs_of(mask & ~(1 << (j - 1)) if j else mask):
+            idx = self.tables[mask].bot[k][idx]
+            mask &= ~(1 << (k - 1))
         return idx
 
-    def canonical_indices(self, mask: int) -> np.ndarray:
-        """Oriented cubes whose bottom vertex has parity 0 in every direction
-        of the cube (one per unoriented cube).  Vertices (mask 0) carry no
-        orientation and need no parities."""
-        if mask == 0:
-            return np.arange(self.tables[0].n)
+    def canonical_indices(self, mask: int, dirs: int | None = None) -> np.ndarray:
+        """Oriented cubes, ascending, whose bottom vertex has parity 0 in
+        every direction of dirs (a mask; by default the cube's own, which
+        gives one per unoriented cube).  No directions need no parities."""
+        t, dirs = self.tables[mask], mask if dirs is None else dirs
+        if dirs == 0:
+            return np.arange(t.n)
         if not self.has_parities:
             raise ConstructionError("canonical orientations require parities")
-        o = self.origin(mask)
-        keep = np.ones(len(o), dtype=bool)
-        for j in dirs_of(mask):
-            keep &= self.parities[o, j - 1] == 0
-        return np.flatnonzero(keep)
+        ok = ~self.parities[:, [j - 1 for j in dirs_of(dirs)]].any(axis=1)
+        if t.T:
+            return (np.flatnonzero(ok)[:, None] * t.T + np.arange(t.T)).ravel()
+        return np.flatnonzero(ok[self.origin(mask)])
 
     def unoriented_counts(self) -> dict[int, int]:
         return {m: self.tables[m].n >> bin(m).count("1") for m in self.masks()}
@@ -162,58 +182,77 @@ def _first_bad(cond: np.ndarray) -> int:
     return int(np.flatnonzero(~cond)[0])
 
 
+def _rows(X: CubicalComplex, t: CubeTable) -> np.ndarray:
+    """The cubes of a table that the checks read: all, or with T > 0 those
+    of one base vertex per parity class.  That is exhaustive for
+    ``FactoredMap``s whose vertex steps are right multiplications in the
+    vertex group (``verify_factors`` in ``arithmetic`` checks them): each
+    map, so each composite of maps, takes (v, s) to (v x(s), f(s)), and two
+    composites (or one and the identity) agree at (v, s) exactly when their
+    x(s) and f(s) agree, whatever v is; the parities of v x(s) and v differ
+    by those of x(s) alone."""
+    if not t.T:
+        return np.arange(t.n)
+    code = X.parities.astype(np.int64) @ (1 << np.arange(X.g)) if X.has_parities else [0]
+    return (np.unique(code, return_index=True)[1][:, None] * t.T + np.arange(t.T)).ravel()
+
+
 def verify_axioms(X: CubicalComplex) -> AxiomReport:
-    """Exhaustively check axioms (1)-(4); failures are reported with a witness."""
+    """Check axioms (1)-(4) on the cubes ``_rows`` picks, and with T > 0
+    axiom (4) on the tuple parts of the top maps: the vertex steps are
+    permutations, so (w, s') is the j-th top of one cube (v, s) for each s
+    with part[s] = s'.  Failures are reported with a witness cube."""
     failures = []
 
-    def check(ok: np.ndarray, axiom: int, mask: int, detail: str):
+    def check(ok: np.ndarray, axiom: int, mask: int, detail: str, at=None):
         if not np.all(ok):
-            failures.append(AxiomFailure(axiom, mask, _first_bad(ok), detail))
+            bad = _first_bad(ok)
+            failures.append(AxiomFailure(axiom, mask, int(bad if at is None else at[bad]), detail))
 
     for mask in X.masks():
         if mask == 0:
             continue
         t = X.tables[mask]
         dirs = dirs_of(mask)
-        idx = np.arange(t.n)
+        idx = _rows(X, t)
+        inv = {j: t.inv[j][idx] for j in dirs}
 
         # (1) each inv_j is a fixed-point-free involution, they commute, and
         # orbits have full size 2^|I|
         for j in dirs:
-            check(t.inv[j][t.inv[j]] == idx, 1, mask, f"inv_{j} is not an involution")
-            check(t.inv[j] != idx, 1, mask, f"inv_{j} has a fixed point")
+            check(t.inv[j][inv[j]] == idx, 1, mask, f"inv_{j} is not an involution", idx)
+            check(inv[j] != idx, 1, mask, f"inv_{j} has a fixed point", idx)
         for a, b in itertools.combinations(dirs, 2):
-            check(t.inv[a][t.inv[b]] == t.inv[b][t.inv[a]], 1, mask,
-                  f"inv_{a} and inv_{b} do not commute")
+            check(t.inv[a][inv[b]] == t.inv[b][inv[a]], 1, mask,
+                  f"inv_{a} and inv_{b} do not commute", idx)
         # with commuting inversions, an orbit is short iff some product fixes
         # it; depth first, each subset's product is one gather from that of
         # the subset without its last direction (a stack entry holds that
         # product and the position of the direction to append).  Dropping
         # both products after each step keeps at most two gathered arrays
         # alive.
-        short = np.zeros(t.n, dtype=bool)
+        short = np.zeros(len(idx), dtype=bool)
         stack = [(None, pos) for pos in range(len(dirs))]
         while stack:
             prev, pos = stack.pop()
-            moved = t.inv[dirs[pos]] if prev is None else t.inv[dirs[pos]][prev]
+            moved = inv[dirs[pos]] if prev is None else t.inv[dirs[pos]][prev]
             short |= moved == idx
             stack.extend((moved, q) for q in range(pos + 1, len(dirs)))
             del prev, moved
-        check(~short, 1, mask, "orientation orbit smaller than 2^|I|")
+        check(~short, 1, mask, "orientation orbit smaller than 2^|I|", idx)
 
-        # (2) face maps commute with inversions in other directions
         for j in dirs:
             ts = X.tables[mask & ~(1 << (j - 1))]
+            top, bot = t.top[j][idx], t.bot[j][idx]
+            # (2) face maps commute with inversions in other directions
             for k in dirs:
                 if k != j:
-                    check(t.top[j][t.inv[k]] == ts.inv[k][t.top[j]], 2, mask,
-                          f"top_{j} does not commute with inv_{k}")
-                    check(t.bot[j][t.inv[k]] == ts.inv[k][t.bot[j]], 2, mask,
-                          f"bot_{j} does not commute with inv_{k}")
-
-        # (3) top_j inv_j = bot_j
-        for j in dirs:
-            check(t.top[j][t.inv[j]] == t.bot[j], 3, mask, f"top_{j} inv_{j} != bot_{j}")
+                    check(t.top[j][inv[k]] == ts.inv[k][top], 2, mask,
+                          f"top_{j} does not commute with inv_{k}", idx)
+                    check(t.bot[j][inv[k]] == ts.inv[k][bot], 2, mask,
+                          f"bot_{j} does not commute with inv_{k}", idx)
+            # (3) top_j inv_j = bot_j
+            check(t.top[j][inv[j]] == bot, 3, mask, f"top_{j} inv_{j} != bot_{j}", idx)
 
     # (4) every oriented I-cube is the j-th top of exactly r_j (I+{j})-cubes
     for mask in X.masks():
@@ -221,7 +260,9 @@ def verify_axioms(X: CubicalComplex) -> AxiomReport:
             up = mask | (1 << (j - 1))
             if up == mask or up not in X.tables:
                 continue
-            counts = np.bincount(X.tables[up].top[j], minlength=X.tables[mask].n)
+            t = X.tables[up]
+            tops = t.top[j].part if t.T else t.top[j]
+            counts = np.bincount(tops, minlength=len(tops) // X.r(j))
             check(counts == X.r(j), 4, mask, f"not the {j}-top of exactly r_{j} cubes")
 
     checked = {a: all(f.axiom != a for f in failures) for a in (1, 2, 3, 4)}
@@ -230,7 +271,8 @@ def verify_axioms(X: CubicalComplex) -> AxiomReport:
 
 def verify_parities(X: CubicalComplex):
     """Check p_j(top e) = p_j(bot e) exactly for j different from the edge
-    direction.  Returns (ok, witness) with witness = (direction, edge index)."""
+    direction, on the edges ``_rows`` picks.  Returns (ok, witness) with
+    witness = (direction, edge index)."""
     if not X.has_parities:
         raise ConstructionError("complex carries no parities")
     p = X.parities
@@ -238,15 +280,15 @@ def verify_parities(X: CubicalComplex):
         mask = 1 << (j - 1)
         if mask not in X.tables:
             continue
-        t = X.tables[mask]
-        bv = p[t.bot[j]]
-        tv = p[t.top[j]]
+        t, idx = X.tables[mask], _rows(X, X.tables[mask])
+        bv = p[t.bot[j][idx]]
+        tv = p[t.top[j][idx]]
         same = bv == tv
         want = np.ones(X.g, dtype=bool)
         want[j - 1] = False
         ok = np.all(same == want[None, :], axis=1)
         if not np.all(ok):
-            return False, (j, _first_bad(ok))
+            return False, (j, int(idx[_first_bad(ok)]))
     return True, None
 
 
@@ -263,8 +305,8 @@ def infer_parities(X: CubicalComplex):
     exists: some (v, 0) and (v, 1) share a component (an odd closed walk)."""
     n, start = X.n_vertices, [np.zeros(0, np.int64)]
     edges = [(j, X.tables[1 << (j - 1)]) for j in range(1, X.g + 1) if 1 << (j - 1) in X.tables]
-    bot = np.concatenate(start + [t.bot[j] for j, t in edges])
-    top = np.concatenate(start + [t.top[j] for j, t in edges])
+    bot = np.concatenate(start + [t.bot[j][:] for j, t in edges])
+    top = np.concatenate(start + [t.top[j][:] for j, t in edges])
     along = np.concatenate(start + [np.full(t.n, j) for j, t in edges])
     par = np.zeros((n, X.g), dtype=np.uint8)
     for j in range(1, X.g + 1):
@@ -321,9 +363,9 @@ def disjoint_union(X1: CubicalComplex, X2: CubicalComplex) -> CubicalComplex:
         for j in dirs_of(mask):
             sub = mask & ~(1 << (j - 1))
             off = X1.tables[sub].n
-            t.bot[j] = np.concatenate([t1.bot[j], t2.bot[j] + off])
-            t.top[j] = np.concatenate([t1.top[j], t2.top[j] + off])
-            t.inv[j] = np.concatenate([t1.inv[j], t2.inv[j] + t1.n])
+            t.bot[j] = np.concatenate([t1.bot[j][:], t2.bot[j][:] + off])
+            t.top[j] = np.concatenate([t1.top[j][:], t2.top[j][:] + off])
+            t.inv[j] = np.concatenate([t1.inv[j][:], t2.inv[j][:] + t1.n])
         tables[mask] = t
     parities = None
     if X1.has_parities and X2.has_parities:
@@ -365,31 +407,25 @@ def link_graph(X: CubicalComplex, j: int, dirs=(), rows=None) -> LinkGraph:
     up = mask | (1 << (j - 1))
     if up not in X.tables:
         raise ConstructionError("no cubes in the requested directions")
-    verts = X.canonical_indices(mask)
-    vpos = -np.ones(X.tables[mask].n, dtype=np.int64)
-    vpos[verts] = np.arange(len(verts))
-
-    o = X.origin(up)
-    keep = np.ones(len(o), dtype=bool)
-    for k in dirs_of(mask):
-        keep &= X.parities[o, k - 1] == 0
-    edges = np.flatnonzero(keep)
-
-    t = X.tables[up]
-    terminus = vpos[t.top[j][edges]]
+    verts, edges, t = X.canonical_indices(mask), X.canonical_indices(up, mask), X.tables[up]
+    terminus = position(verts, t.top[j][edges])
     opposite = None
     if rows is not None:
         kept = np.asarray(rows)[terminus] | (terminus < 0)  # a bad face stays to be refused
         edges, terminus = edges[kept], terminus[kept]
     else:
-        epos = -np.ones(t.n, dtype=np.int64)
-        epos[edges] = np.arange(len(edges))
-        opposite = epos[t.inv[j][edges]]
-    origin = vpos[t.bot[j][edges]]
+        opposite = position(edges, t.inv[j][edges])
+    origin = position(verts, t.bot[j][edges])
     if min(x.min(initial=0) for x in (origin, terminus, opposite) if x is not None) < 0:
         raise ConstructionError("link extraction hit a non-canonical face; parities inconsistent")
 
     return LinkGraph(j, mask, X.r(j), len(verts), verts, edges, origin, terminus, opposite, X)
+
+
+def position(keys: np.ndarray, x) -> np.ndarray:
+    """Index of each x in the ascending keys, -1 where it is missing."""
+    at = np.minimum(np.searchsorted(keys, x), max(len(keys) - 1, 0))
+    return np.where(keys[at] == x, at, -1)
 
 
 def connected_components(n_vertices: int, origin: np.ndarray, terminus: np.ndarray):
@@ -419,15 +455,9 @@ def connected_components(n_vertices: int, origin: np.ndarray, terminus: np.ndarr
 
 def graph_complex(n_vertices: int, edges, r: int, parities=None) -> CubicalComplex:
     """A 1-dimensional complex from an undirected edge list."""
-    m = len(edges)
-    bot = np.empty(2 * m, dtype=np.int64)
-    top = np.empty(2 * m, dtype=np.int64)
-    inv = np.empty(2 * m, dtype=np.int64)
-    for t, (u, v) in enumerate(edges):
-        bot[2 * t], top[2 * t] = u, v
-        bot[2 * t + 1], top[2 * t + 1] = v, u
-        inv[2 * t], inv[2 * t + 1] = 2 * t + 1, 2 * t
-    tables = {0: CubeTable(n_vertices), 1: CubeTable(2 * m, {1: bot}, {1: top}, {1: inv})}
+    uv = np.asarray(edges, dtype=np.int64).reshape(-1, 2)  # edge t is 2t: u -> v, 2t + 1: v -> u
+    bot, top, inv = uv.ravel(), uv[:, ::-1].ravel(), np.arange(uv.size) ^ 1
+    tables = {0: CubeTable(n_vertices), 1: CubeTable(uv.size, {1: bot}, {1: top}, {1: inv})}
     if parities is not None:
         parities = np.asarray(parities, dtype=np.uint8).reshape(n_vertices, 1)
     return CubicalComplex(1, (r,), tables, parities)
@@ -473,7 +503,7 @@ def skeleton_dot(X: CubicalComplex, name: str = "skeleton") -> str:
     with a dir attribute naming the tree direction."""
     edges = [(j, X.tables.get(1 << (j - 1))) for j in range(1, X.g + 1)]
     return _dot(name, X.n_vertices, X.vertex_labels,
-                [(t.bot[j], t.top[j], t.inv[j], j) for j, t in edges if t is not None])
+                [(t.bot[j][:], t.top[j][:], t.inv[j][:], j) for j, t in edges if t is not None])
 
 
 def link_dot(link: LinkGraph, name: str = "link") -> str:

@@ -23,13 +23,45 @@ from .errors import CentralConditionError, ConstructionError
 from .quaternions import Quaternion, _cyclic_subgroup
 
 
-class LocalSystem:
-    """Per-edge unitary transitions, stored for every oriented edge.
+class Stacked:
+    """The transitions of one direction as a stack of distinct matrices:
+    edge e carries stack[e % len(stack)], times sign[e] unless sign is None;
+    with opposite (the inversion of the edges), the later edge of each
+    opposite pair carries the exact conjugate transpose of the earlier one's
+    matrix instead.  Indexing by edges or a slice gathers their matrices."""
 
-    transitions[j - 1] has shape (#oriented direction-j edges, m, m); the
-    matrix of an edge and of its reversal are stored as exact conjugate
-    transposes of one another.
-    """
+    def __init__(self, n: int, stack: np.ndarray, sign=None, opposite=None):
+        self.n, self.stack, self.sign, self.opposite = n, stack, sign, opposite
+        self.dtype = stack.dtype
+
+    def __len__(self):
+        return self.n
+
+    __iter__ = None  # read by indexing only, so that numpy never reads it row by row
+
+    def __getitem__(self, edges):
+        e = np.arange(self.n)[edges] if isinstance(edges, slice) else np.asarray(edges)
+        shape, e = e.shape, e.reshape(-1)
+        first = e if self.opposite is None else np.minimum(e, self.opposite[e])
+        out = self.stack[first % len(self.stack)]
+        if self.sign is not None:
+            out = out * self.sign[first][:, None, None]
+        later = first != e
+        out[later] = out[later].conj().transpose(0, 2, 1)
+        return out.reshape(shape + out.shape[1:])
+
+
+def chunks(n: int, m: int):
+    """Slices of range(n) of about 2^14 matrix entries each, for m x m matrices."""
+    step = max(2**14 // max(m * m, 1), 1)
+    return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
+class LocalSystem:
+    """Unitary transitions of the oriented edges: transitions[j - 1] gathers
+    the m x m matrices of the direction-j edges it is indexed by, an array of
+    them (explicit systems) or a ``Stacked``.  The matrix of an edge and of
+    its reversal are exact conjugate transposes of one another."""
 
     def __init__(self, fiber_dim: int, transitions: list[np.ndarray], kind: str,
                  epsilons: list[np.ndarray] | None = None):
@@ -48,12 +80,8 @@ class LocalSystem:
 
 def trivial_system(X: CubicalComplex, dim: int = 1) -> LocalSystem:
     """The trivial metrized system: identity transition on every edge."""
-    trans = []
-    for j in range(1, X.g + 1):
-        mask = 1 << (j - 1)
-        n = X.tables[mask].n if mask in X.tables else 0
-        trans.append(np.broadcast_to(np.eye(dim), (n, dim, dim)).copy())
-    return LocalSystem(dim, trans, "trivial")
+    edges = [X.tables[1 << j].n if 1 << j in X.tables else 0 for j in range(X.g)]
+    return LocalSystem(dim, [Stacked(n, np.eye(dim)[None]) for n in edges], "trivial")
 
 
 def symm_rep(q: Quaternion, k: int) -> np.ndarray:
@@ -125,7 +153,6 @@ def build_symm_system(X: CubicalComplex, k: int, perturb_section=None) -> LocalS
     if perturb_section is not None:
         lift = np.where(perturb_section, G.alt_section(), lift)
 
-    m = k + 1
     h = ar.vertex_group
     trans = []
     eps_all = []
@@ -136,16 +163,11 @@ def build_symm_system(X: CubicalComplex, k: int, perturb_section=None) -> LocalS
             h_top = G.right_multiplication(img)[h]
             plus = G.right_multiplication(img_f, fine=True)[lift[h]]
             eps[:, i] = np.where(plus == lift[h_top], 1, -1)
-        eps = eps.ravel()  # edge (v, i) is row v * r_j + i
-        sign = (eps.astype(np.int64) ** k).astype(np.complex128)
-        tr = np.tile(reps, (len(h), 1, 1)) * sign[:, None, None]
-        # store opposite edges as exact conjugate transposes
-        invmap = X.tables[1 << (j - 1)].inv[j]
-        first = np.flatnonzero(np.arange(len(invmap)) < invmap)
-        tr[invmap[first]] = tr[first].conj().transpose(0, 2, 1)
-        trans.append(tr)
+        eps = eps.ravel()  # edge (v, i) is row v * r_j + i, so e mod r_j is i
+        inv = X.tables[1 << (j - 1)].inv[j]
+        trans.append(Stacked(len(eps), reps, eps if k % 2 else None, inv))
         eps_all.append(eps)
-    return LocalSystem(m, trans, f"symm({k})", eps_all)
+    return LocalSystem(k + 1, trans, f"symm({k})", eps_all)
 
 
 def external_product(X1: CubicalComplex, L1: LocalSystem,
@@ -160,9 +182,9 @@ def external_product(X1: CubicalComplex, L1: LocalSystem,
     # the identity takes the other system's dtype, so that every direction has
     # the result_type of both; ``product`` numbers the copies of edge e of X1
     # e * |V(X2)| + v2, and those of edge e of X2 v1 * (edges of X2) + e
-    trans = [np.repeat(np.kron(t1, np.eye(m2, dtype=L2.dtype)[None]), X2.n_vertices, axis=0)
+    trans = [np.repeat(np.kron(t1[:], np.eye(m2, dtype=L2.dtype)[None]), X2.n_vertices, axis=0)
              for t1 in L1.transitions]
-    trans += [np.tile(np.kron(np.eye(m1, dtype=L1.dtype)[None], t2), (X1.n_vertices, 1, 1))
+    trans += [np.tile(np.kron(np.eye(m1, dtype=L1.dtype)[None], t2[:]), (X1.n_vertices, 1, 1))
               for t2 in L2.transitions]
     kind = f"product({L1.kind},{L2.kind})"
     return X, LocalSystem(m1 * m2, trans, kind)
@@ -180,52 +202,46 @@ class FlatnessReport:
 
 def verify_flatness(X: CubicalComplex, L: LocalSystem) -> FlatnessReport:
     """Largest operator-norm defect of the two path compositions around any
-    oriented square, with a witness (mask, cube index) at the maximum.
+    oriented square, with a witness (mask, cube index) at the first maximum
+    of the last direction pair that reaches it.  The squares are gathered
+    in ``chunks``.
 
     Around the square with base A and corners B (across j), D (across j'),
     C (opposite), the two compositions are (B->C)(A->B) and (D->C)(A->D)."""
-    worst = 0.0
-    witness = None
-    total = 0
-    for mask in X.masks():
-        dirs = dirs_of(mask)
-        if len(dirs) != 2:
-            continue
-        j, jp = dirs
+    worst, witness, total = 0.0, None, 0
+    for mask in X.masks_of_dim(2):
+        j, jp = dirs_of(mask)
         t = X.tables[mask]
         total += t.n
-        e_A_B = X.edge_vector(mask, j)   # direction-j edge at the base
-        e_A_D = X.edge_vector(mask, jp)  # direction-j' edge at the base
-        e_B_C = t.top[j]                 # j'-edge on the far j-side
-        e_D_C = t.top[jp]                # j-edge on the far j'-side
-        T_AB = L.transitions[j - 1][e_A_B]
-        T_BC = L.transitions[jp - 1][e_B_C]
-        T_AD = L.transitions[jp - 1][e_A_D]
-        T_DC = L.transitions[j - 1][e_D_C]
-        diff = np.einsum("nab,nbc->nac", T_BC, T_AB) - np.einsum("nab,nbc->nac", T_DC, T_AD)
-        if diff.size == 0:
-            continue
-        # fro / sqrt(m) <= spectral norm <= fro: only squares with fro near or
-        # above max fro / sqrt(m) can hold the largest, and zeros need no SVD
-        fro = np.linalg.norm(diff, axis=(1, 2))
-        top = fro.max()
-        cand = np.flatnonzero(fro >= top * (1 - 1e-8) / np.sqrt(L.fiber_dim)) if top else [0]
-        norms = np.linalg.svd(diff[cand], compute_uv=False)[:, 0]
-        k = int(np.argmax(norms))
-        if norms[k] >= worst:
-            worst = float(norms[k])
-            witness = (mask, int(cand[k]))
+        best, at = -1.0, 0
+        for part in chunks(t.n, L.fiber_dim):
+            c = np.arange(t.n)[part]
+            T_AB = L.transitions[j - 1][X.edge_vector(mask, j, c)]  # j-edge at the base
+            T_AD = L.transitions[jp - 1][X.edge_vector(mask, jp, c)]
+            T_BC = L.transitions[jp - 1][t.top[j][c]]  # j'-edge on the far j-side
+            T_DC = L.transitions[j - 1][t.top[jp][c]]
+            diff = np.einsum("nab,nbc->nac", T_BC, T_AB) - np.einsum("nab,nbc->nac", T_DC, T_AD)
+            # fro / sqrt(m) <= spectral norm <= fro: only squares with fro near
+            # or above max fro / sqrt(m) can hold the largest, and zeros need no SVD
+            fro = np.linalg.norm(diff, axis=(1, 2))
+            top = fro.max()
+            cand = np.flatnonzero(fro >= top * (1 - 1e-8) / np.sqrt(L.fiber_dim)) if top else [0]
+            norms = np.linalg.svd(diff[cand], compute_uv=False)[:, 0]
+            k = int(np.argmax(norms))
+            if norms[k] > best:
+                best, at = norms[k], int(c[cand[k]])
+        if t.n and best >= worst:
+            worst, witness = float(best), (mask, at)
     return FlatnessReport(worst, witness, total)
 
 
 def verify_unitarity(X: CubicalComplex, L: LocalSystem) -> float:
-    """Largest deviation of any stored transition from unitarity."""
+    """Largest deviation of any transition from unitarity, gathered in
+    ``chunks``."""
     worst = 0.0
-    m = L.fiber_dim
-    eye = np.eye(m)
+    eye = np.eye(L.fiber_dim)
     for tr in L.transitions:
-        if tr.shape[0] == 0:
-            continue
-        dev = np.einsum("nab,ncb->nac", tr, tr.conj()) - eye
-        worst = max(worst, float(np.abs(dev).max()))
+        for part in chunks(len(tr), L.fiber_dim):
+            t = tr[part]
+            worst = max(worst, float(np.abs(np.einsum("nab,ncb->nac", t, t.conj()) - eye).max()))
     return worst

@@ -261,6 +261,7 @@ class MatrixGroupPair:
         # coarse-canonical representatives are fine-canonical, so the
         # canonical section is the identity on representatives
         self.section = np.searchsorted(codes_fine, codes)
+        self._right: dict[tuple[int, bool], np.ndarray] = {}
 
     @property
     def order(self) -> int:
@@ -286,8 +287,12 @@ class MatrixGroupPair:
 
     def right_multiplication(self, g: int, fine: bool = False) -> np.ndarray:
         """The permutation h -> h*g of the coarse group (of the fine group
-        when fine is set), as an index array over all elements h."""
-        return self._translation(g, fine, left=False)
+        when fine is set), as an index array over all elements h; read-only
+        and kept, since the build, its check and the local systems ask."""
+        if (g, fine) not in self._right:
+            self._right[g, fine] = self._translation(g, fine, left=False)
+            self._right[g, fine].flags.writeable = False
+        return self._right[g, fine]
 
     def left_multiplication(self, g: int, fine: bool = False) -> np.ndarray:
         """The permutation h -> g*h, as right_multiplication."""

@@ -57,7 +57,7 @@ def coboundary_by_sum(H, j, mask):
     slot_up, coeff_up = expand_by_bfs(H, up)
     trans = H.L.transitions[j - 1][H.X.edge_vector(up, j)]
     m = H.m
-    rows = pos_lo[t.top[j]]
+    rows = pos_lo[t.top[j][:]]
     cubes = np.flatnonzero(rows >= 0)
     blk = np.einsum("nab,nbc->nac", trans[cubes], coeff_up[cubes])
     rr = rows[cubes][:, None, None] * m + np.arange(m)[None, :, None]

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ramcube as rc
-from ramcube.arithmetic import GeneratorSystem
+from ramcube.arithmetic import GeneratorSystem, verify_factors
+from ramcube.complexes import CubeTable, CubicalComplex, dirs_of
 from ramcube.errors import ConstructionError, InvalidModulusError
 from ramcube.quaternions import QUATERNION_ONE
 from tuple_reference import TupleGroup, reorder_tables, vertex_keys, word_product
@@ -207,7 +209,18 @@ def x51317():
     return rc.build_complex([5, 13, 17], 3)
 
 
-@pytest.mark.parametrize("fixture", ["x511", "cover513", "cover13373", "x51317"])
+@pytest.fixture(scope="module")
+def x1713():
+    return rc.build_complex([17], 13)
+
+
+@pytest.fixture(scope="module")
+def x513177():
+    return rc.build_complex([5, 13, 17], 7)
+
+
+@pytest.mark.parametrize("fixture", ["x511", "cover513", "cover13373", "x51317", "x5137",
+                                     "x1713", "x513177"])
 def test_cube_tables_match_word_rewriting(request, fixture):
     """Tables gathered from the square tables equal those of rewriting
     the generator words of every index tuple with a general reorder."""
@@ -219,8 +232,76 @@ def test_cube_tables_match_word_rewriting(request, fixture):
         for got, want in zip((t.bot, t.top, t.inv), maps):
             assert got.keys() == want.keys()
             for j in want:
-                assert got[j].dtype == want[j].dtype
-                assert np.array_equal(got[j], want[j])
+                assert got[j][:].dtype == want[j].dtype
+                assert np.array_equal(got[j][:], want[j])
+
+
+def test_complex_and_system_hold_only_factors():
+    """After the build, [5,13,17]@7 and its weight-2 system hold under 2 MB
+    (materialised, their cube maps alone would take 9 int64 per oriented
+    cube, 2.68M of them): a table keeps T-sized tuple parts and leading
+    letters and shares the vertex steps, a system direction r_j matrices."""
+    build, symm = rc.build_complex, rc.build_symm_system  # imported before tracing
+    tracemalloc.start()
+    try:
+        X = build([5, 13, 17], 7)
+        L = symm(X, 2)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sum(t.n for t in X.tables.values()) == 2681280 and L.fiber_dim == 3
+    assert held < 2 * 2**20
+
+
+def _corrupt(X, rng):
+    """One random single-entry change of a factor of X that changes the
+    materialised tables: a vertex step, a tuple part or a leading letter.
+    Returns the undo."""
+    ar = X.arith
+    while True:
+        mask = int(rng.integers(1, 1 << X.g))
+        t, j = X.tables[mask], int(rng.choice(dirs_of(mask)))
+        kind = rng.integers(4)
+        if kind == 0:
+            a, bound = ar.vstep[j - 1], X.n_vertices
+            pos = (int(rng.integers(a.shape[0])), int(rng.integers(a.shape[1])))
+        else:
+            f = (t.top, t.bot, t.inv)[kind - 1][j]
+            a, bound = (f.part, f.size) if kind < 3 or rng.random() < 0.5 else (f.lead, X.r(j))
+            pos = int(rng.integers(len(a)))
+        old, new = a[pos], int(rng.integers(bound))
+        before = [m[:] for t in X.tables.values() for d in (t.bot, t.top, t.inv) for m in d.values()]
+        a[pos] = new
+        after = [m[:] for t in X.tables.values() for d in (t.bot, t.top, t.inv) for m in d.values()]
+        if any(not np.array_equal(x, y) for x, y in zip(before, after)):
+            return lambda: a.__setitem__(pos, old)
+        a[pos] = old
+
+
+def _explicit(X):
+    """A copy of X whose tables hold every map as an array (T = 0), which
+    verify_axioms checks on every cube."""
+    tables = {mask: CubeTable(t.n, *({j: f[:] for j, f in maps.items()}
+                                     for maps in (t.bot, t.top, t.inv)))
+              for mask, t in X.tables.items()}
+    return CubicalComplex(X.g, X.regularities, tables, X.parities)
+
+
+def test_factor_corruptions_fail_both_checks():
+    """100 random single-entry corruptions of the factors each fail the
+    factor check that the build runs and the exhaustive verify_axioms,
+    which both pass on the honest factors."""
+    X = rc.build_complex([5, 13], 3)
+    assert verify_factors(X).passed and rc.verify_axioms(_explicit(X)).passed
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        undo = _corrupt(X, rng)
+        try:
+            assert not verify_factors(X).passed
+            assert not rc.verify_axioms(_explicit(X)).passed
+        finally:
+            undo()
+    assert verify_factors(X).passed
 
 
 def test_vertex_labels_are_formed_on_first_read(monkeypatch):
@@ -262,7 +343,7 @@ def test_lps_complex_counts(lps513):
     assert X.arith.cover_index == 1  # the group itself is already graded
     # every vertex lies on exactly r_j edges in each direction
     t = X.tables[1]
-    assert np.all(np.bincount(t.bot[1], minlength=2184) == 6)
+    assert np.all(np.bincount(t.bot[1][:], minlength=2184) == 6)
 
 
 def test_cover_complex_counts(cover513):
@@ -293,7 +374,7 @@ def test_involution_is_involution(cover513):
     X = cover513
     for mask in X.masks():
         for j, inv in X.tables[mask].inv.items():
-            assert np.all(inv[inv] == np.arange(len(inv)))
+            assert np.all(inv[inv[:]] == np.arange(len(inv)))
 
 
 def test_irreducibility_reports(lps513, cover513):

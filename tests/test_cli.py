@@ -14,7 +14,7 @@ import ramcube as rc
 import ramcube.cli as cli
 import ramcube.harmonics as harmonics
 from ramcube.complexes import mask_of
-from ramcube.errors import ConfigError
+from ramcube.errors import ConfigError, RamcubeError
 
 
 def write_cfg(tmp_path, payload, name="run.json"):
@@ -190,6 +190,24 @@ def test_main_memory_error_exit_code(tmp_path, capsys, monkeypatch):
     assert "resource failure: Unable to allocate" in capsys.readouterr().err
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert report["exit_stage"] == {"stage": "resource", "error": "Unable to allocate 7.3 GiB"}
+
+
+def test_debug_reraises_internal_errors(tmp_path, capsys, monkeypatch):
+    """Without --debug an internal error is one line on stderr and exit 5,
+    a package error with a report; under --debug it propagates with its
+    traceback instead."""
+    cfg_path = write_cfg(tmp_path, {"primes": [5], "N1": 3})
+    argv = ["girth", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+    for error, line in ((ValueError("broken"), "internal error: broken\n"),
+                        (RamcubeError("odd"), "internal failure: odd\n")):
+        def broken(*args):
+            raise error
+
+        monkeypatch.setattr(cli, "girth", broken)
+        assert cli.main(argv) == 5
+        assert capsys.readouterr() == ("", line)
+        with pytest.raises(type(error), match=str(error)):
+            cli.main(argv + ["--debug"])
 
 
 def test_config_hash_in_reports_of_failed_runs(tmp_path, monkeypatch):

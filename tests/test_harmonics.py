@@ -345,6 +345,7 @@ def test_tampered_edge_off_the_leader_rows_refuses_symmetry(cover513):
     back = t.inv[1][edge]
     unread = rc.link_graph(cover513, 1, 0, shift == 0).edge_cubes
     assert edge not in unread and back not in unread
+    L.transitions[0] = L.transitions[0][:]  # explicit, one matrix per edge
     L.transitions[0][[edge, back]] *= -1
     H = Harmonics(cover513, L)
     assert H.symmetry_order() == 1 and _leaders(H, 0).all()
@@ -547,7 +548,7 @@ def _rotation_gauge(X):
     theta = 2 * np.pi * np.arange(N) / N
     c, s = np.cos(theta), np.sin(theta)
     rot = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=1)
-    trans = [rot[(shift[X.tables[1 << (j - 1)].top[j]] - shift[X.tables[1 << (j - 1)].bot[j]]) % N]
+    trans = [rot[(shift[X.tables[1 << (j - 1)].top[j][:]] - shift[X.tables[1 << (j - 1)].bot[j][:]]) % N]
              for j in range(1, X.g + 1)]
     return rc.LocalSystem(2, trans, "rotation gauge")
 
@@ -647,6 +648,7 @@ def test_symmetry_falls_back_to_one_block(cover513, x511):
     assert Harmonics(cover513, L).symmetry_order() == 3
     edge = 5
     back = cover513.tables[1].inv[1][edge]
+    L.transitions[0] = L.transitions[0][:]  # explicit, one matrix per edge
     L.transitions[0][[edge, back]] *= -1
     H = Harmonics(cover513, L)
     assert H.symmetry_order() == 1

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import ramcube as rc
 from ramcube import Quaternion, symm_rep
 from ramcube.complexes import dirs_of
 from ramcube.errors import CentralConditionError
+from ramcube.localsystems import chunks
 from tuple_reference import TupleGroup, vertex_keys
 
 
@@ -106,8 +109,8 @@ def test_epsilon_signs_change_the_spectrum(x511):
     eigs = rc.spectrum(S)
     stripped = rc.build_symm_system(x511, 1)
     flip = (stripped.epsilons[0] < 0)[:, None, None]
-    stripped.transitions[0][:] = np.where(flip, -stripped.transitions[0],
-                                          stripped.transitions[0])
+    tr = stripped.transitions[0][:]
+    stripped.transitions[0] = np.where(flip, -tr, tr)
     eigs0 = rc.spectrum(rc.Harmonics(x511, stripped).star_matrix(1, 0))
     assert not np.allclose(eigs, eigs0, atol=1e-8)
 
@@ -117,7 +120,7 @@ def test_section_perturbation_invariance(x511):
     flip = np.zeros(x511.arith.group.order, dtype=bool)
     flip[::7] = True
     L2 = rc.build_symm_system(x511, 1, perturb_section=flip)
-    changed = any(not np.array_equal(a, b)
+    changed = any(not np.array_equal(a[:], b[:])
                   for a, b in zip(L.transitions, L2.transitions))
     assert changed
     e1 = rc.spectrum(rc.Harmonics(x511, L).star_matrix(1, 0))
@@ -129,7 +132,7 @@ def test_section_perturbation_noop_for_trivial_kernel(lps513):
     flip = np.ones(lps513.arith.group.order, dtype=bool)
     L = rc.build_symm_system(lps513, 2)
     L2 = rc.build_symm_system(lps513, 2, perturb_section=flip)
-    assert all(np.array_equal(a, b) for a, b in zip(L.transitions, L2.transitions))
+    assert all(np.array_equal(a[:], b[:]) for a, b in zip(L.transitions, L2.transitions))
 
 
 def scalar_symm_system(X, k, flip=None):
@@ -163,7 +166,7 @@ def scalar_symm_system(X, k, flip=None):
 
 
 @pytest.mark.parametrize("fixture,k", [("x511", 1), ("x511", 2), ("lps513", 2),
-                                       ("cover513", 2)])
+                                       ("cover513", 2), ("x511", 3), ("cover13373", 1)])
 def test_symm_system_matches_scalar_reference(request, fixture, k):
     X = request.getfixturevalue(fixture)
     flip = np.zeros(X.arith.group.order, dtype=bool)
@@ -171,7 +174,7 @@ def test_symm_system_matches_scalar_reference(request, fixture, k):
     for perturb in (None, flip):
         L = rc.build_symm_system(X, k, perturb_section=perturb)
         trans, signs = scalar_symm_system(X, k, perturb)
-        assert [t.tobytes() for t in L.transitions] == [t.tobytes() for t in trans]
+        assert [t[:].tobytes() for t in L.transitions] == [t.tobytes() for t in trans]
         assert [e.tolist() for e in L.epsilons] == [e.tolist() for e in signs]
 
 
@@ -186,6 +189,7 @@ def test_flatness_on_square_cover(cover513):
 def test_flatness_violation_detected():
     X = rc.box_complex(2)
     L = rc.trivial_system(X)
+    L.transitions[0] = L.transitions[0][:]  # explicit, one matrix per edge
     L.transitions[0][0] = -L.transitions[0][0]  # negate one transition
     fl = rc.verify_flatness(X, L)
     assert fl.witness is not None
@@ -200,8 +204,8 @@ def _flatness_by_full_svd(X, L):
         j, jp = dirs_of(mask)
         t = X.tables[mask]
         T = L.transitions
-        diff = (np.einsum("nab,nbc->nac", T[jp - 1][t.top[j]], T[j - 1][X.edge_vector(mask, j)])
-                - np.einsum("nab,nbc->nac", T[j - 1][t.top[jp]], T[jp - 1][X.edge_vector(mask, jp)]))
+        diff = (np.einsum("nab,nbc->nac", T[jp - 1][t.top[j][:]], T[j - 1][X.edge_vector(mask, j)])
+                - np.einsum("nab,nbc->nac", T[j - 1][t.top[jp][:]], T[jp - 1][X.edge_vector(mask, jp)]))
         norms = np.linalg.svd(diff, compute_uv=False)[:, 0]
         idx = int(np.argmax(norms))
         if norms[idx] >= worst:
@@ -219,17 +223,56 @@ def test_flatness_screen_matches_full_svd(cover513):
     for count, scale in ((1, 1e-3), (40, 1e-6)):
         M = rc.build_symm_system(cover513, 2)
         for j in (0, 1):
+            M.transitions[j] = M.transitions[j][:]
             pick = rng.choice(len(M.transitions[j]), count, replace=False)
             M.transitions[j][pick] += scale * rng.standard_normal(M.transitions[j][pick].shape)
         cases.append((cover513, M))
     box = rc.box_complex(2)
     broken = rc.trivial_system(box)
-    broken.transitions[0][0] = -broken.transitions[0][0]
+    broken.transitions[0] = broken.transitions[0][:]  # explicit, one matrix per edge
+    broken.transitions[0][0] *= -1
     cases += [(box, rc.trivial_system(box)), (box, broken)]
     for X, M in cases:
         fl = rc.verify_flatness(X, M)
         assert (fl.max_residual, fl.witness) == _flatness_by_full_svd(X, M)
     assert rc.verify_flatness(*cases[1]).max_residual > 1e-5
+
+
+def test_flatness_and_unitarity_run_in_bounded_memory():
+    """Both checks gather the squares and edges in chunks of about 2^14
+    matrix entries: on [5,13]@11 with k = 2 (110880 oriented squares) their
+    peaks stay below 8 MB."""
+    X = rc.build_complex([5, 13], 11)
+    L = rc.build_symm_system(X, 2)
+    for check in (rc.verify_flatness, rc.verify_unitarity):
+        tracemalloc.start()
+        try:
+            check(X, L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, (check.__name__, peak)
+
+
+def test_flatness_witness_in_the_last_partial_chunk():
+    """On C12 x C10 with the trivial rank-8 system, chunks hold 256 of the
+    480 oriented squares, and the squares with the last direction-1 edge
+    (e1, v2), e1 the last oriented edge of C12, are among the last 20.
+    Negated, its transition puts a defect of exactly 2 on each of them: the
+    check finds it in the last, partial chunk, with the witness at the first
+    of them, as the unchunked reference does."""
+    X, mask = rc.product(rc.cycle_complex(12), rc.cycle_complex(10)), 0b11
+    t = X.tables[mask]
+    L = rc.trivial_system(X, 8)
+    assert [c.start for c in chunks(t.n, L.fiber_dim)] == [0, 256] and t.n == 480
+    edge = X.tables[1].n - 1
+    with_edge = np.flatnonzero((X.edge_vector(mask, 1) == edge) | (t.top[2][:] == edge))
+    assert len(with_edge) == 4 and with_edge.min() >= 460
+    L.transitions[0] = L.transitions[0][:]  # explicit, one matrix per edge
+    L.transitions[0][edge] *= -1
+    fl = rc.verify_flatness(X, L)
+    assert (fl.max_residual, fl.witness) == (2.0, (mask, int(with_edge.min())))
+    assert (fl.max_residual, fl.witness) == _flatness_by_full_svd(X, L)
 
 
 def test_odd_weight_flatness_needs_epsilon():
@@ -241,7 +284,8 @@ def test_odd_weight_flatness_needs_epsilon():
     assert rc.verify_flatness(X, L).max_residual < 1e-12
     for j in (0, 1):
         flip = (L.epsilons[j] < 0)[:, None, None]
-        L.transitions[j][:] = np.where(flip, -L.transitions[j], L.transitions[j])
+        tr = L.transitions[j][:]
+        L.transitions[j] = np.where(flip, -tr, tr)
     broken = rc.verify_flatness(X, L)
     assert broken.max_residual > 1.9
 
@@ -282,9 +326,9 @@ def test_external_product_matches_per_edge_kron():
         _, L = rc.external_product(X1, L1, X2, L2)
         m1, m2 = L1.fiber_dim, L2.fiber_dim
         dtype = np.result_type(L1.dtype, L2.dtype)
-        reference = [np.array([np.kron(t, np.eye(m2)) for t in t1 for _ in range(X2.n_vertices)],
+        reference = [np.array([np.kron(t, np.eye(m2)) for t in t1[:] for _ in range(X2.n_vertices)],
                               dtype=dtype) for t1 in L1.transitions]
-        reference += [np.array([np.kron(np.eye(m1), t) for _ in range(X1.n_vertices) for t in t2],
+        reference += [np.array([np.kron(np.eye(m1), t) for _ in range(X1.n_vertices) for t in t2[:]],
                                dtype=dtype) for t2 in L2.transitions]
         assert len(L.transitions) == len(reference) and L.dtype == dtype == np.complex128
         for got, want in zip(L.transitions, reference):

@@ -70,7 +70,8 @@ def reorder_tables(ar, n):
     """{mask: (bot, top, inv)}, each a {direction: array} dict, for the
     arithmetic complex of ar on n vertices: every face of every index tuple
     by a general `reorder` of the grid of all words of the direction set,
-    and every inversion by a `reorder` of its own word."""
+    and every inversion read from a `reorder` of the grid of all words that
+    start with a direction-j letter."""
     gens, vstep, r = ar.gens, ar.vstep, ar.gens.regularities
     verts = np.arange(n)
     out = {}
@@ -79,8 +80,8 @@ def reorder_tables(ar, n):
         T = math.prod(r[d - 1] for d in dirs)
         grid = tuple((d, range(r[d - 1])) for d in dirs)  # tuple rank = C order
         bot, top, inv = ({} for _ in range(3))
-        for j in dirs:
-            others = tuple(d for d in dirs if d != j)
+        for k, j in enumerate(dirs):
+            others = dirs[:k] + dirs[k + 1:]
             sub = T // r[j - 1]
             steps = np.stack(vstep[j - 1])  # (generator, vertex)
             # top: pull direction j to the front of every word
@@ -93,12 +94,8 @@ def reorder_tables(ar, n):
                                      (n, T)).ravel()
             # inversion: step across j, then the reversed edge followed by
             # the bottom block, rewritten into ascending order
-            inv[j] = np.empty((n, T), dtype=np.int64)
-            for rank in range(T):
-                inv_word = (((j, gens.iota[j - 1][f[rank]]),)
-                            + tuple(zip(others, back[:-1, rank].tolist())))
-                itup, _ = gens.reorder(inv_word, dirs)
-                inv[j][:, rank] = steps[f[rank]] * T + _rank(dirs, r, itup)
-            inv[j] = inv[j].ravel()
+            words = gens.reorder(((j, range(r[j - 1])),) + grid[:k] + grid[k + 1:], dirs)[0]
+            flip = words[(slice(None), np.asarray(gens.iota[j - 1])[f]) + tuple(back[:-1])]
+            inv[j] = (steps[f].T * T + _rank(dirs, r, flip)).ravel()
         out[mask] = (bot, top, inv)
     return out
