@@ -25,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quaternions as quat
-from .complexes import (AxiomFailure, AxiomReport, CubeTable, CubicalComplex, FactoredMap,
-                        connected_components, dirs_of, link_graph, verify_axioms,
-                        verify_parities)
+from .complexes import (AxiomFailure, CubeTable, CubicalComplex, FactoredMap, connected_components,
+                        dirs_of, link_graph, verify_axioms, verify_parities)
 from .errors import ConstructionError, InvalidModulusError, LevelRejectedError
 from .quaternions import Quaternion
 
@@ -179,6 +178,26 @@ class ArithData:
         pos = order[np.minimum(np.searchsorted(codes, moved, sorter=order), len(codes) - 1)]
         return pos if np.array_equal(codes[pos], moved) else None
 
+    def wrong_step(self, parities) -> AxiomFailure | None:
+        """The first vertex step that is not the right multiplication by its
+        generator image and parity bit on the vertex codes (group element,
+        parities), as an axiom-0 failure at its edge v*r_j + b; or two
+        vertices with one code.  None when there is none; O(n sum r_j)."""
+        g = parities.shape[1]
+        bits = parities.astype(np.int64) @ (1 << np.arange(g))
+        codes = (self.vertex_group << g) | bits
+        ordered = np.sort(codes)  # (np.unique would import numpy.ma, 20 ms)
+        if np.any(ordered[1:] == ordered[:-1]):
+            return AxiomFailure(0, 0, 0, "two vertices share a group element and parities")
+        for j, images in enumerate(self.gens.images):
+            for b, img in enumerate(images):
+                moved = self.group.right_multiplication(img)[self.vertex_group] << g | bits ^ 1 << j
+                ok = codes[self.vstep[j][b]] == moved
+                if not ok.all():
+                    why = f"vstep[{j}][{b}] is not the right multiplication by its generator"
+                    return AxiomFailure(0, 1 << j, int(np.argmin(ok)) * len(images) + b, why)
+        return None
+
 
 def _bubble(gens, dirs, rows, positions):
     """Rewrite a word, given by its directions and one row of generator
@@ -275,7 +294,7 @@ def build_complex(primes, n1: int) -> CubicalComplex:
     X = CubicalComplex(g, r, tables, parities, functools.partial(_vertex_labels, ar))
     X.arith = ar
 
-    report = verify_factors(X)
+    report = verify_axioms(X)
     if not report.passed:
         f = report.failures[0]
         raise LevelRejectedError(
@@ -286,24 +305,6 @@ def build_complex(primes, n1: int) -> CubicalComplex:
         raise LevelRejectedError(
             f"level n1={n1} rejected: parity relation fails at {witness}")
     return X
-
-
-def verify_factors(X: CubicalComplex) -> AxiomReport:
-    """The cube axioms of an arithmetic complex, on its factors: each vertex
-    step is the right multiplication by its generator image and parity bit
-    (O(n sum r_j); a wrong one fails as axiom 0), which makes
-    ``verify_axioms`` on one base vertex per parity class exhaustive."""
-    ar, g = X.arith, X.g
-    bits = ar.parities.astype(np.int64) @ (1 << np.arange(g))
-    codes = (ar.vertex_group << g) | bits
-    for j in range(g):
-        for b, img in enumerate(ar.gens.images[j]):
-            moved = (ar.group.right_multiplication(img)[ar.vertex_group] << g) | (bits ^ 1 << j)
-            ok = codes[ar.vstep[j][b]] == moved
-            if not ok.all():
-                why = f"vstep[{j}][{b}] is not the right multiplication by its generator"
-                return AxiomReport(False, [AxiomFailure(0, 1 << j, int(np.argmin(ok)), why)], {})
-    return verify_axioms(X)
 
 
 def find_valid_level(primes, start: int = 3, limit: int = 10000):

@@ -158,7 +158,7 @@ def _config_hash(cfg: RunConfig) -> str:
 
 def run(cfg: RunConfig, command: str, out_dir=None, link_spec=None, debug: bool = False):
     """Execute one subcommand; returns (report dict, exit code).  With
-    debug an internal error propagates instead."""
+    debug an internal error propagates once report.json is written."""
     out = Path(out_dir if out_dir is not None else cfg.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -171,6 +171,7 @@ def run(cfg: RunConfig, command: str, out_dir=None, link_spec=None, debug: bool 
         "tolerances": cfg.tolerances,
         "exit_stage": None,
     }
+    internal = None
     try:
         code = _pipeline(cfg, command, out, report, link_spec)
     except ConfigError:
@@ -185,12 +186,12 @@ def run(cfg: RunConfig, command: str, out_dir=None, link_spec=None, debug: bool 
         report["exit_stage"] = {"stage": "resource", "error": str(e) or "out of memory"}
         code = 6
     except RamcubeError as e:
-        if debug:
-            raise
         report["exit_stage"] = {"stage": "internal", "error": str(e)}
-        code = 5
+        code, internal = 5, e
     report["config_sha256"] = _config_hash(cfg)
     _write_json(out / "report.json", report)
+    if debug and internal is not None:
+        raise internal
     return report, code
 
 
@@ -212,11 +213,17 @@ def _pipeline(cfg: RunConfig, command: str, out: Path, report: dict, link_spec):
         report["auto_N1"] = False
         X = build_complex(cfg.primes, n1)
     G = X.arith.group
-    report["complex"] = {  # report.json sorts the keys
-        "primes": list(cfg.primes), "N1": n1, "g": X.g, "regularities": list(X.regularities),
-        "n_vertices": X.n_vertices, "group_order": G.order,
-        "group_order_predicted": G.predicted_order(), "fine_group_order": G.order_fine,
-        "section_kernel_order": G.kernel_order, "parity_cover_index": X.arith.cover_index,
+    report["complex"] = {
+        "primes": list(cfg.primes),
+        "N1": n1,
+        "g": X.g,
+        "regularities": list(X.regularities),
+        "n_vertices": X.n_vertices,
+        "group_order": G.order,
+        "group_order_predicted": G.predicted_order(),
+        "fine_group_order": G.order_fine,
+        "section_kernel_order": G.kernel_order,
+        "parity_cover_index": X.arith.cover_index,
         "cube_counts": {",".join(map(str, dirs_of(m))) or "vertices": c
                         for m, c in X.unoriented_counts().items()},
     }
@@ -247,11 +254,20 @@ def _pipeline(cfg: RunConfig, command: str, out: Path, report: dict, link_spec):
     mat_tol = cfg.tolerances["matrix"]
     flat = verify_flatness(X, L)
     unit = verify_unitarity(X, L)
-    report["local_system"] = {"kind": L.kind, "k": cfg.k, "fiber_dim": L.fiber_dim,
-                              "flatness_residual": flat.max_residual,
-                              "unitarity_residual": unit, "n_squares": flat.n_squares}
-    report["verification"] = {"axioms_passed": True, "parities_passed": True,  # by the build
-                              "flat": flat.ok(mat_tol), "unitary": unit < mat_tol}
+    report["local_system"] = {
+        "kind": L.kind,
+        "k": cfg.k,
+        "fiber_dim": L.fiber_dim,
+        "flatness_residual": flat.max_residual,
+        "unitarity_residual": unit,
+        "n_squares": flat.n_squares,
+    }
+    report["verification"] = {
+        "axioms_passed": True,     # enforced during construction
+        "parities_passed": True,
+        "flat": flat.ok(mat_tol),
+        "unitary": unit < mat_tol,
+    }
     if command == "verify":
         if not (flat.ok(mat_tol) and unit < mat_tol):
             raise VerificationError("local system failed flatness/unitarity")
@@ -268,10 +284,20 @@ def _pipeline(cfg: RunConfig, command: str, out: Path, report: dict, link_spec):
     # stage: spectra (spectrum / ramanujan / report)
     sp = spectrum_report(X, L, cfg.tolerances["spectral"], workspace=H)
     report["spectra"] = [
-        {"j": e.j, "dirs": list(e.dirs), "dim": e.dim, "r": e.verdict.r, "bound": e.verdict.bound,
-         "mu": e.verdict.mu, "spectral_gap": e.verdict.gap, "ramanujan": e.verdict.is_ramanujan,
-         "trivial_plus": e.verdict.trivial_plus, "trivial_minus": e.verdict.trivial_minus}
-        for e in sp.entries]
+        {
+            "j": e.j,
+            "dirs": list(e.dirs),
+            "dim": e.dim,
+            "r": e.verdict.r,
+            "bound": e.verdict.bound,
+            "mu": e.verdict.mu,
+            "spectral_gap": e.verdict.gap,
+            "trivial_plus": e.verdict.trivial_plus,
+            "trivial_minus": e.verdict.trivial_minus,
+            "ramanujan": e.verdict.is_ramanujan,
+        }
+        for e in sp.entries
+    ]
     report["ramanujan_overall"] = sp.overall_ramanujan
     _write_csv(out / "spectrum.csv", sp)
     if command == "spectrum":
@@ -294,9 +320,14 @@ def _pipeline(cfg: RunConfig, command: str, out: Path, report: dict, link_spec):
 def _girth_report(X, cfg: RunConfig, report: dict) -> bool:
     """Fill report["girth"]; returns whether the girth bound holds."""
     res = girth(X, cfg.max_depth)
-    report["girth"] = {"girth": res.girth, "lower_bound": res.lower_bound,
-                       "lower_bound_only": res.girth is None, "bound": res.bound,
-                       "satisfied": res.satisfied, "max_depth": res.max_depth}
+    report["girth"] = {
+        "girth": res.girth,
+        "lower_bound": res.lower_bound,
+        "lower_bound_only": res.girth is None,
+        "bound": res.bound,
+        "satisfied": res.satisfied,
+        "max_depth": res.max_depth,
+    }
     return res.satisfied
 
 

@@ -182,26 +182,48 @@ def _first_bad(cond: np.ndarray) -> int:
     return int(np.flatnonzero(~cond)[0])
 
 
-def _rows(X: CubicalComplex, t: CubeTable) -> np.ndarray:
-    """The cubes of a table that the checks read: all, or with T > 0 those
-    of one base vertex per parity class.  That is exhaustive for
-    ``FactoredMap``s whose vertex steps are right multiplications in the
-    vertex group (``verify_factors`` in ``arithmetic`` checks them): each
-    map, so each composite of maps, takes (v, s) to (v x(s), f(s)), and two
-    composites (or one and the identity) agree at (v, s) exactly when their
-    x(s) and f(s) agree, whatever v is; the parities of v x(s) and v differ
-    by those of x(s) alone."""
-    if not t.T:
+def _factored(X: CubicalComplex) -> bool:
+    """Whether every map is a ``FactoredMap`` between T-factored tables, its
+    vertex step one of X.arith's or none: then ``_rows`` may read one base
+    vertex per parity class, once ``ArithData.wrong_step`` finds no step
+    that is not the right multiplication it stands for."""
+    if X.arith is None or not X.has_parities:
+        return False
+    steps = [None, *X.arith.vstep]
+
+    def ok(f, t, size):
+        return (isinstance(f, FactoredMap) and (f.n, f.T, f.size) == (t.n, t.T, size) and t.T > 0
+                and any(f.step is s for s in steps))
+
+    return all(ok(t.bot[j], t, X.tables[mask & ~(1 << (j - 1))].T)
+               and ok(t.top[j], t, X.tables[mask & ~(1 << (j - 1))].T) and ok(t.inv[j], t, t.T)
+               for mask, t in X.tables.items() for j in dirs_of(mask))
+
+
+def _rows(X: CubicalComplex, t: CubeTable, factored: bool) -> np.ndarray:
+    """The cubes of a table that the checks read: all, or on a ``_factored``
+    complex with verified vertex steps those of one base vertex per parity
+    class.  That is exhaustive: the steps are right multiplications in the
+    vertex group, so each map, and each composite of maps, takes (v, s) to
+    (v x(s), f(s)), and two composites (or one and the identity) agree at
+    (v, s) exactly when their x(s) and f(s) agree, whatever v is; the
+    parities of v x(s) and v differ by those of x(s) alone."""
+    if not factored:
         return np.arange(t.n)
-    code = X.parities.astype(np.int64) @ (1 << np.arange(X.g)) if X.has_parities else [0]
+    code = X.parities.astype(np.int64) @ (1 << np.arange(X.g))
     return (np.unique(code, return_index=True)[1][:, None] * t.T + np.arange(t.T)).ravel()
 
 
 def verify_axioms(X: CubicalComplex) -> AxiomReport:
-    """Check axioms (1)-(4) on the cubes ``_rows`` picks, and with T > 0
-    axiom (4) on the tuple parts of the top maps: the vertex steps are
-    permutations, so (w, s') is the j-th top of one cube (v, s) for each s
-    with part[s] = s'.  Failures are reported with a witness cube."""
+    """Check axioms (1)-(4) on the cubes ``_rows`` picks, and on a
+    ``_factored`` complex first its vertex steps (a wrong one fails as
+    axiom 0) and then axiom (4) on the tuple parts of the top maps: the
+    steps are permutations, so (w, s') is the j-th top of one cube (v, s)
+    for each s with part[s] = s'.  Failures are reported with a witness
+    cube."""
+    factored = _factored(X)
+    if factored and (wrong := X.arith.wrong_step(X.parities)) is not None:
+        return AxiomReport(False, [wrong], {})
     failures = []
 
     def check(ok: np.ndarray, axiom: int, mask: int, detail: str, at=None):
@@ -214,7 +236,7 @@ def verify_axioms(X: CubicalComplex) -> AxiomReport:
             continue
         t = X.tables[mask]
         dirs = dirs_of(mask)
-        idx = _rows(X, t)
+        idx = _rows(X, t, factored)
         inv = {j: t.inv[j][idx] for j in dirs}
 
         # (1) each inv_j is a fixed-point-free involution, they commute, and
@@ -260,9 +282,9 @@ def verify_axioms(X: CubicalComplex) -> AxiomReport:
             up = mask | (1 << (j - 1))
             if up == mask or up not in X.tables:
                 continue
-            t = X.tables[up]
-            tops = t.top[j].part if t.T else t.top[j]
-            counts = np.bincount(tops, minlength=len(tops) // X.r(j))
+            tops, lower = X.tables[up].top[j], X.tables[mask]
+            counts = (np.bincount(tops.part, minlength=lower.T) if factored
+                      else np.bincount(tops[:], minlength=lower.n))
             check(counts == X.r(j), 4, mask, f"not the {j}-top of exactly r_{j} cubes")
 
     checked = {a: all(f.axiom != a for f in failures) for a in (1, 2, 3, 4)}
@@ -271,16 +293,20 @@ def verify_axioms(X: CubicalComplex) -> AxiomReport:
 
 def verify_parities(X: CubicalComplex):
     """Check p_j(top e) = p_j(bot e) exactly for j different from the edge
-    direction, on the edges ``_rows`` picks.  Returns (ok, witness) with
-    witness = (direction, edge index)."""
+    direction, on the edges ``_rows`` picks (on a ``_factored`` complex
+    after its vertex steps, as ``verify_axioms`` does).  Returns (ok,
+    witness) with witness = (direction, edge index)."""
     if not X.has_parities:
         raise ConstructionError("complex carries no parities")
+    factored = _factored(X)
+    if factored and (wrong := X.arith.wrong_step(X.parities)) is not None:
+        return False, (wrong.mask.bit_length(), wrong.index)
     p = X.parities
     for j in range(1, X.g + 1):
         mask = 1 << (j - 1)
         if mask not in X.tables:
             continue
-        t, idx = X.tables[mask], _rows(X, X.tables[mask])
+        t, idx = X.tables[mask], _rows(X, X.tables[mask], factored)
         bv = p[t.bot[j][idx]]
         tv = p[t.top[j][idx]]
         same = bv == tv
@@ -424,6 +450,8 @@ def link_graph(X: CubicalComplex, j: int, dirs=(), rows=None) -> LinkGraph:
 
 def position(keys: np.ndarray, x) -> np.ndarray:
     """Index of each x in the ascending keys, -1 where it is missing."""
+    if not len(keys):
+        return np.full(np.shape(x), -1)
     at = np.minimum(np.searchsorted(keys, x), max(len(keys) - 1, 0))
     return np.where(keys[at] == x, at, -1)
 
@@ -455,9 +483,15 @@ def connected_components(n_vertices: int, origin: np.ndarray, terminus: np.ndarr
 
 def graph_complex(n_vertices: int, edges, r: int, parities=None) -> CubicalComplex:
     """A 1-dimensional complex from an undirected edge list."""
-    uv = np.asarray(edges, dtype=np.int64).reshape(-1, 2)  # edge t is 2t: u -> v, 2t + 1: v -> u
-    bot, top, inv = uv.ravel(), uv[:, ::-1].ravel(), np.arange(uv.size) ^ 1
-    tables = {0: CubeTable(n_vertices), 1: CubeTable(uv.size, {1: bot}, {1: top}, {1: inv})}
+    m = len(edges)
+    bot = np.empty(2 * m, dtype=np.int64)
+    top = np.empty(2 * m, dtype=np.int64)
+    inv = np.empty(2 * m, dtype=np.int64)
+    for t, (u, v) in enumerate(edges):
+        bot[2 * t], top[2 * t] = u, v
+        bot[2 * t + 1], top[2 * t + 1] = v, u
+        inv[2 * t], inv[2 * t + 1] = 2 * t + 1, 2 * t
+    tables = {0: CubeTable(n_vertices), 1: CubeTable(2 * m, {1: bot}, {1: top}, {1: inv})}
     if parities is not None:
         parities = np.asarray(parities, dtype=np.uint8).reshape(n_vertices, 1)
     return CubicalComplex(1, (r,), tables, parities)

@@ -1,59 +1,95 @@
 """Cochains, boundary operators, Laplacians, star spectra, Hodge theory.
 
-Cochains of direction set I live on one representative orientation per
-unoriented cube (the canonical one when parities exist), extended by
-s(inv_j(c)) = -T_{c,j} s(c) (``expand``).  In these coordinates the
-2^{-|I|}-weighted inner product is the standard one, so the coboundary
-d*_j is the plain conjugate transpose of d_j and is never assembled.
+Cochains of direction set I are stored on one representative orientation
+per unoriented cube (the canonical one when parities exist); the completely
+alternating extension s(inv_j(c)) = -T_{c,j} s(c) (``expand``) is applied
+algebraically during operator assembly.  In representative coordinates the
+natural 2^{-|I|}-weighted inner product becomes the standard one, so the
+coboundary d*_j, the adjoint of d_j, is its plain conjugate transpose and
+is never assembled on its own.
 
-Conventions, T_{c,j} the transition of the direction-j edge at the bottom
-corner of c:
+Conventions:
   * boundary       (d_j s)(c) = T_{c,j}^{-1} s(top_j c) - s(bot_j c)
-  * coboundary     d*_j = d_j^H; (d*_j t)(r) = sum over top_j(c) = r of T_{c,j} t(c)
+  * coboundary     d*_j = d_j^H; as a sum, (d*_j t)(r) = sum over
+                   top_j(c) = r of T_{c,j} t(c)
   * total d        sum over j not in I of (-1)^{#(k in I, k < j)} d_j
   * Laplacian      box_{j,I} = d*_j d_j (j not in I), d_j d*_j (j in I)
-  * star           S_{j,I} = r_j - box_{j,I}, the transition-twisted
-                   adjacency operator of the link graph
+  * star           S_{j,I} = r_j - box_{j,I}; entrywise it is the
+                   transition-twisted adjacency operator of the link graph
 
-Boundaries and stars are numpy COO entries (``Coo``), each boundary
-assembled once per workspace; spectra and cohomology read the entries, so
-certification needs numpy alone.  ``partial_boundary``, ``total_d`` and
-``star_operator`` return scipy CSR views, ``laplacian`` and
-``total_laplacian`` their products, ``star_matrix`` the dense star (the
-tests' reference) and ``hodge_project`` LSMR projections onto the ranges
-of d and d*; scipy is imported only by these.
+where T_{c,j} is the transition of the direction-j edge at the bottom
+corner of c.  Every boundary and star is assembled once, as numpy COO
+entries (``Coo``: sorted row-major, duplicates summed), each boundary once
+per workspace; the star spectra and the cohomology read those entries
+directly, so certification needs numpy alone.  The public sparse accessors
+(``partial_boundary``, ``total_d``, ``star_operator``) return scipy CSR
+views of the same entries and ``laplacian`` and ``total_laplacian``
+scipy's products of them, importing scipy only when called;
+``star_matrix`` returns the dense star, the reference the tests compare
+against.  ``hodge_project`` splits a cochain by least-squares projections
+(LSMR, from scipy) onto the ranges of d and d*.
 
-Cayley symmetry (``_symmetry``): on an arithmetic complex the left
-translations by the unipotent u = [[1, 1], [0, 1]], of order N = n1, and
-by the torus tau_a = diag(a, 1/a), a a primitive root, with tau_a u
-tau_a^-1 = u^(a^2), act on the cubes v*T + s as v -> sigma(v).  When both
-commute with every map and transition (trivial and even-weight systems),
-the Fourier transform over the u-orbits splits every operator into N
-blocks, and block k is unitarily equivalent to block a^2 k: one block per
-torus class ({0}, squares, non-squares) is formed, with the class size as
-multiplicity (``fourier_blocks``); otherwise N = 1.  When u, tau and the
-Weyl element generate h0, the parity-0 subgroup (``_h0``), each block
-splits further along the eigenspaces of a central element of the group
-algebra (``_isotypic``, ``_pieces``).  In a block k != 0 each irreducible
-of PSL2 appears at most once (multiplicity one of Whittaker models), so a
-piece has d_rho coordinates per slot (parity class, tuple, fibre) where
-the block has |h0|/N.
+Cayley symmetry: on an arithmetic complex, left translation by the
+unipotent u = [[1, 1], [0, 1]], of order N = n1, permutes the vertices and
+keeps every parity; on the oriented cubes v*T + (tuple rank) it acts as
+c -> sigma(c // T)*T + c % T.  When sigma commutes with every vertex step,
+so that the permutation commutes with every (factored) face and inversion
+map, and fixes every edge transition (trivial and even-weight systems; odd
+weights are invariant only up to the epsilon gauge), every boundary
+operator and star commutes with it.  The discrete Fourier transform over
+its orbits, which all have N elements, then splits each operator into N
+dense blocks of 1/N of its size.
 
-Star spectra: a link edge flips the j-parity, so with parities every star
-and block is bipartite, S = [[0, B^H], [B, 0]], and spec(S) = +-sigma(B)
-padded with zeros (``_parity_rows``, ``block_spectrum``).  A block reads
-only the rows that lead their u-orbit, so ``spectrum_report`` assembles
-and checks just those (``_star``), plans each star once (``_plan``) and
-sizes each solve before the first (``_solve_bytes``).  Without parities
-each block goes to ``spectrum``, a dense ``eigvalsh``.
+The diagonal torus tau_a = diag(a, 1/a), a a primitive root mod N,
+normalises u: tau_a u tau_a^-1 = u^(a^2).  When its left translation passes
+the same checks and conjugates the vertex permutation of u to its a^2-th
+power, block k of every operator is unitarily equivalent to block a^2 k,
+so the blocks fall into three torus classes: {0}, the squares and the
+non-squares.  ``fourier_blocks`` forms one block per class (blocks 0, 1
+and a) with the class size as its multiplicity; for a real operator block
+N - k is the complex conjugate of block k, so when N = 3 (mod 4), -1 being
+a non-square, blocks 0 and 1 suffice.  Both translations are verified
+once, into one record (``_symmetry``); unless both pass, N = 1 and the
+single block is the operator itself.  Star and Laplacian spectra
+(``block_spectrum``) are the union over the blocks with their
+multiplicities.
 
-Cohomology, by Garland's step: the Hodge Laplacian on C^I is a sum of
-positive semidefinite d_j^H d_j (j not in I) and d_j d_j^H (j in I), so
-its kernel is W_I, the sections parallel along the link edges of every
-direction outside I, cut by ker d_j^H for j in I.  W_I is read
-from the holonomies of a spanning forest (``_parallel_sections``), with no
-operator of the size of C^I; ``cohomology_dims`` adds the nullities of the
-stacked d_j^H W_I over |I| < g and gets the top level by rank-nullity.
+Isotypic split: when u, the torus and the Weyl element generate h0, the
+parity-0 subgroup of the vertex group (``_h0``), every block splits along
+the eigenspaces of the central Z = sum over h0 of f(g) L_g, f a function
+of tr^2/det (``_isotypic``).  In a block k != 0 each irreducible of PSL2
+appears at most once (multiplicity one of Whittaker models), so a piece
+has d_rho coordinates per slot (parity class, tuple, fibre) where the
+block has |h0|/N (``_pieces``).
+
+Star spectra: every direction-j link edge joins I-cubes whose bottom
+vertices have opposite j-parity, so with parities each star (and each of
+its Fourier blocks, since an orbit keeps its parity) is bipartite,
+S = [[0, B^H], [B, 0]] up to a permutation, and spec(S) = +-sigma(B) padded
+with zeros.  ``_parity_rows`` checks that on the COO entries and keeps those
+of B, from which ``block_spectrum`` scatters each Fourier block of B or
+its pieces.  A block reads only the rows that lead their u-orbit, so
+``spectrum_report`` assembles (``_star``) and checks just those, of both
+classes: the adjoint partner (c, l) of an entry (l, c) is read translated
+back to a leader row, (leader(c), sigma^-shift(c) l), and the other rows
+are pinned by the verified symmetry (with N = 1 every row leads).  Without
+parities (e.g. complete graphs) ``block_spectrum`` solves each block with
+``spectrum``, the dense ``eigvalsh`` that is also the tests' reference.
+``spectrum_report`` plans every star once (``_plan``) and, before the
+first solve, sizes what each solve holds (``_solve_bytes``).
+
+Cohomology, by Garland's step: the Hodge Laplacian d d* + d* d of level i
+is block diagonal over the direction sets, and every term of its block
+    Delta_I = sum over j not in I of d_j^H d_j + sum over j in I of d_j d_j^H
+is positive semidefinite, so ker Delta_I is W_I = the intersection of
+ker d_j over j not in I, cut by ker d_j^H for j in I.  On ker d_j each row
+c of d_j reads s(top_j c) = M s(bot_j c): W_I is the space of sections
+parallel along the link edges of every direction outside I, read from the
+holonomies of a spanning forest (``_parallel_sections``) without forming
+an operator of the size of C^I or a Fourier block.  ``cohomology_dims``
+adds up, over |I| = i < g, the nullity of the stacked d_j^H W_I, j in I;
+the ranks of d follow by rank-nullity, and the top level, the largest,
+needs no solve.
 """
 
 from __future__ import annotations
@@ -66,7 +102,8 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from . import quaternions as quat
-from .complexes import CubicalComplex, connected_components, dirs_of, link_graph, position
+from .complexes import (CubicalComplex, _factored, connected_components, dirs_of, link_graph,
+                        position, verify_parities)
 from .errors import ConstructionError, ResourceError, VerificationError
 from .localsystems import LocalSystem, chunks, trivial_system
 
@@ -108,6 +145,8 @@ class Harmonics:
                 mask = 1 << (j - 1)
                 if mask in X.tables and len(self.L.transitions[j - 1]) != X.tables[mask].n:
                     raise ConstructionError("local system does not match the complex")
+        if X.has_parities and not verify_parities(X)[0]:
+            raise ConstructionError("the parities fail the parity relation")
         self.m = self.L.fiber_dim
         self.dtype = np.result_type(self.L.dtype, np.float64)
         self._reps: dict[int, np.ndarray] = {}
@@ -151,11 +190,18 @@ class Harmonics:
 
     def expand(self, mask: int):
         """Alternation data: per oriented cube, the representative slot and
-        the m x m coefficient with s(cube) = coeff @ s(representative).  One
-        step per direction, in ascending order, flips every cube reached so
-        far, s(inv_j c) = -T_{c,j} s(c), and reaches each oriented cube once.
-        With parities the boundaries need none of it (``_faces``): each face
-        of a canonical cube is canonical, at slot = position, coefficient 1."""
+        the m x m coefficient with s(cube) = coeff @ s(representative).
+
+        One step per direction of the set, in ascending order, flips every
+        cube reached so far: s(inv_j c) = -T_{c,j} s(c).  The inversions
+        act simply transitively on orientations, so the steps reach each
+        oriented cube exactly once.
+
+        With parities the representatives are the canonical cubes, and
+        every face of a canonical cube is canonical (a direction-j edge
+        flips only the j-parity), so the boundaries read slot = position
+        and coefficient = identity instead (``_faces``); the signs reach an
+        operator only on complexes without parities."""
         if mask not in self._expand:
             t = self.X.tables[mask]
             slot = -np.ones(t.n, dtype=np.int64)
@@ -199,8 +245,10 @@ class Harmonics:
         # T^{-1} = conjugate transpose for unitary transitions
         tinv = self._edge_transitions(up, j, reps_up).conj().transpose(0, 2, 1)
         if self.X.has_parities:  # see ``expand``
-            return (self.rep_pos(mask, tops), self.rep_pos(mask, bots), tinv,
-                    np.broadcast_to(-np.eye(self.m, dtype=self.dtype), tinv.shape))
+            top, bot = self.rep_pos(mask, tops), self.rep_pos(mask, bots)
+            if min(top.min(initial=0), bot.min(initial=0)) < 0:
+                raise ConstructionError("a face of a canonical cube is not canonical")
+            return top, bot, tinv, np.broadcast_to(-np.eye(self.m, dtype=self.dtype), tinv.shape)
         slot_lo, coeff_lo = self.expand(mask)
         return (slot_lo[tops], slot_lo[bots],
                 np.einsum("nab,nbc->nac", tinv, coeff_lo[tops]), -coeff_lo[bots])
@@ -311,7 +359,9 @@ class Harmonics:
         (1, None, None, None, None, None) unless u and tau pass
         ``_is_symmetry``, every u-orbit has exactly N vertices and tau
         conjugates u to u^(a^2), which the one orbit walk records as it
-        passes (module notes)."""
+        passes.  Then Fourier block k of every operator is unitarily
+        equivalent to block a^2 k, so the blocks fall into the classes {0},
+        the squares and the non-squares mod N (``_block_classes``)."""
         none = (1, None, None, None, None, None)
         ar = self.X.arith
         u = ar.left_translation((1, 1, 0, 1)) if ar is not None else None
@@ -352,10 +402,11 @@ class Harmonics:
 
     def _is_symmetry(self, sigma: np.ndarray) -> bool:
         """Whether the vertex permutation sigma keeps every parity, commutes
-        with every vertex step, so that cube v*T + s -> sigma(v)*T + s
-        commutes with every (factored) map, and fixes every transition."""
+        with every vertex step of a ``_factored`` complex, so that cube
+        v*T + s -> sigma(v)*T + s commutes with every map, and fixes every
+        transition."""
         X = self.X
-        if (not X.has_parities or not np.array_equal(X.parities[sigma], X.parities)
+        if (not _factored(X) or not np.array_equal(X.parities[sigma], X.parities)
                 or not all(np.array_equal(s[:, sigma], sigma[s]) for s in X.arith.vstep)):
             return False
         for j, tr in enumerate(self.L.transitions, 1):
@@ -458,8 +509,10 @@ class Harmonics:
         matrix) that commutes with the translation; rows and cols are
         coordinate_orbits of its range and domain (for B, of class 1 and
         class 0, numbered within their class).  Yields (block, multiplicity),
-        one at a time, for the blocks ``_block_classes`` picks, or with a
-        split (``_plan``) their pieces (``_pieces``).
+        one at a time, for the blocks ``_block_classes`` picks, one per torus
+        class: block 0, block 1 and a non-square, or blocks 0 and 1 for a
+        real operator with N = 3 mod 4 (the operator itself when N = 1), or
+        with a split (``_plan``) the blocks' pieces (``_pieces``).
 
         Block k has the entries A[l, c] * w^(k (shift(c) - shift(l))),
         w = exp(2 pi i / N), summed at (orbit of l, orbit of c) over the

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ramcube as rc
-from ramcube.arithmetic import GeneratorSystem, verify_factors
+from ramcube.arithmetic import GeneratorSystem
 from ramcube.complexes import CubeTable, CubicalComplex, dirs_of
 from ramcube.errors import ConstructionError, InvalidModulusError
 from ramcube.quaternions import QUATERNION_ONE
@@ -288,20 +288,43 @@ def _explicit(X):
 
 
 def test_factor_corruptions_fail_both_checks():
-    """100 random single-entry corruptions of the factors each fail the
-    factor check that the build runs and the exhaustive verify_axioms,
-    which both pass on the honest factors."""
+    """100 random single-entry corruptions of the factors each fail
+    verify_axioms on the factors, as the build runs it, and on an explicit
+    copy, where it checks every cube; both pass on the honest factors.  A
+    corrupted vertex step also fails verify_parities."""
     X = rc.build_complex([5, 13], 3)
-    assert verify_factors(X).passed and rc.verify_axioms(_explicit(X)).passed
+    assert rc.verify_axioms(X).passed and rc.verify_axioms(_explicit(X)).passed
     rng = np.random.default_rng(0)
     for _ in range(100):
         undo = _corrupt(X, rng)
         try:
-            assert not verify_factors(X).passed
+            report = rc.verify_axioms(X)
+            assert not report.passed
             assert not rc.verify_axioms(_explicit(X)).passed
+            assert rc.verify_parities(X)[0] == (report.failures[0].axiom != 0)
         finally:
             undo()
-    assert verify_factors(X).passed
+    assert rc.verify_axioms(X).passed and rc.verify_parities(X)[0]
+
+
+def test_public_checks_verify_vertex_steps_changed_after_the_build():
+    """verify_axioms and verify_parities check the vertex steps of a built
+    complex themselves, with the edge v*r_j + b of the wrong step as
+    witness; a table with an explicit map is checked on every cube."""
+    X = rc.build_complex([5, 13], 3)
+    step = X.arith.vstep[1]
+    step[[3, 4], 7] = step[[4, 3], 7]
+    report = rc.verify_axioms(X)
+    assert not report.passed
+    assert (report.failures[0].axiom, report.failures[0].mask) == (0, 2)
+    assert report.failures[0].index == 7 * 14 + 3
+    assert rc.verify_parities(X) == (False, (2, 7 * 14 + 3))
+    step[[3, 4], 7] = step[[4, 3], 7]
+    assert rc.verify_axioms(X).passed and rc.verify_parities(X)[0]
+    t = X.tables[3]
+    t.top[1] = t.top[1][:]
+    t.top[1][5] = t.top[1][6]
+    assert not rc.verify_axioms(X).passed
 
 
 def test_vertex_labels_are_formed_on_first_read(monkeypatch):

@@ -195,7 +195,7 @@ def test_main_memory_error_exit_code(tmp_path, capsys, monkeypatch):
 def test_debug_reraises_internal_errors(tmp_path, capsys, monkeypatch):
     """Without --debug an internal error is one line on stderr and exit 5,
     a package error with a report; under --debug it propagates with its
-    traceback instead."""
+    traceback instead, after the same report."""
     cfg_path = write_cfg(tmp_path, {"primes": [5], "N1": 3})
     argv = ["girth", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
     for error, line in ((ValueError("broken"), "internal error: broken\n"),
@@ -206,8 +206,16 @@ def test_debug_reraises_internal_errors(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "girth", broken)
         assert cli.main(argv) == 5
         assert capsys.readouterr() == ("", line)
+        report = tmp_path / "o" / "report.json"
+        report.unlink(missing_ok=True)
         with pytest.raises(type(error), match=str(error)):
             cli.main(argv + ["--debug"])
+        # as without the flag, a package error leaves its partial report
+        if isinstance(error, RamcubeError):
+            stage = json.loads(report.read_text())["exit_stage"]
+            assert stage == {"stage": "internal", "error": "odd"}
+        else:
+            assert not report.exists()
 
 
 def test_config_hash_in_reports_of_failed_runs(tmp_path, monkeypatch):
@@ -307,7 +315,8 @@ cfg.write_text(json.dumps({"primes": [5], "N1": 3}))
 for command in ("build", "export-dot", "girth", "ramanujan"):
     code = ramcube.cli.main([command, "--config", str(cfg), "--out", str(out / command)])
     assert code == 0, (command, code)
-    loaded[command] = sorted(m for m in sys.modules if m.startswith("ramcube.") or m == "_hashlib")
+    loaded[command] = sorted(m for m in sys.modules
+                             if m.startswith("ramcube.") or m in ("_hashlib", "numpy.ma"))
 print(json.dumps(loaded))
 """
 
@@ -317,7 +326,8 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
     module only for the commands that run that stage: `import ramcube` loads
     neither numpy nor a submodule, build and export-dot load neither
     localsystems nor harmonics, and girth does not load harmonics.  The
-    config hash of a build's report maps no libcrypto (``_hashlib``).  The
+    config hash of a build's report maps no libcrypto (``_hashlib``), and
+    no command loads ``numpy.ma`` (``np.unique`` without indices does).  The
     commands run in one process in this order, so each list holds what the
     ones before it loaded too."""
     proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES_SCRIPT, str(tmp_path)],
@@ -331,6 +341,7 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
     assert "_hashlib" not in loaded["build"]
     assert "ramcube.harmonics" not in loaded["girth"]
     assert {"ramcube.harmonics", "ramcube.localsystems"} <= set(loaded["ramanujan"])
+    assert "numpy.ma" not in loaded["ramanujan"]
 
 
 def test_package_namespace_resolves_every_export():

@@ -3,7 +3,7 @@ import pytest
 
 import ramcube as rc
 from dense_reference import components_by_csgraph
-from ramcube.complexes import CubicalComplex, dirs_of, link_dot, mask_of, skeleton_dot
+from ramcube.complexes import CubicalComplex, dirs_of, link_dot, mask_of, position, skeleton_dot
 from ramcube.errors import ConstructionError
 
 
@@ -48,6 +48,17 @@ def test_broken_top_count_fails_axiom4():
     X.tables[1].top[1] = np.zeros(8, dtype=np.int64)
     report = rc.verify_axioms(X)
     assert any(f.axiom == 4 for f in report.failures)
+
+
+@pytest.mark.parametrize("n, edges, r", [(3, [(0, 1)], 1), (4, [(0, 1), (1, 2), (0, 2)], 2)])
+def test_isolated_vertex_fails_axiom4(n, edges, r):
+    """The last vertex is the top of no edge, and no edge names it."""
+    report = rc.verify_axioms(rc.graph_complex(n, edges, r))
+    assert [(f.axiom, f.mask, f.index) for f in report.failures] == [(4, 0, n - 1)]
+
+
+def test_position_in_empty_keys():
+    assert position(np.zeros(0, dtype=np.int64), np.array([3, 0])).tolist() == [-1, -1]
 
 
 def test_parities_cycles():

@@ -10,7 +10,7 @@ from dense_reference import (coboundary_by_sum, cohomology_by_gram, cohomology_b
 from ramcube import Harmonics, harmonics
 from ramcube.arithmetic import ArithData
 from ramcube.complexes import CubeTable, CubicalComplex, mask_of
-from ramcube.errors import ResourceError, VerificationError
+from ramcube.errors import ConstructionError, ResourceError, VerificationError
 from ramcube.harmonics import Coo
 
 
@@ -57,6 +57,24 @@ def test_boundary_on_single_edge():
     D = Harmonics(X).partial_boundary(1, 0).toarray()
     assert D.shape == (1, 2)
     assert np.array_equal(D, [[-1.0, 1.0]])
+
+
+def test_workspace_refuses_parities_that_fail_the_relation():
+    """Both ends of edge 0-1 have parity 0, so both of its orientations
+    would count as canonical."""
+    X = rc.graph_complex(3, [(0, 1), (1, 2)], r=1, parities=[[0], [0], [1]])
+    with pytest.raises(ConstructionError, match="parity relation"):
+        Harmonics(X)
+
+
+def test_boundary_refuses_a_non_canonical_face():
+    """top_1 of the canonical square (base corner 0) moved to the edge at
+    corner 2, which is not canonical; the edge parities still pass."""
+    X = rc.box_complex(2)
+    X.tables[3].top[1][0] = 2
+    assert rc.verify_parities(X)[0]
+    with pytest.raises(ConstructionError, match="not canonical"):
+        Harmonics(X).partial_boundary(1, 0b10)
 
 
 def test_boundary_commutation_and_d_squared(cover_spaces):
