@@ -412,7 +412,7 @@ class LinkGraph:
     edge_cubes: np.ndarray      # oriented (I+{j})-cube index per link edge
     origin: np.ndarray
     terminus: np.ndarray
-    opposite: np.ndarray | None  # None for a link restricted to some rows
+    opposite: np.ndarray
     source: CubicalComplex | None = field(default=None, repr=False)
 
     @property
@@ -422,11 +422,9 @@ class LinkGraph:
         return None if labels is None else [labels[i] for i in self.vertex_cubes.tolist()]
 
 
-def link_graph(X: CubicalComplex, j: int, dirs=(), rows=None) -> LinkGraph:
+def link_graph(X: CubicalComplex, j: int, dirs=()) -> LinkGraph:
     """The graph whose vertices are the I-cubes and whose edges are the
-    (I + {j})-cubes, for j not in I.  Requires parities.  With rows, a flag
-    per link vertex, only the edges that end at a flagged vertex are kept,
-    and opposite is None."""
+    (I + {j})-cubes, for j not in I.  Requires parities."""
     mask = mask_of(dirs) if not isinstance(dirs, int) else dirs
     if mask & (1 << (j - 1)):
         raise ConstructionError(f"direction {j} lies in the cube directions")
@@ -434,15 +432,10 @@ def link_graph(X: CubicalComplex, j: int, dirs=(), rows=None) -> LinkGraph:
     if up not in X.tables:
         raise ConstructionError("no cubes in the requested directions")
     verts, edges, t = X.canonical_indices(mask), X.canonical_indices(up, mask), X.tables[up]
-    terminus = position(verts, t.top[j][edges])
-    opposite = None
-    if rows is not None:
-        kept = np.asarray(rows)[terminus] | (terminus < 0)  # a bad face stays to be refused
-        edges, terminus = edges[kept], terminus[kept]
-    else:
-        opposite = position(edges, t.inv[j][edges])
     origin = position(verts, t.bot[j][edges])
-    if min(x.min(initial=0) for x in (origin, terminus, opposite) if x is not None) < 0:
+    terminus = position(verts, t.top[j][edges])
+    opposite = position(edges, t.inv[j][edges])
+    if min(x.min(initial=0) for x in (origin, terminus, opposite)) < 0:
         raise ConstructionError("link extraction hit a non-canonical face; parities inconsistent")
 
     return LinkGraph(j, mask, X.r(j), len(verts), verts, edges, origin, terminus, opposite, X)

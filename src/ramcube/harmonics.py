@@ -18,16 +18,16 @@ Conventions:
                    transition-twisted adjacency operator of the link graph
 
 where T_{c,j} is the transition of the direction-j edge at the bottom
-corner of c.  Every boundary and star is assembled once, as numpy COO
-entries (``Coo``: sorted row-major, duplicates summed), each boundary once
-per workspace; the star spectra and the cohomology read those entries
-directly, so certification needs numpy alone.  The public sparse accessors
-(``partial_boundary``, ``total_d``, ``star_operator``) return scipy CSR
-views of the same entries and ``laplacian`` and ``total_laplacian``
-scipy's products of them, importing scipy only when called;
-``star_matrix`` returns the dense star, the reference the tests compare
-against.  ``hodge_project`` splits a cochain by least-squares projections
-(LSMR, from scipy) onto the ranges of d and d*.
+corner of c.  Boundaries and stars are both read off the faces of the
+representative cubes (``_faces``), as numpy COO entries (``Coo``: sorted
+row-major, duplicates summed); the star spectra and the cohomology read
+those entries directly, so certification needs numpy alone.  The public
+sparse accessors (``partial_boundary``, ``total_d``, ``star_operator``)
+return scipy CSR matrices of the same entries and ``laplacian`` and
+``total_laplacian`` scipy's products of them, importing scipy only when
+called; ``star_matrix`` returns the dense star, the reference the tests
+compare against.  ``hodge_project`` splits a cochain by least-squares
+projections (LSMR, from scipy) onto the ranges of d and d*.
 
 Cayley symmetry: on an arithmetic complex, left translation by the
 unipotent u = [[1, 1], [0, 1]], of order N = n1, permutes the vertices and
@@ -62,19 +62,21 @@ appears at most once (multiplicity one of Whittaker models), so a piece
 has d_rho coordinates per slot (parity class, tuple, fibre) where the
 block has |h0|/N (``_pieces``).
 
-Star spectra: every direction-j link edge joins I-cubes whose bottom
-vertices have opposite j-parity, so with parities each star (and each of
-its Fourier blocks, since an orbit keeps its parity) is bipartite,
-S = [[0, B^H], [B, 0]] up to a permutation, and spec(S) = +-sigma(B) padded
-with zeros.  ``_parity_rows`` checks that on the COO entries and keeps those
-of B, from which ``block_spectrum`` scatters each Fourier block of B or
-its pieces.  A block reads only the rows that lead their u-orbit, so
-``spectrum_report`` assembles (``_star``) and checks just those, of both
-classes: the adjoint partner (c, l) of an entry (l, c) is read translated
-back to a leader row, (leader(c), sigma^-shift(c) l), and the other rows
-are pinned by the verified symmetry (with N = 1 every row leads).  Without
-parities (e.g. complete graphs) ``block_spectrum`` solves each block with
-``spectrum``, the dense ``eigvalsh`` that is also the tests' reference.
+Star spectra: each representative (I + {j})-cube c is a row of d_j, and
+each I-cube is a face of r_j of them, so box_{j,I} = d_j^H d_j is r_j on
+the diagonal and the star is C + C^H, C the sum of M = -blk_top^H blk_bot
+at (top slot, bottom slot) (``_links``, ``_cross``).  That is the twisted
+adjacency of the link graph, which reads T(inv_j e) on the reversal of each
+edge e, since the workspace checks that T(inv_j e) = T(e)^H.  With parities
+the top face has j-parity 1 and the bottom face 0, so C is the block B of
+the bipartite star S = [[0, B^H], [B, 0]] (and of each Fourier block, since
+an orbit keeps its parity), and spec(S) = +-sigma(B) padded with zeros.
+``block_spectrum`` scatters each Fourier block of B or its pieces from the
+entries of B; a block reads only the rows that lead their u-orbit, so
+``spectrum_report`` keeps only the cubes whose top face leads, before their
+transitions are gathered.  Without parities (e.g. complete graphs)
+``block_spectrum`` solves each block of C + C^H with ``spectrum``, the
+dense ``eigvalsh`` that is also the tests' reference.
 ``spectrum_report`` plans every star once (``_plan``) and, before the
 first solve, sizes what each solve holds (``_solve_bytes``).
 
@@ -102,8 +104,8 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from . import quaternions as quat
-from .complexes import (CubicalComplex, _factored, connected_components, dirs_of, link_graph,
-                        position, verify_parities)
+from .complexes import (CubicalComplex, _factored, connected_components, dirs_of, position,
+                        verify_parities)
 from .errors import ConstructionError, ResourceError, VerificationError
 from .localsystems import LocalSystem, chunks, trivial_system
 
@@ -140,18 +142,22 @@ class Harmonics:
     def __init__(self, X: CubicalComplex, L: LocalSystem | None = None):
         self.X = X
         self.L = L if L is not None else trivial_system(X)
-        if self.L.fiber_dim > 0 and self.L.transitions:
-            for j in range(1, X.g + 1):
-                mask = 1 << (j - 1)
-                if mask in X.tables and len(self.L.transitions[j - 1]) != X.tables[mask].n:
-                    raise ConstructionError("local system does not match the complex")
+        self.m = self.L.fiber_dim
+        for j, tr in enumerate(self.L.transitions if self.m > 0 else [], 1):
+            t = X.tables.get(1 << (j - 1))
+            if t is None:
+                continue
+            if len(tr) != t.n:
+                raise ConstructionError("local system does not match the complex")
+            for e in chunks(t.n, self.m):  # the reversed edge carries T^H
+                if np.abs(tr[t.inv[j][e]] - tr[e].conj().transpose(0, 2, 1)).max() > 1e-10:
+                    raise ConstructionError(f"a reversed direction-{j} edge does not carry the "
+                                            "conjugate transpose of the edge's transition")
         if X.has_parities and not verify_parities(X)[0]:
             raise ConstructionError("the parities fail the parity relation")
-        self.m = self.L.fiber_dim
         self.dtype = np.result_type(self.L.dtype, np.float64)
         self._reps: dict[int, np.ndarray] = {}
         self._expand: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._bnd: dict[tuple[int, int], Coo] = {}
         self._iso: dict[int, tuple[np.ndarray, list[int]]] = {}
 
     # -- representative bookkeeping ------------------------------------
@@ -234,38 +240,50 @@ class Harmonics:
 
     # -- boundary operators ----------------------------------------------
 
-    def _faces(self, j: int, mask: int):
+    def _faces(self, j: int, mask: int, lead=None):
         """Per representative (I + {j})-cube c, I the given direction set
         and j not in I: the slots of top_j c and bot_j c in C^I and the
-        blocks with (d_j s)(c) = top_block s(top slot) + bot_block s(bot slot)."""
+        blocks with (d_j s)(c) = top_block s(top slot) + bot_block s(bot slot).
+        With lead, a flag per slot, only the cubes whose top slot is flagged,
+        selected before their transitions are gathered."""
         up = mask | (1 << (j - 1))
         t = self.X.tables[up]
         reps_up = self.reps(up)
         tops, bots = t.top[j][reps_up], t.bot[j][reps_up]
-        # T^{-1} = conjugate transpose for unitary transitions
-        tinv = self._edge_transitions(up, j, reps_up).conj().transpose(0, 2, 1)
         if self.X.has_parities:  # see ``expand``
             top, bot = self.rep_pos(mask, tops), self.rep_pos(mask, bots)
             if min(top.min(initial=0), bot.min(initial=0)) < 0:
                 raise ConstructionError("a face of a canonical cube is not canonical")
+        else:
+            slot_lo, coeff_lo = self.expand(mask)
+            top, bot = slot_lo[tops], slot_lo[bots]
+        if lead is not None:
+            keep = lead[top]
+            reps_up, tops, bots, top, bot = (x[keep] for x in (reps_up, tops, bots, top, bot))
+        # T^{-1} = conjugate transpose for unitary transitions
+        tinv = self._edge_transitions(up, j, reps_up).conj().transpose(0, 2, 1)
+        if self.X.has_parities:
             return top, bot, tinv, np.broadcast_to(-np.eye(self.m, dtype=self.dtype), tinv.shape)
-        slot_lo, coeff_lo = self.expand(mask)
-        return (slot_lo[tops], slot_lo[bots],
-                np.einsum("nab,nbc->nac", tinv, coeff_lo[tops]), -coeff_lo[bots])
+        return top, bot, np.einsum("nab,nbc->nac", tinv, coeff_lo[tops]), -coeff_lo[bots]
 
     def _boundary(self, j: int, mask: int) -> Coo:
         """Entries of d_j from C^I to C^(I + {j}), I the given direction
-        set, j not in I; assembled once per workspace."""
+        set, j not in I."""
         if mask & (1 << (j - 1)):
             raise ConstructionError(f"direction {j} already lies in the direction set")
-        key = (j, mask)
-        if key not in self._bnd:
-            top, bot, blk_top, blk_bot = self._faces(j, mask)
-            rows = np.arange(len(top))
-            self._bnd[key] = self._blocks_to_coo(
-                np.concatenate([rows, rows]), np.concatenate([top, bot]),
-                np.concatenate([blk_top, blk_bot]), len(top), self.dim(mask) // self.m)
-        return self._bnd[key]
+        top, bot, blk_top, blk_bot = self._faces(j, mask)
+        rows = np.arange(len(top))
+        return self._blocks_to_coo(np.concatenate([rows, rows]), np.concatenate([top, bot]),
+                                   np.concatenate([blk_top, blk_bot]), len(top),
+                                   self.dim(mask) // self.m)
+
+    def _links(self, j: int, mask: int, lead=None):
+        """The direction-j link edges on C^I, one per representative
+        (I + {j})-cube c: its top and bottom slots and M = -blk_top^H
+        blk_bot (``_faces``, with lead as there), so that c's row of d_j
+        vanishes exactly when s(top) = M s(bot)."""
+        top, bot, blk_top, blk_bot = self._faces(j, mask, lead)
+        return top, bot, -blk_top.conj().transpose(0, 2, 1) @ blk_bot
 
     def partial_boundary(self, j: int, mask: int) -> sparse.csr_matrix:
         """d_j from C^I to C^(I + {j}), I the given direction set, j not in I."""
@@ -316,19 +334,20 @@ class Harmonics:
         return sum(self.laplacian(j, mask) for j in range(1, self.X.g + 1)
                    if mask & (1 << (j - 1)) or (mask | (1 << (j - 1))) in self.X.tables).tocsr()
 
-    def _star(self, j: int, mask: int, rows=None) -> Coo:
-        """Entries of the Hermitian star operator on C^I: the
-        transition-twisted adjacency operator of the directional link graph
-        (parallel link edges add up); with rows, a flag per representative,
-        the rows of the flagged ones only."""
-        lg = link_graph(self.X, j, mask, rows)
-        trans = self._edge_transitions(mask | (1 << (j - 1)), j, lg.edge_cubes)
-        n = lg.n_vertices
-        return self._blocks_to_coo(lg.terminus, lg.origin, trans, n, n)
+    def _cross(self, j: int, mask: int, lead=None) -> Coo:
+        """Entries of C, the sum of M at (top slot, bottom slot) over the
+        link edges (``_links``, with lead as there): the star is C + C^H.
+        With parities the top slot has j-parity 1 and the bottom slot 0, so
+        C is the block B of the bipartite star."""
+        top, bot, M = self._links(j, mask, lead)
+        n = self.dim(mask) // self.m
+        return self._blocks_to_coo(top, bot, M, n, n)
 
     def star_operator(self, j: int, mask: int) -> sparse.csr_matrix:
-        """The star operator S_{j,I} as a sparse matrix."""
-        return self._star(j, mask).tocsr()
+        """The star operator S_{j,I} = C + C^H (``_cross``) as a sparse
+        matrix."""
+        C = self._cross(j, mask).tocsr()
+        return (C + C.conj().T).tocsr()
 
     def star_matrix(self, j: int, mask: int) -> np.ndarray:
         """The star operator as a dense matrix."""
@@ -411,8 +430,7 @@ class Harmonics:
             return False
         for j, tr in enumerate(self.L.transitions, 1):
             T = X.tables[1 << (j - 1)].T
-            for part in chunks(len(tr), self.m):
-                e = np.arange(len(tr))[part]
+            for e in chunks(len(tr), self.m):
                 if not np.array_equal(tr[sigma[e // T] * T + e % T], tr[e]):
                     return False
         return True
@@ -577,7 +595,7 @@ class Harmonics:
     def _parallel_sections(self, mask: int, window: float) -> np.ndarray:
         """Orthonormal basis, as columns on C^I, of W_I, the intersection
         of ker d_j over the j outside I.  The link edges s(top) = M s(bot),
-        M = coeff_top^H T_{c,j} coeff_bot (``_faces``), are transported
+        M = coeff_top^H T_{c,j} coeff_bot (``_links``), are transported
         from the least cube of each component along a level-synchronous
         breadth-first forest, P_v the transport to cube v; the root vectors
         kept are the kernel (``_kernel``) of the component's stacked
@@ -589,8 +607,7 @@ class Harmonics:
         for j in range(1, self.X.g + 1):
             bit = 1 << (j - 1)
             if not mask & bit and (mask | bit) in self.X.tables:
-                top, bot, blk_top, blk_bot = self._faces(j, mask)
-                parts.append((top, bot, -blk_top.conj().transpose(0, 2, 1) @ blk_bot))
+                parts.append(self._links(j, mask))
         a, b, M = (np.concatenate(x) for x in zip(*parts))
         count, label = connected_components(n, a, b)
         P = np.zeros((n, m, m), dtype=self.dtype)
@@ -673,12 +690,16 @@ class Harmonics:
         translation, descending: the spectra of its Fourier blocks, or of
         their pieces, each taken with its multiplicity (one dense block
         when N = 1).  With parity, a class per coordinate as from
-        star_parity, each block is the block of B alone, class-1 by class-0
-        orbits (module notes).  plan defaults to ``_plan(mask, parity)``;
-        tol bounds the residual of the split (``_pieces``)."""
+        star_parity, A is the block B of a bipartite operator
+        [[0, B^H], [B, 0]], its entries in class-1 rows and class-0 columns
+        (``_cross``; module notes).  plan defaults to ``_plan(mask,
+        parity)``; tol bounds the residual of the split (``_pieces``)."""
         if parity is not None:
-            A = _parity_rows(A if isinstance(A, Coo) else A.tocoo(), parity,
-                             self.coordinate_orbits([mask]))
+            A, parity = A if isinstance(A, Coo) else A.tocoo(), np.asarray(parity)
+            if parity.shape != (A.shape[0],) or not np.isin(parity, (0, 1)).all():
+                raise ValueError("parity must give a 0/1 class for every row")
+            if np.any(parity[A.row] != 1) or np.any(parity[A.col] != 0):
+                raise ValueError("B has an entry outside the class-1 rows and class-0 columns")
         parts = []
         for block, mult in self.fourier_blocks(A, *(plan or self._plan(mask, parity)), tol=tol):
             parts += [spectrum(block) if parity is None else _bipartite_spectrum(block)] * mult
@@ -727,18 +748,18 @@ class Harmonics:
     def _solve_bytes(self, j: int, mask: int, plan) -> tuple[int, tuple[int, int]]:
         """(bytes, shape) of the star's solve with its plan: twice the
         largest dense piece, of that shape (LAPACK copies it; complex when
-        N > 1), the entries of the star's rows that lead their orbit, of
-        both classes, and of B (3/2 nnz of 16 + itemsize bytes, nnz <=
-        dim r_j m / N), with a split the Z bases (a class x (|h0|/N)^2
-        complex per block), the entries times a row of Q_c (nnz d complex)
-        and the two (|h0|/N) x d complex arrays of ``_pieces`` for each of
-        <= n_sr min(n_sc, r_j m) slot pairs (a row slot meets r_j tuples and
-        m fibres), and a quarter of all that."""
+        N > 1), the entries the blocks are scattered from (16 + itemsize
+        bytes each, nnz <= r_j m per block row: a row slot is a face of r_j
+        link edges), with a split the Z bases (a class x (|h0|/N)^2 complex
+        per block), the entries times a row of Q_c (nnz d complex) and the
+        two (|h0|/N) x d complex arrays of ``_pieces`` for each of <= n_sr
+        min(n_sc, r_j m) slot pairs (a row slot meets r_j tuples and m
+        fibres), and a quarter of all that."""
         (_, _, n_r), (_, _, n_c), split = plan
         N, r = self.symmetry_order(), self.X.r(j)
         item = np.dtype(self.dtype if N == 1 else np.complex128).itemsize
-        nnz = self.dim(mask) * r * self.m // N
-        held = 3 * nnz * (16 + np.dtype(self.dtype).itemsize) // 2
+        nnz = n_r * r * self.m
+        held = nnz * (16 + np.dtype(self.dtype).itemsize)
         if split is not None:
             classes = self._block_classes(self.dtype == np.float64)
             d = max(max(self._isotypic(k)[1]) for k, _ in classes)
@@ -811,37 +832,6 @@ def _clusters(values: np.ndarray) -> list[int]:
     makes a larger piece."""
     cut = np.flatnonzero(np.diff(values) > 1e-6 * np.abs(values).max()) + 1
     return np.diff(np.concatenate([[0], cut, [len(values)]])).tolist()
-
-
-def _parity_rows(A: Coo, parity, orbits) -> Coo:
-    """The entries of B, from class 0 to class 1 of parity (0/1 per row),
-    once A is checked bipartite (every same-class entry exactly zero) and
-    Hermitian (A - A^H within 1e-10).  A commutes with the translation pi
-    whose orbits (``coordinate_orbits``) number its coordinates, and may
-    hold only the rows that lead their orbit: the adjoint partner of an
-    entry (l, c), conj A[c, l], is conj A[leader(c), pi^(shift(l) -
-    shift(c)) leader(l)], read from members[orbit, shift] by binary search
-    in the ascending row-major keys, or zero when A has no entry there."""
-    parity = np.asarray(parity)
-    if parity.shape != (A.shape[0],) or not np.isin(parity, (0, 1)).all():
-        raise ValueError("parity must give a 0/1 class for every row")
-    if A.data[parity[A.row] == parity[A.col]].any():
-        raise ValueError("matrix couples two rows of the same parity class")
-    n = max(A.shape[1], 1)
-    if np.any(np.diff(A.row * n + A.col) <= 0):
-        A = Coo.canonical(A.row, A.col, A.data, A.shape)
-    ids, shift, n_orb = orbits
-    N = shift.max(initial=0) + 1
-    members = np.empty((n_orb, N), dtype=np.int64)
-    members[ids, shift] = np.arange(len(ids))
-    turn = (shift[A.row] - shift[A.col]) % N
-    key, adjoint = A.row * n + A.col, members[ids[A.col], 0] * n + members[ids[A.row], turn]
-    at = np.minimum(np.searchsorted(key, adjoint), len(key) - 1)
-    partner = np.where(key[at] == adjoint, A.data[at].conj(), 0)
-    if not (np.abs(A.data - partner) <= 1e-10).all():
-        raise ValueError("matrix is not Hermitian within tolerance")
-    keep = parity[A.row] > parity[A.col]
-    return Coo(A.row[keep], A.col[keep], A.data[keep], A.shape)
 
 
 def _bipartite_spectrum(B: np.ndarray) -> np.ndarray:
@@ -918,10 +908,11 @@ def spectrum_report(X: CubicalComplex, L: LocalSystem | None = None,
                     workspace: Harmonics | None = None) -> SpectrumReport:
     """Star spectra and Ramanujan verdicts for every admissible (j, I),
     each the union of the spectra of the pieces of the star's Fourier
-    blocks.  Each star is planned once (``_plan``) and assembled on the
-    rows that lead their u-orbit, all that its blocks read.  Before the
-    first solve, ResourceError refuses the run when the bytes a star's
-    solve holds (``_solve_bytes``) exceed the headroom."""
+    blocks.  Each star is planned once (``_plan``); with parities its
+    block B is assembled on the rows that lead their u-orbit, all that its
+    blocks read.  Before the first solve, ResourceError refuses the run
+    when the bytes a star's solve holds (``_solve_bytes``) exceed the
+    headroom."""
     H = workspace if workspace is not None else Harmonics(X, L)
     plans = {(j, mask): H._plan(mask, H.star_parity(j, mask))
              for mask in X.masks() for j in range(1, X.g + 1)
@@ -938,9 +929,10 @@ def spectrum_report(X: CubicalComplex, L: LocalSystem | None = None,
                 f"solver's copy and its entries, above the {headroom / 2**20:.1f} MiB available")
     report = SpectrumReport()
     for (j, mask), plan in plans.items():
-        leaders = plan[0][1][::H.m] == 0  # the star's rows that lead their u-orbit
-        eigs = H.block_spectrum(H._star(j, mask, leaders), mask, H.star_parity(j, mask),
-                                plan, tol)
+        parity = H.star_parity(j, mask)
+        leaders = plan[0][1][::H.m] == 0  # the rows of B that lead their u-orbit
+        A = H.star_operator(j, mask) if parity is None else H._cross(j, mask, leaders)
+        eigs = H.block_spectrum(A, mask, parity, plan, tol)
         verdict = classify_ramanujan(eigs, X.r(j), tol)
         report.entries.append(SpectrumEntry(j, dirs_of(mask), H.dim(mask), eigs, verdict))
     return report

@@ -52,9 +52,10 @@ class Stacked:
 
 
 def chunks(n: int, m: int):
-    """Slices of range(n) of about 2^14 matrix entries each, for m x m matrices."""
+    """Consecutive index arrays that cover range(n), of about 2^14 matrix
+    entries each, for m x m matrices."""
     step = max(2**14 // max(m * m, 1), 1)
-    return (slice(lo, lo + step) for lo in range(0, n, step))
+    return (np.arange(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
 class LocalSystem:
@@ -214,8 +215,7 @@ def verify_flatness(X: CubicalComplex, L: LocalSystem) -> FlatnessReport:
         t = X.tables[mask]
         total += t.n
         best, at = -1.0, 0
-        for part in chunks(t.n, L.fiber_dim):
-            c = np.arange(t.n)[part]
+        for c in chunks(t.n, L.fiber_dim):
             T_AB = L.transitions[j - 1][X.edge_vector(mask, j, c)]  # j-edge at the base
             T_AD = L.transitions[jp - 1][X.edge_vector(mask, jp, c)]
             T_BC = L.transitions[jp - 1][t.top[j][c]]  # j'-edge on the far j-side

@@ -193,9 +193,11 @@ def _identity_suite(X, L, label, star_cap=8000):
             S = H.star_operator(j, mask)
             box = H.laplacian(j, mask)
             assert np.abs(box.toarray() - (r * np.eye(dim) - S.toarray())).max() < MAT_TOL, label
-            # the library's block route; test_harmonics checks it against
-            # the dense eigensolve on smaller instances
-            s_eigs = H.block_spectrum(S, mask, H.star_parity(j, mask))
+            # the library's block route, from B with parities; test_harmonics
+            # checks it against the dense eigensolve on smaller instances
+            parity = H.star_parity(j, mask)
+            s_eigs = (H.block_spectrum(S, mask) if parity is None
+                      else H.block_spectrum(H._cross(j, mask), mask, parity))
             assert np.abs(s_eigs).max() <= r + PSD_SLACK, label
             b_eigs = H.block_spectrum(box, mask)
             assert b_eigs.min() >= -PSD_SLACK, label

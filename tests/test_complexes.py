@@ -160,28 +160,6 @@ def test_link_graph_counts_on_square_complex(cover513):
     assert np.all(np.bincount(lg2.terminus, minlength=lg2.n_vertices) == 14)
 
 
-@pytest.mark.parametrize("complex_fixture", ["cover513", "x5137"])
-def test_link_graph_rows_keep_the_edges_into_them(request, complex_fixture):
-    """With rows, a flag per link vertex, the link graph holds the edges of
-    the full one that end at a flagged vertex, in the same order, and no
-    opposite; the vertices stay all of them."""
-    X = request.getfixturevalue(complex_fixture)
-    rng = np.random.default_rng(5)
-    for mask in X.masks():
-        for j in range(1, X.g + 1):
-            if mask & (1 << (j - 1)) or (mask | (1 << (j - 1))) not in X.tables:
-                continue
-            full = rc.link_graph(X, j, mask)
-            rows = rng.random(full.n_vertices) < 0.3
-            part = rc.link_graph(X, j, mask, rows)
-            kept = rows[full.terminus]
-            assert 0 < kept.sum() < len(kept) and part.opposite is None
-            assert part.n_vertices == full.n_vertices
-            assert np.array_equal(part.vertex_cubes, full.vertex_cubes)
-            for name in ("edge_cubes", "origin", "terminus"):
-                assert np.array_equal(getattr(part, name), getattr(full, name)[kept]), name
-
-
 def test_link_graph_requires_free_direction(cover513):
     with pytest.raises(ConstructionError):
         rc.link_graph(cover513, 1, (1,))

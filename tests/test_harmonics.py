@@ -67,6 +67,28 @@ def test_workspace_refuses_parities_that_fail_the_relation():
         Harmonics(X)
 
 
+@pytest.mark.parametrize("change", [-1.0, 1 + 1e-9])
+def test_workspace_refuses_a_reversal_without_the_conjugate_transpose(cover513, change):
+    """An explicit weight-2 system with one edge's transition changed and
+    its reversal's not is refused by the workspace, and so by
+    spectrum_report and cohomology_dims; the same edit on both is accepted
+    and keeps the stars Hermitian."""
+    t = cover513.tables[1]
+    edge = 5
+    back = int(t.inv[1][edge])
+    L = rc.build_symm_system(cover513, 2)
+    L.transitions[0] = L.transitions[0][:]  # explicit, one matrix per edge
+    L.transitions[0][edge] *= change
+    for run in (Harmonics, rc.spectrum_report, lambda X, L: Harmonics(X, L).cohomology_dims()):
+        with pytest.raises(ConstructionError, match="conjugate transpose"):
+            run(cover513, L)
+    L.transitions[0][back] *= change
+    H = Harmonics(cover513, L)
+    for j, mask in _boundary_keys(cover513):
+        S = H.star_matrix(j, mask)
+        assert np.abs(S - S.conj().T).max() == 0.0
+
+
 def test_boundary_refuses_a_non_canonical_face():
     """top_1 of the canonical square (base corner 0) moved to the edge at
     corner 2, which is not canonical; the edge parities still pass."""
@@ -161,22 +183,21 @@ def test_complete_graph_laplacian_spectrum():
     assert np.allclose(eigs, [4.0, 4.0, 4.0, 0.0], atol=1e-10)
 
 
-def test_laplacian_psd_and_star_identity(cover_spaces, cover513):
-    X = cover513
-    for H in cover_spaces:
-        for mask in X.masks():
-            for j in range(1, 3):
-                if mask & (1 << (j - 1)):
-                    continue
-                box = H.laplacian(j, mask).toarray()
-                S = H.star_matrix(j, mask)
-                r = X.r(j)
-                assert np.abs(box - (r * np.eye(len(S)) - S)).max() < 1e-12
-                eigs = rc.spectrum(box)
-                assert eigs.min() > -1e-10
-                assert eigs.max() < 2 * r + 1e-10
-                s_eigs = rc.spectrum(S)
-                assert np.abs(s_eigs).max() <= r + 1e-10
+def test_laplacian_psd_and_star_identity(cover_spaces):
+    """The star is r_j - box_{j,I} on every admissible (j, I), also on
+    K4 x K4, which has no parities and so no link graph at I != {}."""
+    K4 = rc.complete_graph_complex(4)
+    for H in [*cover_spaces, Harmonics(rc.product(K4, K4))]:
+        for j, mask in _boundary_keys(H.X):
+            box = H.laplacian(j, mask).toarray()
+            S = H.star_matrix(j, mask)
+            r = H.X.r(j)
+            assert np.abs(box - (r * np.eye(len(S)) - S)).max() < 1e-12
+            eigs = rc.spectrum(box)
+            assert eigs.min() > -1e-10
+            assert eigs.max() < 2 * r + 1e-10
+            s_eigs = rc.spectrum(S)
+            assert np.abs(s_eigs).max() <= r + 1e-10
 
 
 def test_star_row_sums_for_trivial_system(cover513):
@@ -187,25 +208,41 @@ def test_star_row_sums_for_trivial_system(cover513):
 
 
 def _star_by_edge_loop(H, j, mask):
-    """Reference star: add each link edge's transition block in turn."""
+    """Reference star, sparse: each edge of the link graph, in both
+    orientations, adds its transition block in turn."""
     lg = rc.link_graph(H.X, j, mask)
     trans = H.L.transitions[j - 1][H.X.edge_vector(mask | (1 << (j - 1)), j)]
     m = H.m
-    out = np.zeros((lg.n_vertices * m, lg.n_vertices * m), dtype=H.dtype)
+    a, b = np.divmod(np.arange(m * m), m)
+    row, col, val = [], [], []
     for e, r_, c_ in zip(lg.edge_cubes, lg.terminus, lg.origin):
-        out[r_ * m:(r_ + 1) * m, c_ * m:(c_ + 1) * m] += trans[e]
-    return out
+        row.append(r_ * m + a)
+        col.append(c_ * m + b)
+        val.append(trans[e].ravel())
+    n = lg.n_vertices * m
+    return scipy.sparse.csr_matrix(
+        (np.concatenate(val), (np.concatenate(row), np.concatenate(col))), shape=(n, n))
 
 
-def test_star_matrix_matches_edge_loop(cover_spaces, x511):
-    spaces = list(cover_spaces) + [Harmonics(x511, rc.build_symm_system(x511, 1))]
+def test_star_matrix_matches_edge_loop(cover_spaces, x511, x5137):
+    """The star C + C^H read off the faces equals the sum of every link
+    edge's transition, both orientations of each edge, on every admissible
+    (j, I): with and without parities, on fibres of dimension 6 (an
+    external product) and on real, complex and weight-2 systems."""
+    K4, C5, C4, C6 = (rc.complete_graph_complex(4), rc.cycle_complex(5), rc.cycle_complex(4),
+                      rc.cycle_complex(6))
+    spaces = [*cover_spaces, Harmonics(x511, rc.build_symm_system(x511, 1)), Harmonics(K4),
+              Harmonics(C5), Harmonics(rc.box_complex(3)),
+              Harmonics(*rc.external_product(C4, rc.trivial_system(C4, 2),
+                                             C6, rc.trivial_system(C6, 3))),
+              Harmonics(x5137), Harmonics(x5137, rc.build_symm_system(x5137, 2))]
     for H in spaces:
-        for j, mask in ((1, 0), (2, 0), (1, 0b10), (2, 0b01)):
-            if (mask | (1 << (j - 1))) not in H.X.tables:
-                continue
-            S = H.star_matrix(j, mask)
-            assert isinstance(S, np.ndarray) and S.dtype == H.dtype
-            assert np.abs(S - _star_by_edge_loop(H, j, mask)).max() < 1e-15
+        for j, mask in _boundary_keys(H.X):
+            S = H.star_operator(j, mask)
+            assert S.dtype == H.dtype
+            assert abs(S - _star_by_edge_loop(H, j, mask)).max() < 1e-15
+    S = cover_spaces[1].star_matrix(1, 0)
+    assert isinstance(S, np.ndarray) and S.dtype == np.complex128
 
 
 def test_star_matrix_sums_parallel_edges():
@@ -213,7 +250,7 @@ def test_star_matrix_sums_parallel_edges():
     H = Harmonics(X)
     S = H.star_matrix(1, 0)
     assert np.array_equal(S, [[0.0, 3.0], [3.0, 0.0]])
-    fast = H.block_spectrum(H._star(1, 0), 0, H.star_parity(1, 0))
+    fast = H.block_spectrum(H._cross(1, 0), 0, H.star_parity(1, 0))
     assert np.abs(fast - rc.spectrum(S)).max() <= 1e-10
 
 
@@ -277,7 +314,7 @@ def test_parity_block_route_matches_dense(request, complex_fixture, k, n_classes
             if mask & (1 << (j - 1)) or (mask | (1 << (j - 1))) not in X.tables:
                 continue
             parity = H.star_parity(j, mask)
-            fast = H.block_spectrum(H._star(j, mask), mask, parity)
+            fast = H.block_spectrum(H._cross(j, mask), mask, parity)
             dense = rc.spectrum(H.star_matrix(j, mask))
             assert len(fast) == len(dense) and np.abs(fast - dense).max() <= 1e-10
             n_stars += 1
@@ -285,21 +322,19 @@ def test_parity_block_route_matches_dense(request, complex_fixture, k, n_classes
 
 
 def test_parity_block_route_rejects_broken_entries(cover_spaces):
-    """The entry checks run on the Coo entries, before any block is formed:
-    one entry within a parity class, or one entry whose adjoint partner
-    differs by more than the tolerance, is refused."""
+    """The entry check runs on the Coo entries, before any block is formed:
+    one entry of B within a parity class is refused, and so is the whole
+    star in place of B."""
     H = cover_spaces[1]
-    S, parity = H._star(1, 0), H.star_parity(1, 0)
-    assert np.iscomplexobj(S.data)
-    same = np.flatnonzero(parity == parity[0])[1]
-    coupled = Coo.canonical(np.append(S.row, 0), np.append(S.col, same),
-                            np.append(S.data, 1.0), S.shape)
-    with pytest.raises(ValueError, match="same parity class"):
+    B, parity = H._cross(1, 0), H.star_parity(1, 0)
+    assert np.iscomplexobj(B.data) and (parity[B.row] == 1).all()
+    same = np.flatnonzero(parity == 1)[1]
+    coupled = Coo.canonical(np.append(B.row, B.row[0]), np.append(B.col, same),
+                            np.append(B.data, 1.0), B.shape)
+    with pytest.raises(ValueError, match="outside the class-1 rows"):
         H.block_spectrum(coupled, 0, parity)
-    data = S.data.copy()
-    data[np.flatnonzero(data.imag)[0]] += 1e-6
-    with pytest.raises(ValueError, match="Hermitian"):
-        H.block_spectrum(S._replace(data=data), 0, parity)
+    with pytest.raises(ValueError, match="outside the class-1 rows"):
+        H.block_spectrum(H.star_operator(1, 0), 0, parity)
 
 
 def _leaders(H, mask):
@@ -311,58 +346,45 @@ def _leaders(H, mask):
 @pytest.mark.parametrize("complex_fixture, k", [
     ("x5137", 0), ("x5137", 2), ("lps513", 0), ("lps513", 2), ("cover513", 0), ("cover513", 2)])
 def test_leader_row_star_is_the_leader_rows_of_the_star(request, complex_fixture, k):
-    """The star assembled on the rows that lead their u-orbit holds exactly
-    those rows of the star operator, the sparse form of ``star_matrix``,
-    and nothing on the other rows."""
+    """B assembled on the rows that lead their u-orbit holds exactly the
+    class-1 leader rows by the class-0 columns of the star operator, the
+    sparse form of ``star_matrix``, and nothing on the other rows."""
     X = request.getfixturevalue(complex_fixture)
     H = Harmonics(X, _system(X, k))
     assert H.symmetry_order() == X.arith.n1
     for j, mask in _boundary_keys(X):
         lead = _leaders(H, mask)
-        rows = np.repeat(lead, H.m)
-        assert 0 < rows.sum() == len(rows) // H.symmetry_order()
-        part, full = H._star(j, mask, lead).tocsr(), H.star_operator(j, mask)
+        parity = H.star_parity(j, mask)
+        rows = np.repeat(lead, H.m) & (parity == 1)
+        assert 0 < np.repeat(lead, H.m).sum() == len(parity) // H.symmetry_order()
+        part, full = H._cross(j, mask, lead).tocsr(), H.star_operator(j, mask)
         assert part.shape == full.shape and part[~rows].nnz == 0
-        assert part[rows].nnz == full[rows].nnz and abs(part[rows] - full[rows]).max() == 0
+        expected = full[rows][:, parity == 0]
+        assert part[rows][:, parity == 1].nnz == 0 and expected.nnz > 0
+        assert abs(part[rows][:, parity == 0] - expected).max() == 0
 
 
-def test_leader_row_star_checks_translated_partners(cover_spaces):
-    """On the leader rows alone the adjoint partner of an entry (l, c) with c
-    off the leader rows is absent; the check reads it translated back to the
-    leader of c, so the intact entries pass and give the dense spectrum,
-    while a same-class entry or a non-Hermitian entry with such a partner
-    is refused."""
+def test_leader_row_block_reads_columns_off_the_leader_rows(cover_spaces):
+    """B on the leader rows alone reaches columns off the leader rows; its
+    Fourier blocks give the spectrum of the dense star."""
     H = cover_spaces[1]
-    S, parity = H._star(1, 0, _leaders(H, 0)), H.star_parity(1, 0)
-    assert np.iscomplexobj(S.data) and H.symmetry_order() == 3
-    fast = H.block_spectrum(S, 0, parity)
+    B, parity = H._cross(1, 0, _leaders(H, 0)), H.star_parity(1, 0)
+    assert np.iscomplexobj(B.data) and H.symmetry_order() == 3
+    assert np.any(~np.repeat(_leaders(H, 0), H.m)[B.col] & (B.data.imag != 0))
+    fast = H.block_spectrum(B, 0, parity)
     assert np.abs(fast - rc.spectrum(H.star_matrix(1, 0))).max() <= 1e-10
-    off = np.flatnonzero(~np.repeat(_leaders(H, 0), H.m)[S.col] & (S.data.imag != 0))
-    assert off.size
-    row = S.row[0]
-    same = np.flatnonzero(parity == parity[row])[1]
-    coupled = Coo.canonical(np.append(S.row, row), np.append(S.col, same),
-                            np.append(S.data, 1.0), S.shape)
-    with pytest.raises(ValueError, match="same parity class"):
-        H.block_spectrum(coupled, 0, parity)
-    data = S.data.copy()
-    data[off[0]] += 1e-6
-    with pytest.raises(ValueError, match="Hermitian"):
-        H.block_spectrum(S._replace(data=data), 0, parity)
 
 
 def test_tampered_edge_off_the_leader_rows_refuses_symmetry(cover513):
     """An edge whose two ends both lie off the leader rows, and its
-    reversal, never enter the leader-row star.  Tampering with their
-    transitions makes ``_is_symmetry`` refuse u, so N = 1, every row leads,
-    and the spectra still match the dense star."""
+    reversal, never enter the leader-row B, whose cubes have a leading top.
+    Tampering with their transitions makes ``_is_symmetry`` refuse u, so
+    N = 1, every row leads, and the spectra still match the dense star."""
     L = rc.build_symm_system(cover513, 2)
     _, _, shift, *_ = Harmonics(cover513, L)._symmetry
     t = cover513.tables[1]
     edge = next(e for e in range(t.n) if shift[t.top[1][e]] and shift[t.bot[1][e]])
     back = t.inv[1][edge]
-    unread = rc.link_graph(cover513, 1, 0, shift == 0).edge_cubes
-    assert edge not in unread and back not in unread
     L.transitions[0] = L.transitions[0][:]  # explicit, one matrix per edge
     L.transitions[0][[edge, back]] *= -1
     H = Harmonics(cover513, L)
@@ -373,8 +395,10 @@ def test_tampered_edge_off_the_leader_rows_refuses_symmetry(cover513):
 
 
 def _parity_route(M, parity):
-    """block_spectrum of the dense matrix M with the given parity, as an
-    operator on the vertices of a bipartite path (N = 1)."""
+    """block_spectrum of the dense matrix M, the block B of a bipartite
+    operator embedded in its class-1 rows and class-0 columns, with the
+    given parity, as an operator on the vertices of a bipartite path
+    (N = 1)."""
     M = np.asarray(M)
     n = len(M)
     X = rc.graph_complex(n, [(v, v + 1) for v in range(n - 1)], r=2,
@@ -384,18 +408,15 @@ def _parity_route(M, parity):
 
 
 def test_bipartite_spectrum_rejects_same_class_entries():
+    """B holds entries from class 0 to class 1 only: an entry within a class,
+    or from class 1 to class 0 (the upper block of a full star), is refused."""
     triangle = np.ones((3, 3)) - np.eye(3)
-    with pytest.raises(ValueError, match="same parity class"):
+    with pytest.raises(ValueError, match="outside the class-1 rows"):
         _parity_route(triangle, [0, 1, 0])
-    with pytest.raises(ValueError, match="same parity class"):
-        _parity_route(np.diag([1.0, 0.0]), [0, 1])
-
-
-def test_bipartite_spectrum_rejects_non_adjoint_blocks():
-    with pytest.raises(ValueError, match="Hermitian"):
-        _parity_route(np.array([[0.0, 1.0], [2.0, 0.0]]), [0, 1])
-    with pytest.raises(ValueError, match="Hermitian"):
-        _parity_route(np.array([[0.0, 1j], [1j, 0.0]]), [1, 0])
+    with pytest.raises(ValueError, match="outside the class-1 rows"):
+        _parity_route(np.diag([0.0, 1.0]), [0, 1])
+    with pytest.raises(ValueError, match="outside the class-1 rows"):
+        _parity_route(np.array([[0.0, 1.0], [0.0, 0.0]]), [0, 1])
 
 
 def test_bipartite_spectrum_rejects_bad_parity_vectors():
@@ -407,7 +428,7 @@ def test_bipartite_spectrum_rejects_bad_parity_vectors():
 
 def test_bipartite_spectrum_pads_unequal_classes():
     path = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    eigs = _parity_route(path, [0, 1, 0])
+    eigs = _parity_route(np.where([[0], [1], [0]], path, 0.0), [0, 1, 0])
     assert np.allclose(eigs, [np.sqrt(2), 0.0, -np.sqrt(2)], atol=1e-14)
     assert np.abs(eigs - rc.spectrum(path)).max() <= 1e-14
     assert np.array_equal(_parity_route(np.zeros((3, 3)), [1, 1, 1]), np.zeros(3))
@@ -794,8 +815,8 @@ def test_memory_check_boundary(cover513, monkeypatch):
     formed.  On [5,13]@3, h0 = PSL2(3) (order 12, N = 3) has |h0|/N = 4
     orbits per parity class and 3 as its largest irreducible dimension, so
     the largest piece is 3 n_sr x 3 n_sc complex for n_sr and n_sc slots.
-    To twice that add the entries of the star's leader rows and its rows of
-    B (3/2 of at most nnz = dim r_j / 3 entries of 16 + 8 bytes), the Z
+    To twice that add the entries of B's leader rows (at most nnz = r_j per
+    class-1 leader row, of 16 + 8 bytes each), the Z
     bases of the 2 blocks solved on the 4 parity classes (4 x 4 complex
     each), the entries times a row of Q (nnz 3 complex) and two 4 x 3
     complex arrays for each of at most n_sr min(n_sc, r_j) pairs of slots,
@@ -810,9 +831,9 @@ def test_memory_check_boundary(cover513, monkeypatch):
         _, shift, _ = H.coordinate_orbits([mask])
         leaders = H.star_parity(e.j, mask)[shift == 0]
         n_sr, n_sc = int(leaders.sum()) // n_o, int((leaders == 0).sum()) // n_o
-        nnz = e.dim * r // 3
-        assert len(H._star(e.j, mask, shift == 0).data) <= nnz
-        held = 3 * nnz * (16 + 8) // 2
+        nnz = int(leaders.sum()) * r
+        assert len(H._cross(e.j, mask, shift == 0).data) <= nnz
+        held = nnz * (16 + 8)
         held += (2 * n_classes * n_o**2 + 2 * n_sr * min(n_sc, r) * n_o * d + nnz * d) \
             * complex_bytes
         need = max(need, (2 * (d * n_sr) * (d * n_sc) * complex_bytes + held) * 5 // 4)
@@ -838,8 +859,7 @@ def test_memory_check_boundary(cover513, monkeypatch):
 def _pieces(H, j, mask):
     """Shapes of the pieces ``block_spectrum`` solves for the star S_{j,I}."""
     parity = H.star_parity(j, mask)
-    B = harmonics._parity_rows(H._star(j, mask), parity, H.coordinate_orbits([mask]))
-    return [p.shape for p, _ in H.fourier_blocks(B, *H._plan(mask, parity))]
+    return [p.shape for p, _ in H.fourier_blocks(H._cross(j, mask), *H._plan(mask, parity))]
 
 
 def test_isotypic_pieces_have_irreducible_sizes(x5137):
@@ -882,8 +902,7 @@ def test_isotypic_split_falls_back_without_weyl(cover513, monkeypatch):
         parity = H.star_parity(e.j, mask)
         rows, cols, split = H._plan(mask, parity)
         assert split is None
-        B = harmonics._parity_rows(H._star(e.j, mask), parity, H.coordinate_orbits([mask]))
-        today = list(fourier_blocks(H, B, rows, cols))
+        today = list(fourier_blocks(H, H._cross(e.j, mask), rows, cols))
         assert len(blocks) == len(today) == 2
         assert all(np.array_equal(a, b) and m == n for (a, m), (b, n) in zip(blocks, today))
         assert np.abs(e.eigenvalues - rc.spectrum(H.star_matrix(e.j, mask))).max() <= 1e-10

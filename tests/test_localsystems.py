@@ -264,7 +264,7 @@ def test_flatness_witness_in_the_last_partial_chunk():
     X, mask = rc.product(rc.cycle_complex(12), rc.cycle_complex(10)), 0b11
     t = X.tables[mask]
     L = rc.trivial_system(X, 8)
-    assert [c.start for c in chunks(t.n, L.fiber_dim)] == [0, 256] and t.n == 480
+    assert [c[0] for c in chunks(t.n, L.fiber_dim)] == [0, 256] and t.n == 480
     edge = X.tables[1].n - 1
     with_edge = np.flatnonzero((X.edge_vector(mask, 1) == edge) | (t.top[2][:] == edge))
     assert len(with_edge) == 4 and with_edge.min() >= 460
