@@ -335,13 +335,9 @@ def irreducibility_report(X: CubicalComplex) -> dict:
     reported, not asserted.
     """
     out = {}
-    for mask in X.masks():
-        for j in range(1, X.g + 1):
-            if mask & (1 << (j - 1)) or (mask | (1 << (j - 1))) not in X.tables:
-                continue
-            lg = link_graph(X, j, mask)
-            count, _ = connected_components(lg.n_vertices, lg.origin, lg.terminus)
-            out[(j, dirs_of(mask))] = count
+    for j, mask in X.link_pairs():
+        lg = link_graph(X, j, mask)
+        out[(j, dirs_of(mask))] = connected_components(lg.n_vertices, lg.origin, lg.terminus)[0]
     return out
 
 

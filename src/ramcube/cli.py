@@ -176,7 +176,7 @@ def run(cfg: RunConfig, command: str, out_dir=None, link_spec=None, debug: bool 
         code = _pipeline(cfg, command, out, report, link_spec)
     except ConfigError:
         raise
-    except (ConstructionError, CentralConditionError) as e:
+    except ConstructionError as e:
         report["exit_stage"] = {"stage": "construction", "error": str(e)}
         code = 3
     except VerificationError as e:

@@ -152,6 +152,25 @@ class CubicalComplex:
             return (np.flatnonzero(ok)[:, None] * t.T + np.arange(t.T)).ravel()
         return np.flatnonzero(ok[self.origin(mask)])
 
+    def slot(self, mask: int, cubes, dirs: int | None = None) -> np.ndarray:
+        """Position of each given cube among ``canonical_indices(mask,
+        dirs)``, -1 for the others: with no direction fixed, the cube
+        itself."""
+        if (mask if dirs is None else dirs) == 0:
+            return np.asarray(cubes)
+        keys = self.canonical_indices(mask, dirs)
+        if not len(keys):
+            return np.full(np.shape(cubes), -1)
+        at = np.minimum(np.searchsorted(keys, cubes), len(keys) - 1)
+        return np.where(keys[at] == cubes, at, -1)
+
+    def link_pairs(self) -> list[tuple[int, int]]:
+        """Every (j, I), I a direction mask and j not in I, with cubes in
+        the directions I + {j}: the links, stars S_{j,I} and boundaries d_j,
+        ordered by I then j."""
+        return [(j, mask) for mask in self.masks() for j in range(1, self.g + 1)
+                if not mask & (1 << (j - 1)) and mask | (1 << (j - 1)) in self.tables]
+
     def unoriented_counts(self) -> dict[int, int]:
         return {m: self.tables[m].n >> bin(m).count("1") for m in self.masks()}
 
@@ -277,15 +296,11 @@ def verify_axioms(X: CubicalComplex) -> AxiomReport:
             check(t.top[j][inv[j]] == bot, 3, mask, f"top_{j} inv_{j} != bot_{j}", idx)
 
     # (4) every oriented I-cube is the j-th top of exactly r_j (I+{j})-cubes
-    for mask in X.masks():
-        for j in range(1, X.g + 1):
-            up = mask | (1 << (j - 1))
-            if up == mask or up not in X.tables:
-                continue
-            tops, lower = X.tables[up].top[j], X.tables[mask]
-            counts = (np.bincount(tops.part, minlength=lower.T) if factored
-                      else np.bincount(tops[:], minlength=lower.n))
-            check(counts == X.r(j), 4, mask, f"not the {j}-top of exactly r_{j} cubes")
+    for j, mask in X.link_pairs():
+        tops, lower = X.tables[mask | (1 << (j - 1))].top[j], X.tables[mask]
+        counts = (np.bincount(tops.part, minlength=lower.T) if factored
+                  else np.bincount(tops[:], minlength=lower.n))
+        check(counts == X.r(j), 4, mask, f"not the {j}-top of exactly r_{j} cubes")
 
     checked = {a: all(f.axiom != a for f in failures) for a in (1, 2, 3, 4)}
     return AxiomReport(not failures, failures, checked)
@@ -432,21 +447,12 @@ def link_graph(X: CubicalComplex, j: int, dirs=()) -> LinkGraph:
     if up not in X.tables:
         raise ConstructionError("no cubes in the requested directions")
     verts, edges, t = X.canonical_indices(mask), X.canonical_indices(up, mask), X.tables[up]
-    origin = position(verts, t.bot[j][edges])
-    terminus = position(verts, t.top[j][edges])
-    opposite = position(edges, t.inv[j][edges])
+    origin, terminus = X.slot(mask, t.bot[j][edges]), X.slot(mask, t.top[j][edges])
+    opposite = X.slot(up, t.inv[j][edges], mask)
     if min(x.min(initial=0) for x in (origin, terminus, opposite)) < 0:
         raise ConstructionError("link extraction hit a non-canonical face; parities inconsistent")
 
     return LinkGraph(j, mask, X.r(j), len(verts), verts, edges, origin, terminus, opposite, X)
-
-
-def position(keys: np.ndarray, x) -> np.ndarray:
-    """Index of each x in the ascending keys, -1 where it is missing."""
-    if not len(keys):
-        return np.full(np.shape(x), -1)
-    at = np.minimum(np.searchsorted(keys, x), max(len(keys) - 1, 0))
-    return np.where(keys[at] == x, at, -1)
 
 
 def connected_components(n_vertices: int, origin: np.ndarray, terminus: np.ndarray):

@@ -18,8 +18,10 @@ Conventions:
                    transition-twisted adjacency operator of the link graph
 
 where T_{c,j} is the transition of the direction-j edge at the bottom
-corner of c.  Boundaries and stars are both read off the faces of the
-representative cubes (``_faces``), as numpy COO entries (``Coo``: sorted
+corner of c; ``CubicalComplex.link_pairs`` lists the (j, I) that have a
+d_j and a star.  Boundaries and stars are both read off the faces of the
+representative cubes (``_faces``; with parities each face sits at its
+``CubicalComplex.slot``), as numpy COO entries (``Coo``: sorted
 row-major, duplicates summed); the star spectra and the cohomology read
 those entries directly, so certification needs numpy alone.  The public
 sparse accessors (``partial_boundary``, ``total_d``, ``star_operator``)
@@ -104,8 +106,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from . import quaternions as quat
-from .complexes import (CubicalComplex, _factored, connected_components, dirs_of, position,
-                        verify_parities)
+from .complexes import CubicalComplex, _factored, connected_components, dirs_of, verify_parities
 from .errors import ConstructionError, ResourceError, VerificationError
 from .localsystems import LocalSystem, chunks, trivial_system
 
@@ -177,12 +178,6 @@ class Harmonics:
             self._reps[mask] = np.flatnonzero(leader == np.arange(t.n))
         return self._reps[mask]
 
-    def rep_pos(self, mask: int, cubes=None) -> np.ndarray:
-        """Position of each given oriented cube (all by default) among the
-        representatives, -1 for the others."""
-        return position(self.reps(mask),
-                        np.arange(self.X.tables[mask].n) if cubes is None else cubes)
-
     def dim(self, mask: int) -> int:
         return self.X.unoriented_counts()[mask] * self.m
 
@@ -205,7 +200,7 @@ class Harmonics:
 
         With parities the representatives are the canonical cubes, and
         every face of a canonical cube is canonical (a direction-j edge
-        flips only the j-parity), so the boundaries read slot = position
+        flips only the j-parity), so the boundaries read slot = ``X.slot``
         and coefficient = identity instead (``_faces``); the signs reach an
         operator only on complexes without parities."""
         if mask not in self._expand:
@@ -251,7 +246,7 @@ class Harmonics:
         reps_up = self.reps(up)
         tops, bots = t.top[j][reps_up], t.bot[j][reps_up]
         if self.X.has_parities:  # see ``expand``
-            top, bot = self.rep_pos(mask, tops), self.rep_pos(mask, bots)
+            top, bot = self.X.slot(mask, tops), self.X.slot(mask, bots)
             if min(top.min(initial=0), bot.min(initial=0)) < 0:
                 raise ConstructionError("a face of a canonical cube is not canonical")
         else:
@@ -303,15 +298,12 @@ class Harmonics:
         col_off = np.cumsum([0] + [self.dim(mask) for mask in src])
         row_off = np.cumsum([0] + [self.dim(mask) for mask in dst])
         parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, self.dtype))]
-        for a, mask in enumerate(src):
-            for j in range(1, self.X.g + 1):
-                up = mask | (1 << (j - 1))
-                if up == mask or up not in self.X.tables:
-                    continue
+        for j, mask in self.X.link_pairs():
+            if mask in src:
                 sign = -1.0 if self._alpha(mask, j) % 2 else 1.0
                 d = self._boundary(j, mask)
-                parts.append((d.row + row_off[dst.index(up)], d.col + col_off[a],
-                              d.data * sign))
+                parts.append((d.row + row_off[dst.index(mask | (1 << (j - 1)))],
+                              d.col + col_off[src.index(mask)], d.data * sign))
         row, col, data = (np.concatenate(x) for x in zip(*parts))
         return Coo.canonical(row, col, data,
                              (int(row_off[-1]), int(col_off[-1]))).tocsr()
@@ -331,8 +323,8 @@ class Harmonics:
 
     def total_laplacian(self, mask: int) -> sparse.csr_matrix:
         """sum_j box_{j,I} on C^I, the Hodge Laplacian on the direction set."""
-        return sum(self.laplacian(j, mask) for j in range(1, self.X.g + 1)
-                   if mask & (1 << (j - 1)) or (mask | (1 << (j - 1))) in self.X.tables).tocsr()
+        js = sorted(j for j, lo in self.X.link_pairs() if mask in (lo, lo | (1 << (j - 1))))
+        return sum(self.laplacian(j, mask) for j in js).tocsr()
 
     def _cross(self, j: int, mask: int, lead=None) -> Coo:
         """Entries of C, the sum of M at (top slot, bottom slot) over the
@@ -514,7 +506,7 @@ class Harmonics:
                 T = self.X.tables[mask].T
                 v = rep // T
                 t = shift[v]
-                lead = self.rep_pos(mask, leader[v] * T + rep % T)
+                lead = self.X.slot(mask, leader[v] * T + rep % T)
                 number = (np.cumsum(t == 0) - 1)[lead]
             ids.append(((off + number)[:, None] * m + np.arange(m)).ravel())
             shifts.append(np.repeat(t, m))
@@ -604,10 +596,7 @@ class Harmonics:
         comes out as O(depth * m * machine epsilon), far below the window."""
         m, n = self.m, self.dim(mask) // self.m
         parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, m, m), self.dtype))]
-        for j in range(1, self.X.g + 1):
-            bit = 1 << (j - 1)
-            if not mask & bit and (mask | bit) in self.X.tables:
-                parts.append(self._links(j, mask))
+        parts += [self._links(j, mask) for j, lo in self.X.link_pairs() if lo == mask]
         a, b, M = (np.concatenate(x) for x in zip(*parts))
         count, label = connected_components(n, a, b)
         P = np.zeros((n, m, m), dtype=self.dtype)
@@ -726,7 +715,7 @@ class Harmonics:
             axes = (pos, shift, int(one.sum())), (pos, shift, int((~one).sum()))
         if self.symmetry_order() == 1:
             return *axes, None
-        m, T = self.m, self.X.tables[mask].n // self.X.n_vertices
+        m, T = self.m, self.X.tables[mask].T
         rep = np.repeat(self.reps(mask), m)[lead]
         v = rep // T
         code = self.X.parities[v].astype(np.int64) @ (1 << np.arange(self.X.g))
@@ -914,9 +903,8 @@ def spectrum_report(X: CubicalComplex, L: LocalSystem | None = None,
     when the bytes a star's solve holds (``_solve_bytes``) exceed the
     headroom."""
     H = workspace if workspace is not None else Harmonics(X, L)
-    plans = {(j, mask): H._plan(mask, H.star_parity(j, mask))
-             for mask in X.masks() for j in range(1, X.g + 1)
-             if not mask & (1 << (j - 1)) and (mask | (1 << (j - 1))) in X.tables}
+    parities = {(j, mask): H.star_parity(j, mask) for j, mask in X.link_pairs()}
+    plans = {(j, mask): H._plan(mask, parity) for (j, mask), parity in parities.items()}
     if plans:
         sizes = {star: H._solve_bytes(*star, plan) for star, plan in plans.items()}
         j, mask = max(sizes, key=lambda star: sizes[star][0])
@@ -929,7 +917,7 @@ def spectrum_report(X: CubicalComplex, L: LocalSystem | None = None,
                 f"solver's copy and its entries, above the {headroom / 2**20:.1f} MiB available")
     report = SpectrumReport()
     for (j, mask), plan in plans.items():
-        parity = H.star_parity(j, mask)
+        parity = parities[j, mask]
         leaders = plan[0][1][::H.m] == 0  # the rows of B that lead their u-orbit
         A = H.star_operator(j, mask) if parity is None else H._cross(j, mask, leaders)
         eigs = H.block_spectrum(A, mask, parity, plan, tol)

@@ -1,6 +1,7 @@
 """Reference constructions for the harmonic operators, built the slow way:
 the alternation data by a breadth-first search over orientations, one cube
-at a time, and the coboundary d*_j from its defining sum
+at a time, from the representatives' slots scattered independently of
+``CubicalComplex.slot``, and the coboundary d*_j from its defining sum
 
     (d*_j t)(r) = sum over top_j(c) = r of T_{c,j} t(c),
 
@@ -21,12 +22,21 @@ from scipy.sparse.csgraph import connected_components
 from ramcube.complexes import dirs_of
 
 
+def rep_slots(H, mask):
+    """Position of every oriented cube of the direction set among the
+    representatives, -1 for the others, scattered from ``Harmonics.reps``."""
+    rep = H.reps(mask)
+    pos = -np.ones(H.X.tables[mask].n, dtype=np.int64)
+    pos[rep] = np.arange(len(rep))
+    return pos
+
+
 def expand_by_bfs(H, mask):
     """(slot, coeff) of every oriented cube of the direction set: a
     breadth-first search from the representatives, trying the directions
     in ascending order at each cube."""
     t = H.X.tables[mask]
-    pos = H.rep_pos(mask)
+    pos = rep_slots(H, mask)
     slot = -np.ones(t.n, dtype=np.int64)
     coeff = np.zeros((t.n, H.m, H.m), dtype=H.dtype)
     rep = H.reps(mask)
@@ -53,7 +63,7 @@ def coboundary_by_sum(H, j, mask):
     as a sparse matrix assembled from the defining sum."""
     up = mask | (1 << (j - 1))
     t = H.X.tables[up]
-    pos_lo = H.rep_pos(mask)
+    pos_lo = rep_slots(H, mask)
     slot_up, coeff_up = expand_by_bfs(H, up)
     trans = H.L.transitions[j - 1][H.X.edge_vector(up, j)]
     m = H.m

@@ -3,7 +3,7 @@ import pytest
 
 import ramcube as rc
 from dense_reference import components_by_csgraph
-from ramcube.complexes import CubicalComplex, dirs_of, link_dot, mask_of, position, skeleton_dot
+from ramcube.complexes import CubicalComplex, dirs_of, link_dot, mask_of, skeleton_dot
 from ramcube.errors import ConstructionError
 
 
@@ -57,8 +57,50 @@ def test_isolated_vertex_fails_axiom4(n, edges, r):
     assert [(f.axiom, f.mask, f.index) for f in report.failures] == [(4, 0, n - 1)]
 
 
-def test_position_in_empty_keys():
-    assert position(np.zeros(0, dtype=np.int64), np.array([3, 0])).tolist() == [-1, -1]
+def _small_complexes():
+    """Complexes of every shape the link pairs and slots meet: a product,
+    a disjoint union, a graph with an isolated vertex and the empty graph,
+    all with parities."""
+    C4, C6 = rc.cycle_complex(4), rc.cycle_complex(6)
+    return {"box3": rc.box_complex(3), "C4xC6": rc.product(C4, C6),
+            "C4+C6": rc.disjoint_union(C4, C6),
+            "isolated": rc.graph_complex(3, [(0, 1)], r=1, parities=[[0], [1], [0]]),
+            "empty": rc.graph_complex(0, [], r=1, parities=np.zeros((0, 1)))}
+
+
+@pytest.fixture(params=["cover513", "x5137", *_small_complexes()])
+def any_complex(request):
+    return (request.getfixturevalue(request.param) if request.param in ("cover513", "x5137")
+            else _small_complexes()[request.param])
+
+
+def test_link_pairs_are_the_admissible_pairs(any_complex):
+    X = any_complex
+    assert X.link_pairs() == [(j, mask) for mask in X.masks() for j in range(1, X.g + 1)
+                              if not mask & (1 << (j - 1)) and (mask | (1 << (j - 1))) in X.tables]
+
+
+def test_slot_matches_searchsorted(any_complex):
+    """For every mask and every dirs inside it, the slot of every cube is
+    its searchsorted position among the canonical cubes, -1 off them, also
+    for two indices past the last cube; with no direction fixed, the cube
+    itself, which passes any index on unchanged."""
+    X = any_complex
+    for mask in X.masks():
+        n = X.tables[mask].n
+        cubes = np.concatenate([np.arange(n)[::-1], [n, n + 1]])
+        assert np.array_equal(X.slot(mask, cubes, 0), cubes)
+        for dirs in range(mask + 1):
+            if dirs & ~mask:
+                continue
+            probe = cubes if dirs else cubes[:n]
+            keys = X.canonical_indices(mask, dirs)
+            want = np.where(np.isin(probe, keys), np.searchsorted(keys, probe), -1)
+            assert np.array_equal(X.slot(mask, probe, dirs), want)
+            if dirs == mask:
+                assert np.array_equal(X.slot(mask, probe), want)
+    if not X.n_vertices:  # no canonical cubes at all
+        assert X.slot(1, np.array([3, 0])).tolist() == [-1, -1]
 
 
 def test_parities_cycles():
@@ -191,9 +233,7 @@ def test_connected_components_match_csgraph(lps513, cover513, cover13373):
     arithmetic complexes, on a graph with isolated vertices and on a link
     graph with no vertices."""
     links = [rc.link_graph(X, j, mask)
-             for X in (lps513, cover513, cover13373)
-             for mask in X.masks() for j in range(1, X.g + 1)
-             if not mask & (1 << (j - 1)) and (mask | (1 << (j - 1))) in X.tables]
+             for X in (lps513, cover513, cover13373) for j, mask in X.link_pairs()]
     assert len(links) == 1 + 4 + 4
     isolated = rc.link_graph(rc.graph_complex(6, [(0, 1), (3, 4)], r=1), 1)
     empty = rc.link_graph(rc.graph_complex(0, [], r=1), 1)

@@ -46,12 +46,6 @@ def small_spaces():
                                    _renumber_top_cubes(rc.product(K4, C5), 0))]
 
 
-def _boundary_keys(X):
-    """Every (j, I) with j outside I and a cube in the directions I + {j}."""
-    return [(j, mask) for mask in X.masks() for j in range(1, X.g + 1)
-            if not mask & (1 << (j - 1)) and (mask | (1 << (j - 1))) in X.tables]
-
-
 def test_boundary_on_single_edge():
     X = rc.graph_complex(2, [(0, 1)], r=1, parities=[[0], [1]])
     D = Harmonics(X).partial_boundary(1, 0).toarray()
@@ -84,7 +78,7 @@ def test_workspace_refuses_a_reversal_without_the_conjugate_transpose(cover513, 
             run(cover513, L)
     L.transitions[0][back] *= change
     H = Harmonics(cover513, L)
-    for j, mask in _boundary_keys(cover513):
+    for j, mask in cover513.link_pairs():
         S = H.star_matrix(j, mask)
         assert np.abs(S - S.conj().T).max() == 0.0
 
@@ -137,7 +131,7 @@ def test_coboundary_is_adjoint(cover_spaces, small_spaces):
     """The conjugate transpose of the boundary is the coboundary of the
     defining sum."""
     for H in small_spaces:
-        for j, mask in _boundary_keys(H.X):
+        for j, mask in H.X.link_pairs():
             B = coboundary_by_sum(H, j, mask)
             assert abs(B - H.partial_boundary(j, mask).conj().T).max() == 0.0, (j, mask)
     H_triv, H_k2 = cover_spaces
@@ -188,7 +182,7 @@ def test_laplacian_psd_and_star_identity(cover_spaces):
     K4 x K4, which has no parities and so no link graph at I != {}."""
     K4 = rc.complete_graph_complex(4)
     for H in [*cover_spaces, Harmonics(rc.product(K4, K4))]:
-        for j, mask in _boundary_keys(H.X):
+        for j, mask in H.X.link_pairs():
             box = H.laplacian(j, mask).toarray()
             S = H.star_matrix(j, mask)
             r = H.X.r(j)
@@ -237,7 +231,7 @@ def test_star_matrix_matches_edge_loop(cover_spaces, x511, x5137):
                                              C6, rc.trivial_system(C6, 3))),
               Harmonics(x5137), Harmonics(x5137, rc.build_symm_system(x5137, 2))]
     for H in spaces:
-        for j, mask in _boundary_keys(H.X):
+        for j, mask in H.X.link_pairs():
             S = H.star_operator(j, mask)
             assert S.dtype == H.dtype
             assert abs(S - _star_by_edge_loop(H, j, mask)).max() < 1e-15
@@ -352,7 +346,7 @@ def test_leader_row_star_is_the_leader_rows_of_the_star(request, complex_fixture
     X = request.getfixturevalue(complex_fixture)
     H = Harmonics(X, _system(X, k))
     assert H.symmetry_order() == X.arith.n1
-    for j, mask in _boundary_keys(X):
+    for j, mask in X.link_pairs():
         lead = _leaders(H, mask)
         parity = H.star_parity(j, mask)
         rows = np.repeat(lead, H.m) & (parity == 1)
