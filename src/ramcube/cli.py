@@ -85,7 +85,7 @@ def _is_int(x) -> bool:
 
 
 def _is_positive(x) -> bool:
-    """Whether a JSON or command-line value is a finite positive number."""
+    """Whether a JSON value is a finite positive number."""
     return (isinstance(x, (int, float)) and not isinstance(x, bool)
             and math.isfinite(x) and x > 0)
 
@@ -356,19 +356,14 @@ def _json_default(obj):
 
 def _write_csv(path: Path, sp) -> None:
     """Rows (j, dirs-bitmask, index, eigenvalue, class) in the bytes of
-    csv.writer: repr floats and \\r\\n line ends, written entry by entry.
-    An eigenvalue is trivial+ or trivial- within tol * max(r, 1) of +r or
-    -r, as in classify_ramanujan, and nontrivial otherwise."""
+    csv.writer: repr floats and \\r\\n line ends, written entry by entry,
+    with the classes of the entry's classify_ramanujan verdict."""
     with open(path, "w", newline="") as fh:
         fh.write("j,dirs_mask,index,eigenvalue,class\r\n")
         for e in sp.entries:
-            r, eigs = e.verdict.r, e.eigenvalues
-            window = e.verdict.tol * max(r, 1)
-            cls = np.where(np.abs(eigs - r) <= window, "trivial+",
-                           np.where(np.abs(eigs + r) <= window, "trivial-", "nontrivial"))
             head = f"{e.j},{mask_of(e.dirs)},"
-            fh.writelines(f"{head}{i},{lam!r},{c}\r\n"
-                          for i, (lam, c) in enumerate(zip(eigs.tolist(), cls.tolist())))
+            fh.writelines(f"{head}{i},{lam!r},{c}\r\n" for i, (lam, c) in
+                          enumerate(zip(e.eigenvalues.tolist(), e.verdict.classes.tolist())))
 
 
 def main(argv=None) -> int:
@@ -378,10 +373,6 @@ def main(argv=None) -> int:
     ap.add_argument("command", choices=COMMANDS)
     ap.add_argument("--config", required=True, help="JSON run configuration")
     ap.add_argument("--out", default=None, help="output directory (default: config)")
-    ap.add_argument("--tol", type=float, default=None,
-                    help="override the spectral tolerance")
-    ap.add_argument("--max-depth", type=int, default=None,
-                    help="override the girth search depth cap")
     ap.add_argument("--link-j", type=int, default=None,
                     help="export-dot: link direction j instead of the 1-skeleton")
     ap.add_argument("--link-dirs", default="",
@@ -392,14 +383,6 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config)
-        if args.tol is not None:
-            if not _is_positive(args.tol):
-                raise ConfigError("--tol must be positive")
-            cfg.tolerances["spectral"] = args.tol
-        if args.max_depth is not None:
-            if args.max_depth <= 0:
-                raise ConfigError("--max-depth must be a positive integer")
-            cfg.max_depth = args.max_depth
         link_spec = None
         if args.link_j is not None:
             link_spec = _link_spec(args.link_j, args.link_dirs, len(cfg.primes))

@@ -145,19 +145,31 @@ class CubicalComplex:
         t, dirs = self.tables[mask], mask if dirs is None else dirs
         if dirs == 0:
             return np.arange(t.n)
-        if not self.has_parities:
-            raise ConstructionError("canonical orientations require parities")
-        ok = ~self.parities[:, [j - 1 for j in dirs_of(dirs)]].any(axis=1)
+        ok = self._even(dirs)
         if t.T:
             return (np.flatnonzero(ok)[:, None] * t.T + np.arange(t.T)).ravel()
         return np.flatnonzero(ok[self.origin(mask)])
 
+    def _even(self, dirs: int) -> np.ndarray:
+        """Whether each vertex has parity 0 in every direction of dirs."""
+        if not self.has_parities:
+            raise ConstructionError("canonical orientations require parities")
+        return ~self.parities[:, [j - 1 for j in dirs_of(dirs)]].any(axis=1)
+
     def slot(self, mask: int, cubes, dirs: int | None = None) -> np.ndarray:
         """Position of each given cube among ``canonical_indices(mask,
         dirs)``, -1 for the others: with no direction fixed, the cube
-        itself."""
-        if (mask if dirs is None else dirs) == 0:
+        itself.  With T > 0 the canonical cubes are whole vertex blocks, so
+        the slot is the rank of the block times T plus the place in it."""
+        t, dirs = self.tables[mask], mask if dirs is None else dirs
+        if dirs == 0:
             return np.asarray(cubes)
+        if t.T:  # off the canonical blocks and past the end, base + s lies in [-T, -1]
+            ok = np.append(self._even(dirs), False)
+            base = np.where(ok, np.cumsum(ok) - 1, -1) * t.T
+            v, s = np.divmod(np.minimum(cubes, t.n), t.T)
+            s += base[v]
+            return np.maximum(s, -1, out=s)
         keys = self.canonical_indices(mask, dirs)
         if not len(keys):
             return np.full(np.shape(cubes), -1)

@@ -840,10 +840,12 @@ class RamanujanVerdict:
     n_nontrivial: int
     gap: float                   # r - mu
     tol: float
+    classes: np.ndarray          # per eigenvalue: trivial+, trivial- or nontrivial
 
 
 def classify_ramanujan(eigs, r: int, tol: float = 1e-8) -> RamanujanVerdict:
-    """Split off the trivial eigenvalues +-r and test mu <= 2 sqrt(r-1).
+    """Split off the trivial eigenvalues +-r, those within tol * max(r, 1)
+    of +r or else of -r, and test mu <= 2 sqrt(r-1).
 
     The +r multiplicity counts the connected components of the underlying
     link graph (for the trivial system) and -r its bipartite components."""
@@ -853,9 +855,10 @@ def classify_ramanujan(eigs, r: int, tol: float = 1e-8) -> RamanujanVerdict:
     nontrivial = eigs[~(plus | minus)]
     mu = float(np.max(np.abs(nontrivial))) if nontrivial.size else 0.0
     bound = 2.0 * math.sqrt(max(r - 1, 0))
+    classes = np.where(plus, "trivial+", np.where(minus, "trivial-", "nontrivial"))
     return RamanujanVerdict(r, bound, mu, mu <= bound + tol,
                             int(plus.sum()), int(minus.sum()),
-                            int(nontrivial.size), r - mu, tol)
+                            int(nontrivial.size), r - mu, tol, classes)
 
 
 @dataclass

@@ -25,13 +25,11 @@ from .quaternions import Quaternion, _cyclic_subgroup
 
 class Stacked:
     """The transitions of one direction as a stack of distinct matrices:
-    edge e carries stack[e % len(stack)], times sign[e] unless sign is None;
-    with opposite (the inversion of the edges), the later edge of each
-    opposite pair carries the exact conjugate transpose of the earlier one's
-    matrix instead.  Indexing by edges or a slice gathers their matrices."""
+    edge e carries stack[e % len(stack)], times sign[e] unless sign is None.
+    Indexing by edges or a slice gathers their matrices."""
 
-    def __init__(self, n: int, stack: np.ndarray, sign=None, opposite=None):
-        self.n, self.stack, self.sign, self.opposite = n, stack, sign, opposite
+    def __init__(self, n: int, stack: np.ndarray, sign=None):
+        self.n, self.stack, self.sign = n, stack, sign
         self.dtype = stack.dtype
 
     def __len__(self):
@@ -41,14 +39,8 @@ class Stacked:
 
     def __getitem__(self, edges):
         e = np.arange(self.n)[edges] if isinstance(edges, slice) else np.asarray(edges)
-        shape, e = e.shape, e.reshape(-1)
-        first = e if self.opposite is None else np.minimum(e, self.opposite[e])
-        out = self.stack[first % len(self.stack)]
-        if self.sign is not None:
-            out = out * self.sign[first][:, None, None]
-        later = first != e
-        out[later] = out[later].conj().transpose(0, 2, 1)
-        return out.reshape(shape + out.shape[1:])
+        out = self.stack[e % len(self.stack)]
+        return out if self.sign is None else out * self.sign[e][..., None, None]
 
 
 def chunks(n: int, m: int):
@@ -134,9 +126,12 @@ def build_symm_system(X: CubicalComplex, k: int, perturb_section=None) -> LocalS
     For the direction-j edge (v, i) the forward transport is epsilon^k times
     the unitary image of the conjugate generator (the quotient construction
     transports against the group translation, so the edge stepping by a
-    generator carries the inverse of its image).  epsilon is +1 exactly when
-    the chosen lift of the edge's endpoints into the fine group is
-    compatible with the generator's fine image.  perturb_section, an
+    generator carries the inverse of its image): one matrix per letter, a
+    letter after its conjugate taking the exact conjugate transpose of the
+    conjugate's matrix.  epsilon is +1 exactly when the chosen lift of the
+    edge's endpoints into the fine group is compatible with the generator's
+    fine image; an edge and its reversal share it, as the fine images of a
+    letter and its conjugate multiply to a scalar.  perturb_section, an
     optional boolean array over the coarse group, swaps the lift at the
     flagged elements; when the fine and coarse groups coincide there is
     nothing to swap and the system is independent of the section.
@@ -159,14 +154,16 @@ def build_symm_system(X: CubicalComplex, k: int, perturb_section=None) -> LocalS
     eps_all = []
     for j in range(1, X.g + 1):
         reps = np.stack([symm_rep(q.conjugate(), k) for q in gens.gens[j - 1]])
+        for s, t in enumerate(gens.iota[j - 1]):  # the reversed edge carries T^H exactly
+            if s > t:
+                reps[s] = reps[t].conj().T
         eps = np.empty((len(h), len(reps)), dtype=np.int8)
         for i, (img, img_f) in enumerate(zip(gens.images[j - 1], gens.images_fine[j - 1])):
             h_top = G.right_multiplication(img)[h]
             plus = G.right_multiplication(img_f, fine=True)[lift[h]]
             eps[:, i] = np.where(plus == lift[h_top], 1, -1)
         eps = eps.ravel()  # edge (v, i) is row v * r_j + i, so e mod r_j is i
-        inv = X.tables[1 << (j - 1)].inv[j]
-        trans.append(Stacked(len(eps), reps, eps if k % 2 else None, inv))
+        trans.append(Stacked(len(eps), reps, eps if k % 2 else None))
         eps_all.append(eps)
     return LocalSystem(k + 1, trans, f"symm({k})", eps_all)
 

@@ -391,11 +391,9 @@ def test_main_output_directory_that_cannot_be_created(tmp_path, capsys, below):
     ({"primes": [5, 13]}, ["--link-j", "1", "--link-dirs", "1"], "--link-dirs"),
     ({"primes": [5, 13]}, ["--link-dirs", "2"], "--link-dirs needs --link-j"),
     ({"max_dim": 100}, [], "unknown config keys"),
-    ({}, ["--max-depth", "0"], "--max-depth"),
-    ({}, ["--tol", "nan"], "--tol"),
 ])
 def test_main_rejects_bad_input(tmp_path, capsys, payload, extra, fragment):
-    """Malformed config values and command-line overrides are config errors
+    """Malformed config values and command-line options are config errors
     (exit 2), reported before any work and never as a verdict."""
     cfg_path = write_cfg(tmp_path, {"primes": [5], "N1": 3, **payload})
     code = cli.main(["export-dot", "--config", str(cfg_path),
@@ -406,12 +404,14 @@ def test_main_rejects_bad_input(tmp_path, capsys, payload, extra, fragment):
     assert not (tmp_path / "o").exists()
 
 
-def test_main_tol_override(tmp_path):
+@pytest.mark.parametrize("flag", ["--tol", "--max-depth"])
+def test_settings_come_from_the_config_only(tmp_path, capsys, flag):
+    """No option overrides a setting of the hashed config."""
     cfg_path = write_cfg(tmp_path, {"primes": [5], "N1": 3})
-    assert cli.main(["ramanujan", "--config", str(cfg_path),
-                     "--out", str(tmp_path / "r"), "--tol", "1e-6"]) == 0
-    report = json.loads((tmp_path / "r" / "report.json").read_text())
-    assert report["tolerances"]["spectral"] == 1e-6
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["girth", "--config", str(cfg_path), "--out", str(tmp_path / "o"), flag, "1"])
+    assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_main_auto_level_without_generator_alphabet(tmp_path, capsys):
@@ -480,4 +480,7 @@ def test_spectrum_csv_matches_csv_writer(tmp_path, cover513):
         rows = fast.read_bytes().decode().split("\r\n")
         assert rows[-1] == "" and len(rows) == 2 + sum(e.dim for e in sp.entries)
         classes |= {row.rsplit(",", 1)[-1] for row in rows[1:-1]}
+        for e in sp.entries:  # the CSV classes are the verdict's counts
+            assert [(e.verdict.classes == c).sum() for c in ("trivial+", "trivial-")] == [
+                e.verdict.trivial_plus, e.verdict.trivial_minus]
     assert classes == {"trivial+", "trivial-", "nontrivial"}

@@ -137,7 +137,9 @@ def test_section_perturbation_noop_for_trivial_kernel(lps513):
 
 def scalar_symm_system(X, k, flip=None):
     """Reference weight-k transitions and signs: one scalar group product
-    per edge, opposite edges filled one by one."""
+    per edge.  Letter i carries the image of its conjugate generator, a
+    letter after its conjugate letter the conjugate transpose of that
+    letter's image, times the sign for odd k."""
     ar = X.arith
     G, gens = ar.group, ar.gens
     coarse, fine = TupleGroup(G), TupleGroup(G, fine=True)
@@ -146,7 +148,9 @@ def scalar_symm_system(X, k, flip=None):
         lift = [a if f else s for f, a, s in zip(flip, G.alt_section().tolist(), lift)]
     trans, signs = [], []
     for j in range(1, X.g + 1):
-        rj = gens.regularities[j - 1]
+        rj, iota = gens.regularities[j - 1], gens.iota[j - 1]
+        image = [symm_rep(gens.gens[j - 1][i].conjugate(), k) for i in range(rj)]
+        image = [image[iota[i]].conj().T if i > iota[i] else image[i] for i in range(rj)]
         tr = np.empty((X.tables[1 << (j - 1)].n, k + 1, k + 1), dtype=np.complex128)
         eps = np.empty(len(tr), dtype=np.int8)
         for v, (h, _) in enumerate(vertex_keys(ar)):
@@ -155,11 +159,7 @@ def scalar_symm_system(X, k, flip=None):
                 plus = fine.mul(lift[h], gens.images_fine[j - 1][i])
                 e = 1 if plus == lift[h_top] else -1
                 eps[v * rj + i] = e
-                tr[v * rj + i] = (e ** k) * symm_rep(gens.gens[j - 1][i].conjugate(), k)
-        inv = X.tables[1 << (j - 1)].inv[j]
-        for e in range(len(inv)):
-            if e < inv[e]:
-                tr[inv[e]] = tr[e].conj().T
+                tr[v * rj + i] = e * image[i] if k % 2 else image[i]
         trans.append(tr)
         signs.append(eps)
     return trans, signs
@@ -176,6 +176,27 @@ def test_symm_system_matches_scalar_reference(request, fixture, k):
         trans, signs = scalar_symm_system(X, k, perturb)
         assert [t[:].tobytes() for t in L.transitions] == [t.tobytes() for t in trans]
         assert [e.tolist() for e in L.epsilons] == [e.tolist() for e in signs]
+
+
+@pytest.mark.parametrize("fixture,k", [(f, k) for f in ("x511", "cover513", "cover13373")
+                                       for k in range(1, 5) if f != "cover513" or k % 2 == 0])
+def test_symm_system_is_one_matrix_per_letter(request, fixture, k):
+    """Exactly, with and without a perturbed section: once the sign is
+    removed, every edge of a letter carries that letter's matrix; a
+    reversed edge carries the conjugate transpose; an edge and its
+    reversal have one sign.  Odd k is not admissible on cover513."""
+    X = request.getfixturevalue(fixture)
+    flip = np.zeros(X.arith.group.order, dtype=bool)
+    flip[::5] = True
+    for perturb in (None, flip):
+        L = rc.build_symm_system(X, k, perturb_section=perturb)
+        for j, (tr, eps) in enumerate(zip(L.transitions, L.epsilons), 1):
+            inv = X.tables[1 << (j - 1)].inv[j][:]
+            tr, rj = tr[:], X.r(j)
+            bare = tr * eps[:, None, None] if k % 2 else tr
+            assert np.array_equal(bare, np.tile(bare[:rj], (len(tr) // rj, 1, 1)))
+            assert np.array_equal(tr[inv], tr.conj().transpose(0, 2, 1))
+            assert np.array_equal(eps[inv], eps)
 
 
 def test_flatness_on_square_cover(cover513):
