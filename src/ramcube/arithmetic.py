@@ -26,7 +26,7 @@ import numpy as np
 
 from . import quaternions as quat
 from .complexes import (AxiomFailure, CubeTable, CubicalComplex, FactoredMap, connected_components,
-                        dirs_of, link_graph, verify_axioms, verify_parities)
+                        dirs_of, link_graph, parity_code, verify_axioms, verify_parities)
 from .errors import ConstructionError, InvalidModulusError, LevelRejectedError
 from .quaternions import Quaternion
 
@@ -155,6 +155,10 @@ class ArithData:
     def group(self):
         return self.gens.group
 
+    def _code(self, elements, bits) -> np.ndarray:
+        """The vertex codes (group element << g) | parity code."""
+        return elements << self.gens.g | bits
+
     def left_translation(self, m) -> np.ndarray | None:
         """Left translation by (m, 0), m = (m00, m01, m10, m11) a matrix
         over Z/n1, as a vertex permutation: v -> the vertex (m * h_v, parity
@@ -170,10 +174,9 @@ class ArithData:
             element = int(G.lookup(m))
         except ConstructionError:  # m is not in the coarse group
             return None
-        g = self.parities.shape[1]
-        bits = self.parities.astype(np.int64) @ (1 << np.arange(g))
-        codes = (self.vertex_group << g) | bits
-        moved = (G.left_multiplication(element)[self.vertex_group] << g) | bits
+        bits = parity_code(self.parities)
+        codes = self._code(self.vertex_group, bits)
+        moved = self._code(G.left_multiplication(element)[self.vertex_group], bits)
         order = np.argsort(codes)
         pos = order[np.minimum(np.searchsorted(codes, moved, sorter=order), len(codes) - 1)]
         return pos if np.array_equal(codes[pos], moved) else None
@@ -183,15 +186,15 @@ class ArithData:
         generator image and parity bit on the vertex codes (group element,
         parities), as an axiom-0 failure at its edge v*r_j + b; or two
         vertices with one code.  None when there is none; O(n sum r_j)."""
-        g = parities.shape[1]
-        bits = parities.astype(np.int64) @ (1 << np.arange(g))
-        codes = (self.vertex_group << g) | bits
+        bits = parity_code(parities)
+        codes = self._code(self.vertex_group, bits)
         ordered = np.sort(codes)  # (np.unique would import numpy.ma, 20 ms)
         if np.any(ordered[1:] == ordered[:-1]):
             return AxiomFailure(0, 0, 0, "two vertices share a group element and parities")
         for j, images in enumerate(self.gens.images):
             for b, img in enumerate(images):
-                moved = self.group.right_multiplication(img)[self.vertex_group] << g | bits ^ 1 << j
+                step = self.group.right_multiplication(img)[self.vertex_group]
+                moved = self._code(step, bits ^ 1 << j)
                 ok = codes[self.vstep[j][b]] == moved
                 if not ok.all():
                     why = f"vstep[{j}][{b}] is not the right multiplication by its generator"
@@ -217,8 +220,8 @@ def _vertex_labels(ar: ArithData) -> list[str]:
     g = ar.parities.shape[1]
     bits = ["".join(str((c >> j) & 1) for j in range(g)) for c in range(1 << g)]
     entries = quat._decode(ar.group.codes[ar.vertex_group], ar.n1).T.tolist()
-    mask = ar.parities.astype(np.int64) @ (1 << np.arange(g))
-    return ["{},{},{},{}|{}".format(*e, bits[c]) for e, c in zip(entries, mask.tolist())]
+    return ["{},{},{},{}|{}".format(*e, bits[c])
+            for e, c in zip(entries, parity_code(ar.parities).tolist())]
 
 
 def build_complex(primes, n1: int) -> CubicalComplex:
@@ -307,9 +310,9 @@ def build_complex(primes, n1: int) -> CubicalComplex:
     return X
 
 
-def find_valid_level(primes, start: int = 3, limit: int = 10000):
-    """Smallest odd prime level n1 coprime to the primes that builds
-    cleanly, with the complex built there: (n1, X).
+def find_valid_level(primes):
+    """Smallest odd prime level n1 below 10000 coprime to the primes that
+    builds cleanly, with the complex built there: (n1, X).
 
     A prime without a generator alphabet fails here with
     GeneratorCountError before any level is tried; only levels the builder
@@ -317,13 +320,13 @@ def find_valid_level(primes, start: int = 3, limit: int = 10000):
     """
     for p in primes:
         quat.enumerate_generators(p)
-    for n1 in range(start, limit + 1, 2):
+    for n1 in range(3, 10001, 2):
         if quat.is_prime(n1) and n1 % 2 == 1 and all(p % n1 != 0 for p in primes):
             try:
                 return n1, build_complex(primes, n1)
             except LevelRejectedError:
                 pass
-    raise InvalidModulusError(f"no valid level found below {limit}")
+    raise InvalidModulusError("no valid level found below 10000")
 
 
 def irreducibility_report(X: CubicalComplex) -> dict:

@@ -70,11 +70,11 @@ class RunConfig:
 def parse_config(path) -> RunConfig:
     """Load and strictly validate a JSON run configuration."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON syntax, or bytes that are not UTF-8
         raise ConfigError(f"malformed JSON: {e}") from e
     return validate_config(data)
 
@@ -388,11 +388,6 @@ def main(argv=None) -> int:
             link_spec = _link_spec(args.link_j, args.link_dirs, len(cfg.primes))
         elif args.link_dirs:
             raise ConfigError("--link-dirs needs --link-j")
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-
-    try:
         report, code = run(cfg, args.command, args.out, link_spec, args.debug)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

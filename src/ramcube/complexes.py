@@ -52,6 +52,11 @@ def dirs_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def parity_code(parities) -> np.ndarray:
+    """Per vertex, its parity bits as one integer, direction j at bit j - 1."""
+    return parities.astype(np.int64) @ (1 << np.arange(parities.shape[1]))
+
+
 class FactoredMap:
     """A cube map of a table whose cube v*T + s has bottom vertex v: of n
     cubes, cube v*T + s goes to step[lead[s], v] * size + part[s], step a
@@ -241,8 +246,8 @@ def _rows(X: CubicalComplex, t: CubeTable, factored: bool) -> np.ndarray:
     parities of v x(s) and v differ by those of x(s) alone."""
     if not factored:
         return np.arange(t.n)
-    code = X.parities.astype(np.int64) @ (1 << np.arange(X.g))
-    return (np.unique(code, return_index=True)[1][:, None] * t.T + np.arange(t.T)).ravel()
+    base = np.unique(parity_code(X.parities), return_index=True)[1]
+    return (base[:, None] * t.T + np.arange(t.T)).ravel()
 
 
 def verify_axioms(X: CubicalComplex) -> AxiomReport:

@@ -21,15 +21,16 @@ where T_{c,j} is the transition of the direction-j edge at the bottom
 corner of c; ``CubicalComplex.link_pairs`` lists the (j, I) that have a
 d_j and a star.  Boundaries and stars are both read off the faces of the
 representative cubes (``_faces``; with parities each face sits at its
-``CubicalComplex.slot``), as numpy COO entries (``Coo``: sorted
-row-major, duplicates summed); the star spectra and the cohomology read
-those entries directly, so certification needs numpy alone.  The public
-sparse accessors (``partial_boundary``, ``total_d``, ``star_operator``)
-return scipy CSR matrices of the same entries and ``laplacian`` and
-``total_laplacian`` scipy's products of them, importing scipy only when
-called; ``star_matrix`` returns the dense star, the reference the tests
-compare against.  ``hodge_project`` splits a cochain by least-squares
-projections (LSMR, from scipy) onto the ranges of d and d*.
+``CubicalComplex.slot``), as m x m blocks.  The star spectra scatter their
+raw numpy COO entries (``Coo``: entries at one position add up) and the
+cohomology applies each block's adjoint to its row of W, so certification
+needs numpy alone.  ``partial_boundary``, the one scalar form of d_j, and
+``star_operator`` return scipy CSR matrices of the same entries, and
+``total_d``, ``laplacian`` and ``total_laplacian`` are built from them,
+importing scipy only when called; ``star_matrix`` returns the dense star,
+the reference the tests compare against.  ``hodge_project`` splits a
+cochain by least-squares projections (LSMR, from scipy) onto the ranges of
+d and d*.
 
 Cayley symmetry: on an arithmetic complex, left translation by the
 unipotent u = [[1, 1], [0, 1]], of order N = n1, permutes the vertices and
@@ -106,7 +107,8 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from . import quaternions as quat
-from .complexes import CubicalComplex, _factored, connected_components, dirs_of, verify_parities
+from .complexes import (CubicalComplex, _factored, connected_components, dirs_of, parity_code,
+                        verify_parities)
 from .errors import ConstructionError, ResourceError, VerificationError
 from .localsystems import LocalSystem, chunks, trivial_system
 
@@ -115,22 +117,17 @@ if TYPE_CHECKING:
 
 
 class Coo(NamedTuple):
-    """Entries of a sparse matrix in canonical form: sorted row-major, with
-    no repeated position (the form scipy's CSR conversion produces)."""
+    """Raw entries of a sparse matrix: entries at one position add up, in
+    any order, as every scatter of them does."""
     row: np.ndarray
     col: np.ndarray
     data: np.ndarray
     shape: tuple[int, int]
 
-    @classmethod
-    def canonical(cls, row, col, data, shape) -> Coo:
-        """Sort the entries row-major and sum the repeated positions, each
-        in input order."""
-        n_cols = max(shape[1], 1)
-        key, slot = np.unique(row * n_cols + col, return_inverse=True)
-        summed = np.zeros(len(key), dtype=data.dtype)
-        np.add.at(summed, slot, data)
-        return cls(key // n_cols, key % n_cols, summed, shape)
+    def plus_adjoint(self) -> Coo:
+        """The entries of A + A^H, A square."""
+        return Coo(np.concatenate([self.row, self.col]), np.concatenate([self.col, self.row]),
+                   np.concatenate([self.data, self.data.conj()]), self.shape)
 
     def tocsr(self) -> sparse.csr_matrix:
         from scipy import sparse
@@ -226,12 +223,11 @@ class Harmonics:
         m = self.m
         rows, cols = (np.asarray(x, dtype=np.int64) for x in (rows, cols))
         blocks = np.asarray(blocks, dtype=self.dtype)
-        shape = (len(rows), m, m)
-        rr = np.broadcast_to(rows[:, None, None] * m + np.arange(m)[None, :, None], shape)
-        cc = np.broadcast_to(cols[:, None, None] * m + np.arange(m)[None, None, :], shape)
+        rr = np.broadcast_to(rows[:, None, None] * m + np.arange(m)[None, :, None], blocks.shape)
+        cc = np.broadcast_to(cols[:, None, None] * m + np.arange(m)[None, None, :], blocks.shape)
         keep = blocks.ravel() != 0  # the off-diagonal zeros of the -I blocks
-        return Coo.canonical(rr.ravel()[keep], cc.ravel()[keep], blocks.ravel()[keep],
-                             (n_row_blocks * m, n_col_blocks * m))
+        return Coo(rr.ravel()[keep], cc.ravel()[keep], blocks.ravel()[keep],
+                   (n_row_blocks * m, n_col_blocks * m))
 
     # -- boundary operators ----------------------------------------------
 
@@ -261,17 +257,6 @@ class Harmonics:
             return top, bot, tinv, np.broadcast_to(-np.eye(self.m, dtype=self.dtype), tinv.shape)
         return top, bot, np.einsum("nab,nbc->nac", tinv, coeff_lo[tops]), -coeff_lo[bots]
 
-    def _boundary(self, j: int, mask: int) -> Coo:
-        """Entries of d_j from C^I to C^(I + {j}), I the given direction
-        set, j not in I."""
-        if mask & (1 << (j - 1)):
-            raise ConstructionError(f"direction {j} already lies in the direction set")
-        top, bot, blk_top, blk_bot = self._faces(j, mask)
-        rows = np.arange(len(top))
-        return self._blocks_to_coo(np.concatenate([rows, rows]), np.concatenate([top, bot]),
-                                   np.concatenate([blk_top, blk_bot]), len(top),
-                                   self.dim(mask) // self.m)
-
     def _links(self, j: int, mask: int, lead=None):
         """The direction-j link edges on C^I, one per representative
         (I + {j})-cube c: its top and bottom slots and M = -blk_top^H
@@ -282,12 +267,12 @@ class Harmonics:
 
     def partial_boundary(self, j: int, mask: int) -> sparse.csr_matrix:
         """d_j from C^I to C^(I + {j}), I the given direction set, j not in I."""
-        return self._boundary(j, mask).tocsr()
-
-    @staticmethod
-    def _alpha(mask: int, j: int) -> int:
-        """Number of directions in the set below j (the sign exponent)."""
-        return bin(mask & ((1 << (j - 1)) - 1)).count("1")
+        if mask & (1 << (j - 1)):
+            raise ConstructionError(f"direction {j} already lies in the direction set")
+        top, bot, blk_top, blk_bot = self._faces(j, mask)
+        return self._blocks_to_coo(np.tile(np.arange(len(top)), 2), np.concatenate([top, bot]),
+                                   np.concatenate([blk_top, blk_bot]), len(top),
+                                   self.dim(mask) // self.m).tocsr()
 
     def total_d(self, i: int) -> sparse.csr_matrix:
         """d from level i to level i + 1: the partial boundaries with
@@ -300,13 +285,12 @@ class Harmonics:
         parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, self.dtype))]
         for j, mask in self.X.link_pairs():
             if mask in src:
-                sign = -1.0 if self._alpha(mask, j) % 2 else 1.0
-                d = self._boundary(j, mask)
+                sign = (-1.0) ** bin(mask & ((1 << (j - 1)) - 1)).count("1")  # dirs below j
+                d = self.partial_boundary(j, mask).tocoo()
                 parts.append((d.row + row_off[dst.index(mask | (1 << (j - 1)))],
                               d.col + col_off[src.index(mask)], d.data * sign))
         row, col, data = (np.concatenate(x) for x in zip(*parts))
-        return Coo.canonical(row, col, data,
-                             (int(row_off[-1]), int(col_off[-1]))).tocsr()
+        return Coo(row, col, data, (int(row_off[-1]), int(col_off[-1]))).tocsr()
 
     # -- Laplacians and star operators ------------------------------------
 
@@ -338,8 +322,7 @@ class Harmonics:
     def star_operator(self, j: int, mask: int) -> sparse.csr_matrix:
         """The star operator S_{j,I} = C + C^H (``_cross``) as a sparse
         matrix."""
-        C = self._cross(j, mask).tocsr()
-        return (C + C.conj().T).tocsr()
+        return self._cross(j, mask).plus_adjoint().tocsr()
 
     def star_matrix(self, j: int, mask: int) -> np.ndarray:
         """The star operator as a dense matrix."""
@@ -440,14 +423,10 @@ class Harmonics:
         weyl = ar.left_translation((0, -1, 1, 0)) if N > 1 else None
         if weyl is None or not self._is_symmetry(weyl):
             return None
-        code = self.X.parities.astype(np.int64) @ (1 << np.arange(self.X.g))
-        seen, front = np.zeros(len(code), dtype=bool), np.zeros(1, dtype=np.int64)
-        while front.size:
-            seen[front] = True
-            reached = np.zeros_like(seen)
-            reached[np.concatenate([p[front] for p in (u, weyl, tau)])] = True
-            front = np.flatnonzero(reached & ~seen)
-        if seen.sum() != np.sum(code == code[0]):
+        code = parity_code(self.X.parities)
+        n = len(code)  # the maps have finite order: forward reach is the component
+        label = connected_components(n, np.tile(np.arange(n), 3), np.concatenate([u, weyl, tau]))[1]
+        if np.sum(label == label[0]) != np.sum(code == code[0]):
             return None
         cls = np.unique(code, return_inverse=True)[1]
         lead = np.flatnonzero(shift == 0)
@@ -637,11 +616,15 @@ class Harmonics:
                 W = self._parallel_sections(mask, window)
                 if not W.shape[1]:
                     continue
+                rows = W.reshape(-1, self.m, W.shape[1])  # per representative cube
                 stack = [np.zeros((0, W.shape[1]), dtype=W.dtype)]
                 for j in dirs_of(mask):
-                    d = self._boundary(j, mask & ~(1 << (j - 1)))
-                    stack.append(np.zeros((d.shape[1], W.shape[1]), dtype=W.dtype))
-                    np.add.at(stack[-1], d.col, d.data.conj()[:, None] * W[d.row])
+                    lo = mask & ~(1 << (j - 1))
+                    top, bot, blk_top, blk_bot = self._faces(j, lo)
+                    dhw = np.zeros((self.dim(lo) // self.m, *rows.shape[1:]), dtype=W.dtype)
+                    for slot, blk in ((top, blk_top), (bot, blk_bot)):
+                        np.add.at(dhw, slot, blk.conj().transpose(0, 2, 1) @ rows)
+                    stack.append(dhw.reshape(-1, W.shape[1]))
                 h[i] += _kernel(np.concatenate(stack), window, mask).shape[1]
         rank = 0
         for i in range(X.g):
@@ -718,8 +701,7 @@ class Harmonics:
         m, T = self.m, self.X.tables[mask].T
         rep = np.repeat(self.reps(mask), m)[lead]
         v = rep // T
-        code = self.X.parities[v].astype(np.int64) @ (1 << np.arange(self.X.g))
-        key = (code * T + rep % T) * m + np.flatnonzero(lead) % m
+        key = (parity_code(self.X.parities[v]) * T + rep % T) * m + np.flatnonzero(lead) % m
         keyed = [np.unique(key[side], return_inverse=True) for side in sides]
         if len(keyed[0][0]) * len(keyed[1][0]) == 1 or self._h0 is None:
             return *axes, None
@@ -804,13 +786,13 @@ def _kernel(A: np.ndarray, window: float, mask: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 # spectra and classification
 
-def spectrum(M: np.ndarray, hermitian_tol: float = 1e-10) -> np.ndarray:
+def spectrum(M: np.ndarray) -> np.ndarray:
     """All real eigenvalues of a Hermitian matrix, descending: the dense
     ``eigvalsh`` that is the reference for ``Harmonics.block_spectrum``."""
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("spectrum expects a square matrix")
-    if not np.allclose(M, M.conj().T, rtol=0.0, atol=hermitian_tol):
+    if not np.allclose(M, M.conj().T, rtol=0.0, atol=1e-10):
         raise ValueError("matrix is not Hermitian within tolerance")
     return np.linalg.eigvalsh(M)[::-1]
 
@@ -922,7 +904,7 @@ def spectrum_report(X: CubicalComplex, L: LocalSystem | None = None,
     for (j, mask), plan in plans.items():
         parity = parities[j, mask]
         leaders = plan[0][1][::H.m] == 0  # the rows of B that lead their u-orbit
-        A = H.star_operator(j, mask) if parity is None else H._cross(j, mask, leaders)
+        A = H._cross(j, mask).plus_adjoint() if parity is None else H._cross(j, mask, leaders)
         eigs = H.block_spectrum(A, mask, parity, plan, tol)
         verdict = classify_ramanujan(eigs, X.r(j), tol)
         report.entries.append(SpectrumEntry(j, dirs_of(mask), H.dim(mask), eigs, verdict))

@@ -79,6 +79,10 @@ def test_parse_config_malformed(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="malformed"):
         cli.parse_config(path)
+    path.write_bytes(b'{"primes": [5], "N1": 3, "note": "\xff"}')  # not UTF-8
+    with pytest.raises(ConfigError, match="malformed"):
+        cli.parse_config(path)
+    assert cli.main(["build", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     with pytest.raises(ConfigError, match="cannot read"):
         cli.parse_config(tmp_path / "missing.json")
 
@@ -260,12 +264,18 @@ for primes in ([5], [5, 13]):
                                  "--out", str(out / f"{command}{len(primes)}")])
         assert code == 0, (primes, command, code)
 assert "scipy" not in sys.modules, "the CLI imported scipy"
+K4 = ramcube.complete_graph_complex(4)
+for X in (K4, ramcube.product(K4, ramcube.cycle_complex(5))):  # no parities
+    ramcube.spectrum_report(X)
+    ramcube.Harmonics(X).cohomology_dims()
+assert "scipy" not in sys.modules, "certification without parities imported scipy"
 """
 
 
 def test_cli_path_runs_without_scipy(tmp_path):
     """build, ramanujan, cohomology and report need numpy alone: importing
-    scipy would cost most of every invocation's start-up."""
+    scipy would cost most of every invocation's start-up.  So do the star
+    spectra and the cohomology of complexes without parities."""
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)],
                           env=_src_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

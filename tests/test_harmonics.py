@@ -323,12 +323,41 @@ def test_parity_block_route_rejects_broken_entries(cover_spaces):
     B, parity = H._cross(1, 0), H.star_parity(1, 0)
     assert np.iscomplexobj(B.data) and (parity[B.row] == 1).all()
     same = np.flatnonzero(parity == 1)[1]
-    coupled = Coo.canonical(np.append(B.row, B.row[0]), np.append(B.col, same),
-                            np.append(B.data, 1.0), B.shape)
+    coupled = Coo(np.append(B.row, B.row[0]), np.append(B.col, same),
+                  np.append(B.data, 1.0), B.shape)
     with pytest.raises(ValueError, match="outside the class-1 rows"):
         H.block_spectrum(coupled, 0, parity)
     with pytest.raises(ValueError, match="outside the class-1 rows"):
         H.block_spectrum(H.star_operator(1, 0), 0, parity)
+
+
+@pytest.mark.parametrize("complex_fixture, k", [("cover513", 0), ("cover513", 2), ("x5137", 0)])
+def test_split_entry_keeps_spectrum_and_matrix(request, complex_fixture, k):
+    """Coo entries are raw: entries at one position add up, in any order.
+    One entry of B on a leader row, alone at its position, split into two
+    halves, the second appended after every other entry, gives the merged
+    B's spectrum with and without the isotypic split, and the same CSR
+    matrix (the halves are exact)."""
+    X = request.getfixturevalue(complex_fixture)
+    H = Harmonics(X, _system(X, k))
+    n_split = 0
+    for j, mask in X.link_pairs():
+        B, parity = H._cross(j, mask), H.star_parity(j, mask)
+        key = B.row * B.shape[1] + B.col
+        _, at, count = np.unique(key, return_inverse=True, return_counts=True)
+        lead = np.repeat(_leaders(H, mask), H.m)[B.row]
+        e = np.flatnonzero(lead & (count[at] == 1))[0]
+        data, half = B.data.copy(), B.data[e] / 2
+        data[e] = half
+        split = Coo(np.append(B.row, B.row[e]), np.append(B.col, B.col[e]),
+                    np.append(data, B.data[e] - half), B.shape)
+        assert (split.tocsr() != B.tocsr()).nnz == 0
+        rows, cols, pieces = H._plan(mask, parity)
+        n_split += pieces is not None
+        for plan in ((rows, cols, pieces), (rows, cols, None)):
+            merged = H.block_spectrum(B, mask, parity, plan)
+            assert np.abs(H.block_spectrum(split, mask, parity, plan) - merged).max() <= 1e-12
+    assert n_split > 0
 
 
 def _leaders(H, mask):
