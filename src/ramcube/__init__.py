@@ -12,9 +12,9 @@ os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
 _MODULE_OF = {name: module for module, names in {
     "arithmetic": "GeneratorSystem GirthResult build_complex find_valid_level girth "
         "girth_bound irreducibility_report",
-    "complexes": "CubicalComplex LinkGraph box_complex complete_graph_complex "
-        "connected_components cycle_complex disjoint_union export_dot graph_complex "
-        "infer_parities link_graph product verify_axioms verify_parities",
+    "complexes": "CubicalComplex box_complex complete_graph_complex connected_components "
+        "cycle_complex disjoint_union export_dot graph_complex infer_parities product "
+        "verify_axioms verify_parities",
     "errors": "CentralConditionError ConfigError ConstructionError GeneratorCountError "
         "InvalidModulusError LevelRejectedError RamcubeError ResourceError VerificationError",
     "harmonics": "Harmonics RamanujanVerdict SpectrumReport classify_ramanujan spectrum "

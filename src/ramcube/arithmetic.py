@@ -26,7 +26,7 @@ import numpy as np
 
 from . import quaternions as quat
 from .complexes import (AxiomFailure, CubeTable, CubicalComplex, FactoredMap, connected_components,
-                        dirs_of, link_graph, parity_code, verify_axioms, verify_parities)
+                        dirs_of, parity_code, verify_axioms, verify_parities)
 from .errors import ConstructionError, InvalidModulusError, LevelRejectedError
 from .quaternions import Quaternion
 
@@ -53,7 +53,8 @@ class GeneratorSystem:
         self.images_fine: list[list[int]] = []
         G = self.group
         for p, gens in zip(primes, self.gens):
-            self.iota.append([gens.index(q.conjugate()) for q in gens])
+            at = {q: s for s, q in enumerate(gens)}  # keyed by coefficients
+            self.iota.append([at[q.conjugate()] for q in gens])
             m = np.array([quat.embed(q, G.residue) for q in gens]).T
             if np.any(quat.mat_det(m, n1) != p % n1):
                 raise ConstructionError("generator image has wrong determinant")
@@ -330,7 +331,7 @@ def find_valid_level(primes):
 
 
 def irreducibility_report(X: CubicalComplex) -> dict:
-    """Connected-component counts of every directional link graph.
+    """Connected-component counts of every directional link (``X.link_edges``).
 
     Keyed by (j, direction tuple).  Note that a complex with parities always
     has at least two components in the pure single-direction links for g >= 2
@@ -339,8 +340,8 @@ def irreducibility_report(X: CubicalComplex) -> dict:
     """
     out = {}
     for j, mask in X.link_pairs():
-        lg = link_graph(X, j, mask)
-        out[(j, dirs_of(mask))] = connected_components(lg.n_vertices, lg.origin, lg.terminus)[0]
+        _, top, bot = X.link_edges(j, mask)
+        out[(j, dirs_of(mask))] = connected_components(X.unoriented_counts()[mask], top, bot)[0]
     return out
 
 

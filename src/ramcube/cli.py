@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .arithmetic import build_complex, find_valid_level, girth, irreducibility_report
-from .complexes import dirs_of, export_dot, link_graph, mask_of
+from .complexes import dirs_of, export_dot, mask_of
 from .errors import (CentralConditionError, ConfigError, ConstructionError, GeneratorCountError,
                      RamcubeError, ResourceError, VerificationError)
 from .quaternions import is_prime
@@ -231,16 +231,15 @@ def _pipeline(cfg: RunConfig, command: str, out: Path, report: dict, link_spec):
         return 0
 
     if command == "export-dot":
+        counts = X.unoriented_counts()  # one link edge per (I + {j})-cube
         if link_spec is None:
             export_dot(X, out / "complex.dot")
-            report["dot"] = {"file": "complex.dot", "nodes": X.n_vertices,
-                             "edges": sum(X.unoriented_counts()[1 << (j - 1)]
-                                          for j in range(1, X.g + 1))}
+            nodes, edges = X.n_vertices, sum(counts[m] for m in X.masks_of_dim(1))
         else:
-            lg = link_graph(X, *link_spec)
-            export_dot(lg, out / "complex.dot")
-            report["dot"] = {"file": "complex.dot", "nodes": lg.n_vertices,
-                             "edges": len(lg.edge_cubes) // 2}
+            j, mask = link_spec[0], mask_of(link_spec[1])
+            export_dot(X, out / "complex.dot", (j, mask))
+            nodes, edges = counts[mask], counts[mask | (1 << (j - 1))]
+        report["dot"] = {"file": "complex.dot", "nodes": nodes, "edges": edges}
         return 0
 
     # stage: local system

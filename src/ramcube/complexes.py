@@ -21,7 +21,12 @@ arithmetic table a ``FactoredMap`` that gathers the rows from factors.  Vertices
 may carry per-direction parities p_j in {0,1}, flipped exactly by
 direction-j edges; when parities are present each unoriented cube has a
 canonical orientation (the one whose bottom vertex has parity 0 in every
-direction of I).
+direction of I), and without them the least orientation of its orbit
+stands for it (``canonical_indices``).
+
+The direction-j link on the I-cubes (j not in I) joins the two j-faces of
+each (I + {j})-cube; stars, boundaries, component counts and DOT exports
+all read its edges from ``CubicalComplex.link_edges``.
 """
 
 from __future__ import annotations
@@ -143,43 +148,65 @@ class CubicalComplex:
             mask &= ~(1 << (k - 1))
         return idx
 
-    def canonical_indices(self, mask: int, dirs: int | None = None) -> np.ndarray:
-        """Oriented cubes, ascending, whose bottom vertex has parity 0 in
-        every direction of dirs (a mask; by default the cube's own, which
-        gives one per unoriented cube).  No directions need no parities."""
-        t, dirs = self.tables[mask], mask if dirs is None else dirs
-        if dirs == 0:
+    def canonical_indices(self, mask: int) -> np.ndarray:
+        """The representative oriented cubes, ascending, one per unoriented
+        cube: with parities the canonical ones, whose bottom vertex has
+        parity 0 in every direction of the set, and without them the least
+        of each orientation orbit."""
+        t = self.tables[mask]
+        if mask == 0:
             return np.arange(t.n)
-        ok = self._even(dirs)
-        if t.T:
-            return (np.flatnonzero(ok)[:, None] * t.T + np.arange(t.T)).ravel()
-        return np.flatnonzero(ok[self.origin(mask)])
-
-    def _even(self, dirs: int) -> np.ndarray:
-        """Whether each vertex has parity 0 in every direction of dirs."""
         if not self.has_parities:
-            raise ConstructionError("canonical orientations require parities")
-        return ~self.parities[:, [j - 1 for j in dirs_of(dirs)]].any(axis=1)
+            leader = np.arange(t.n)
+            for _ in dirs_of(mask):
+                for j in dirs_of(mask):
+                    leader = np.minimum(leader, leader[t.inv[j][:]])
+            return np.flatnonzero(leader == np.arange(t.n))
+        even = parity_code(self.parities) & mask == 0
+        if t.T:
+            return (np.flatnonzero(even)[:, None] * t.T + np.arange(t.T)).ravel()
+        return np.flatnonzero(even[self.origin(mask)])
 
-    def slot(self, mask: int, cubes, dirs: int | None = None) -> np.ndarray:
-        """Position of each given cube among ``canonical_indices(mask,
-        dirs)``, -1 for the others: with no direction fixed, the cube
-        itself.  With T > 0 the canonical cubes are whole vertex blocks, so
-        the slot is the rank of the block times T plus the place in it."""
-        t, dirs = self.tables[mask], mask if dirs is None else dirs
-        if dirs == 0:
+    def slot(self, mask: int, cubes) -> np.ndarray:
+        """Position of each given cube among ``canonical_indices(mask)``, -1
+        for the others: at mask 0, the cube itself.  With parities and T > 0
+        the canonical cubes are whole vertex blocks, so the slot is the rank
+        of the block times T plus the place in it."""
+        t = self.tables[mask]
+        if mask == 0:
             return np.asarray(cubes)
-        if t.T:  # off the canonical blocks and past the end, base + s lies in [-T, -1]
-            ok = np.append(self._even(dirs), False)
-            base = np.where(ok, np.cumsum(ok) - 1, -1) * t.T
+        if t.T and self.has_parities:  # off the blocks and past the end, base + s is in [-T, -1]
+            even = np.append(parity_code(self.parities) & mask == 0, False)
+            base = np.where(even, np.cumsum(even) - 1, -1) * t.T
             v, s = np.divmod(np.minimum(cubes, t.n), t.T)
             s += base[v]
             return np.maximum(s, -1, out=s)
-        keys = self.canonical_indices(mask, dirs)
+        keys = self.canonical_indices(mask)
         if not len(keys):
             return np.full(np.shape(cubes), -1)
         at = np.minimum(np.searchsorted(keys, cubes), len(keys) - 1)
         return np.where(keys[at] == cubes, at, -1)
+
+    def link_edges(self, j: int, mask: int):
+        """The direction-j link on the I-cubes, I the direction set mask and
+        j not in it: (cubes, top, bot), one canonical (I + {j})-cube per
+        unoriented link edge, ascending, and the slots of its top and
+        bottom j-faces among ``canonical_indices(mask)``.  Every face of a
+        canonical cube is canonical, as a direction-j edge flips only the
+        j-parity; a face that is not raises.  Without parities only the
+        vertex links (mask 0) are defined."""
+        bit = 1 << (j - 1)
+        if mask & bit or mask | bit not in self.tables:
+            raise ConstructionError(f"no direction-{j} link on the cubes of directions "
+                                    f"{dirs_of(mask)}")
+        if mask and not self.has_parities:
+            raise ConstructionError("the links of cubes require parities")
+        t = self.tables[mask | bit]
+        cubes = self.canonical_indices(mask | bit)
+        top, bot = self.slot(mask, t.top[j][cubes]), self.slot(mask, t.bot[j][cubes])
+        if min(top.min(initial=0), bot.min(initial=0)) < 0:
+            raise ConstructionError("a face of a canonical cube is not canonical")
+        return cubes, top, bot
 
     def link_pairs(self) -> list[tuple[int, int]]:
         """Every (j, I), I a direction mask and j not in I, with cubes in
@@ -431,47 +458,6 @@ def disjoint_union(X1: CubicalComplex, X2: CubicalComplex) -> CubicalComplex:
     return CubicalComplex(X1.g, X1.regularities, tables, parities)
 
 
-@dataclass
-class LinkGraph:
-    """Directional link: vertices are canonical I-cubes, oriented edges are
-    the (I + {j})-cubes whose I-part of the orientation is canonical."""
-
-    j: int
-    mask: int
-    r: int
-    n_vertices: int
-    vertex_cubes: np.ndarray    # oriented I-cube index per link vertex
-    edge_cubes: np.ndarray      # oriented (I+{j})-cube index per link edge
-    origin: np.ndarray
-    terminus: np.ndarray
-    opposite: np.ndarray
-    source: CubicalComplex | None = field(default=None, repr=False)
-
-    @property
-    def vertex_labels(self) -> list[str] | None:
-        """The source's vertex labels, for a link of vertices (I empty)."""
-        labels = None if self.mask or self.source is None else self.source.vertex_labels
-        return None if labels is None else [labels[i] for i in self.vertex_cubes.tolist()]
-
-
-def link_graph(X: CubicalComplex, j: int, dirs=()) -> LinkGraph:
-    """The graph whose vertices are the I-cubes and whose edges are the
-    (I + {j})-cubes, for j not in I.  Requires parities."""
-    mask = mask_of(dirs) if not isinstance(dirs, int) else dirs
-    if mask & (1 << (j - 1)):
-        raise ConstructionError(f"direction {j} lies in the cube directions")
-    up = mask | (1 << (j - 1))
-    if up not in X.tables:
-        raise ConstructionError("no cubes in the requested directions")
-    verts, edges, t = X.canonical_indices(mask), X.canonical_indices(up, mask), X.tables[up]
-    origin, terminus = X.slot(mask, t.bot[j][edges]), X.slot(mask, t.top[j][edges])
-    opposite = X.slot(up, t.inv[j][edges], mask)
-    if min(x.min(initial=0) for x in (origin, terminus, opposite)) < 0:
-        raise ConstructionError("link extraction hit a non-canonical face; parities inconsistent")
-
-    return LinkGraph(j, mask, X.r(j), len(verts), verts, edges, origin, terminus, opposite, X)
-
-
 def connected_components(n_vertices: int, origin: np.ndarray, terminus: np.ndarray):
     """Components of the graph on n_vertices with the edges origin[e] --
     terminus[e]: (count, labels), labels 0..count-1 by least vertex.
@@ -551,29 +537,39 @@ def box_complex(g: int) -> CubicalComplex:
 def skeleton_dot(X: CubicalComplex, name: str = "skeleton") -> str:
     """The 1-skeleton as undirected DOT, one edge per unoriented edge,
     with a dir attribute naming the tree direction."""
-    edges = [(j, X.tables.get(1 << (j - 1))) for j in range(1, X.g + 1)]
-    return _dot(name, X.n_vertices, X.vertex_labels,
-                [(t.bot[j][:], t.top[j][:], t.inv[j][:], j) for j, t in edges if t is not None])
+    return _dot(X, name, 0, [j for j, mask in X.link_pairs() if mask == 0])
 
 
-def link_dot(link: LinkGraph, name: str = "link") -> str:
-    return _dot(name, link.n_vertices, link.vertex_labels,
-                [(link.origin, link.terminus, link.opposite, link.j)])
+def link_dot(X: CubicalComplex, j: int, mask: int, name: str = "link") -> str:
+    """The direction-j link on the canonical cubes of the direction set
+    mask as undirected DOT, its vertices named as X's when the set is
+    empty and by slot otherwise."""
+    return _dot(X, name, mask, [j])
 
 
-def _dot(name: str, n: int, labels, edges) -> str:
-    """One line per vertex, then per (tail, head, opposite, j) of edges one
-    line per unoriented edge, the orientation e < opposite[e]."""
+def _dot(X: CubicalComplex, name: str, mask: int, js) -> str:
+    """One line per canonical cube of the direction set, then per direction
+    j of js one line per edge of the link (``link_edges``), in the
+    orientation of lower cube index, ordered by that index: a link cube c
+    or its j-reversal, which runs from c's top j-face to its bottom one
+    (axiom 3)."""
+    labels = X.vertex_labels if mask == 0 else None
     lines = [f"graph {name} {{"]
-    lines += [f'  v{v} [label="{label}"];' for v, label in enumerate(labels or range(n))]
-    for tail, head, opposite, j in edges:
-        keep = np.arange(len(opposite)) < opposite
-        pairs = zip(tail[keep].tolist(), head[keep].tolist())
-        lines += [f"  v{a} -- v{b} [dir={j}];" for a, b in pairs]
+    lines += [f'  v{v} [label="{label}"];'
+              for v, label in enumerate(labels or range(X.unoriented_counts()[mask]))]
+    for j in js:
+        cubes, top, bot = X.link_edges(j, mask)
+        inv = X.tables[mask | (1 << (j - 1))].inv[j][cubes]
+        flip = inv < cubes
+        order = np.argsort(np.where(flip, inv, cubes))
+        tail, head = np.where(flip, top, bot)[order], np.where(flip, bot, top)[order]
+        lines += [f"  v{a} -- v{b} [dir={j}];" for a, b in zip(tail.tolist(), head.tolist())]
     return "\n".join(lines + ["}"]) + "\n"
 
 
-def export_dot(obj, path) -> None:
-    text = skeleton_dot(obj) if isinstance(obj, CubicalComplex) else link_dot(obj)
+def export_dot(X: CubicalComplex, path, link=None) -> None:
+    """Write ``skeleton_dot(X)``, or with link = (j, mask) ``link_dot(X, j,
+    mask)``, to path."""
+    text = skeleton_dot(X) if link is None else link_dot(X, *link)
     with open(path, "w") as fh:
         fh.write(text)

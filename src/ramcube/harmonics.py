@@ -1,7 +1,7 @@
 """Cochains, boundary operators, Laplacians, star spectra, Hodge theory.
 
 Cochains of direction set I are stored on one representative orientation
-per unoriented cube (the canonical one when parities exist); the completely
+per unoriented cube (``CubicalComplex.canonical_indices``); the completely
 alternating extension s(inv_j(c)) = -T_{c,j} s(c) (``expand``) is applied
 algebraically during operator assembly.  In representative coordinates the
 natural 2^{-|I|}-weighted inner product becomes the standard one, so the
@@ -20,11 +20,11 @@ Conventions:
 where T_{c,j} is the transition of the direction-j edge at the bottom
 corner of c; ``CubicalComplex.link_pairs`` lists the (j, I) that have a
 d_j and a star.  Boundaries and stars are both read off the faces of the
-representative cubes (``_faces``; with parities each face sits at its
-``CubicalComplex.slot``), as m x m blocks.  The star spectra scatter their
-raw numpy COO entries (``Coo``: entries at one position add up) and the
-cohomology applies each block's adjoint to its row of W, so certification
-needs numpy alone.  ``partial_boundary``, the one scalar form of d_j, and
+representative cubes (``_faces``; with parities those of
+``CubicalComplex.link_edges``, each face at its slot), as m x m blocks.
+The star spectra scatter their raw numpy COO entries (``Coo``: entries at
+one position add up) and the cohomology applies each block's adjoint to
+its row of W, so certification needs numpy alone.  ``partial_boundary``, the one scalar form of d_j, and
 ``star_operator`` return scipy CSR matrices of the same entries, and
 ``total_d``, ``laplacian`` and ``total_laplacian`` are built from them,
 importing scipy only when called; ``star_matrix`` returns the dense star,
@@ -154,26 +154,10 @@ class Harmonics:
         if X.has_parities and not verify_parities(X)[0]:
             raise ConstructionError("the parities fail the parity relation")
         self.dtype = np.result_type(self.L.dtype, np.float64)
-        self._reps: dict[int, np.ndarray] = {}
         self._expand: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._iso: dict[int, tuple[np.ndarray, list[int]]] = {}
 
     # -- representative bookkeeping ------------------------------------
-
-    def reps(self, mask: int) -> np.ndarray:
-        """The representative oriented cubes, ascending: the canonical ones
-        (formed on each call), or without parities the least of each
-        orientation orbit."""
-        if self.X.has_parities:
-            return self.X.canonical_indices(mask)
-        if mask not in self._reps:
-            t = self.X.tables[mask]
-            leader = np.arange(t.n)
-            for _ in dirs_of(mask):
-                for j in dirs_of(mask):
-                    leader = np.minimum(leader, leader[t.inv[j][:]])
-            self._reps[mask] = np.flatnonzero(leader == np.arange(t.n))
-        return self._reps[mask]
 
     def dim(self, mask: int) -> int:
         return self.X.unoriented_counts()[mask] * self.m
@@ -197,14 +181,14 @@ class Harmonics:
 
         With parities the representatives are the canonical cubes, and
         every face of a canonical cube is canonical (a direction-j edge
-        flips only the j-parity), so the boundaries read slot = ``X.slot``
-        and coefficient = identity instead (``_faces``); the signs reach an
-        operator only on complexes without parities."""
+        flips only the j-parity), so the boundaries read the slots of
+        ``X.link_edges`` and coefficient = identity instead (``_faces``);
+        the signs reach an operator only on complexes without parities."""
         if mask not in self._expand:
             t = self.X.tables[mask]
             slot = -np.ones(t.n, dtype=np.int64)
             coeff = np.zeros((t.n, self.m, self.m), dtype=self.dtype)
-            cur = self.reps(mask)
+            cur = self.X.canonical_indices(mask)
             slot[cur] = np.arange(len(cur))
             coeff[cur] = np.eye(self.m)
             for j in dirs_of(mask):
@@ -239,23 +223,21 @@ class Harmonics:
         selected before their transitions are gathered."""
         up = mask | (1 << (j - 1))
         t = self.X.tables[up]
-        reps_up = self.reps(up)
-        tops, bots = t.top[j][reps_up], t.bot[j][reps_up]
         if self.X.has_parities:  # see ``expand``
-            top, bot = self.X.slot(mask, tops), self.X.slot(mask, bots)
-            if min(top.min(initial=0), bot.min(initial=0)) < 0:
-                raise ConstructionError("a face of a canonical cube is not canonical")
+            cubes, top, bot = self.X.link_edges(j, mask)
         else:
+            cubes = self.X.canonical_indices(up)
             slot_lo, coeff_lo = self.expand(mask)
-            top, bot = slot_lo[tops], slot_lo[bots]
+            top, bot = slot_lo[t.top[j][cubes]], slot_lo[t.bot[j][cubes]]
         if lead is not None:
             keep = lead[top]
-            reps_up, tops, bots, top, bot = (x[keep] for x in (reps_up, tops, bots, top, bot))
+            cubes, top, bot = cubes[keep], top[keep], bot[keep]
         # T^{-1} = conjugate transpose for unitary transitions
-        tinv = self._edge_transitions(up, j, reps_up).conj().transpose(0, 2, 1)
+        tinv = self._edge_transitions(up, j, cubes).conj().transpose(0, 2, 1)
         if self.X.has_parities:
             return top, bot, tinv, np.broadcast_to(-np.eye(self.m, dtype=self.dtype), tinv.shape)
-        return top, bot, np.einsum("nab,nbc->nac", tinv, coeff_lo[tops]), -coeff_lo[bots]
+        return (top, bot, np.einsum("nab,nbc->nac", tinv, coeff_lo[t.top[j][cubes]]),
+                -coeff_lo[t.bot[j][cubes]])
 
     def _links(self, j: int, mask: int, lead=None):
         """The direction-j link edges on C^I, one per representative
@@ -335,7 +317,7 @@ class Harmonics:
         between the two classes."""
         if not self.X.has_parities:
             return None
-        p = self.X.parities[self.X.origin(mask, self.reps(mask)), j - 1]
+        p = self.X.parities[self.X.origin(mask, self.X.canonical_indices(mask)), j - 1]
         return np.repeat(p, self.m)
 
     # -- Cayley symmetry ---------------------------------------------------
@@ -478,7 +460,7 @@ class Harmonics:
         m = self.m
         ids, shifts, off = [], [], 0
         for mask in masks:
-            rep = self.reps(mask)
+            rep = self.X.canonical_indices(mask)
             if N == 1:
                 number, t = np.arange(len(rep)), np.zeros(len(rep), dtype=np.int64)
             else:
@@ -699,7 +681,7 @@ class Harmonics:
         if self.symmetry_order() == 1:
             return *axes, None
         m, T = self.m, self.X.tables[mask].T
-        rep = np.repeat(self.reps(mask), m)[lead]
+        rep = np.repeat(self.X.canonical_indices(mask), m)[lead]
         v = rep // T
         key = (parity_code(self.X.parities[v]) * T + rep % T) * m + np.flatnonzero(lead) % m
         keyed = [np.unique(key[side], return_inverse=True) for side in sides]

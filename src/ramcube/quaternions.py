@@ -93,7 +93,7 @@ def enumerate_generators(p: int) -> list[Quaternion]:
     For p = 1 (mod 4) there are exactly p + 1 of them and the list is closed
     under the main involution.  Raises GeneratorCountError when the count
     comes out wrong (it always does for p = 3 (mod 4), where no such
-    representation exists).
+    representation exists) or the list is not closed.
     """
     if not is_prime(p) or p == 2:
         raise ValueError(f"p must be an odd prime, got {p}")
@@ -117,9 +117,10 @@ def enumerate_generators(p: int) -> list[Quaternion]:
         raise GeneratorCountError(
             f"expected {p + 1} normalized norm-{p} quaternions, found {len(found)}"
         )
-    gens = [Quaternion(*c) for c in found]
-    assert all(g.conjugate() in gens for g in gens)
-    return gens
+    coeffs = set(found)
+    if any((a0, -a1, -a2, -a3) not in coeffs for a0, a1, a2, a3 in found):
+        raise GeneratorCountError(f"the norm-{p} quaternions are not closed under conjugation")
+    return [Quaternion(*c) for c in found]
 
 
 @dataclass(frozen=True)

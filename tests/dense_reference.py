@@ -6,14 +6,18 @@ at a time, from the representatives' slots scattered independently of
     (d*_j t)(r) = sum over top_j(c) = r of T_{c,j} t(c),
 
 independently of ``Harmonics.expand`` and of the conjugate transpose of
-``Harmonics.partial_boundary`` that the library uses; the connected
-components of a link graph from scipy's csgraph, independently of the
+``Harmonics.partial_boundary`` that the library uses; a link by the parities
+of every cube in it, both orientations of each edge, independently of the
+one cube per edge of ``CubicalComplex.link_edges``; the connected
+components of a link from scipy's csgraph, independently of the
 label propagation in ``connected_components``; every Fourier block of an
 operator, scattered from all of its rows, independently of the leader rows
 and the torus classes of ``Harmonics.fourier_blocks``; and the Betti
 numbers from singular values of the total d, or from the nullities of its
 Gram matrices, independently of the parallel sections of
 ``Harmonics.cohomology_dims``."""
+
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import sparse
@@ -24,8 +28,9 @@ from ramcube.complexes import dirs_of
 
 def rep_slots(H, mask):
     """Position of every oriented cube of the direction set among the
-    representatives, -1 for the others, scattered from ``Harmonics.reps``."""
-    rep = H.reps(mask)
+    representatives, -1 for the others, scattered from
+    ``CubicalComplex.canonical_indices``."""
+    rep = H.X.canonical_indices(mask)
     pos = -np.ones(H.X.tables[mask].n, dtype=np.int64)
     pos[rep] = np.arange(len(rep))
     return pos
@@ -39,7 +44,7 @@ def expand_by_bfs(H, mask):
     pos = rep_slots(H, mask)
     slot = -np.ones(t.n, dtype=np.int64)
     coeff = np.zeros((t.n, H.m, H.m), dtype=H.dtype)
-    rep = H.reps(mask)
+    rep = H.X.canonical_indices(mask)
     slot[rep] = pos[rep]
     coeff[rep] = np.eye(H.m)
     trans = {j: H.L.transitions[j - 1][H.X.edge_vector(mask, j)] for j in dirs_of(mask)}
@@ -72,7 +77,7 @@ def coboundary_by_sum(H, j, mask):
     blk = np.einsum("nab,nbc->nac", trans[cubes], coeff_up[cubes])
     rr = rows[cubes][:, None, None] * m + np.arange(m)[None, :, None]
     cc = slot_up[cubes][:, None, None] * m + np.arange(m)[None, None, :]
-    shape = (len(H.reps(mask)) * m, len(H.reps(up)) * m)
+    shape = (len(H.X.canonical_indices(mask)) * m, len(H.X.canonical_indices(up)) * m)
     return sparse.coo_matrix((blk.ravel(), (np.broadcast_to(rr, blk.shape).ravel(),
                                             np.broadcast_to(cc, blk.shape).ravel())),
                              shape=shape).tocsr()
@@ -94,12 +99,35 @@ def total_dstar_by_sum(H, i):
     return sparse.bmat(grid, format="csr")
 
 
-def components_by_csgraph(link):
-    """(count, labels) of the link graph's connected components, from
+def link_by_parities(X, j, mask):
+    """The direction-j link on the canonical I-cubes, I the direction set
+    mask: every (I + {j})-cube whose bottom vertex has parity 0 in each
+    direction of I, ascending, so both j-orientations of every link edge
+    (edge_cubes), with the positions of its bottom and top j-faces among
+    the canonical I-cubes (origin, terminus) and of its j-reversal among
+    the edge cubes (opposite), each found by searchsorted."""
+    up = mask | (1 << (j - 1))
+    t = X.tables[up]
+    even = (np.ones(X.n_vertices, dtype=bool) if mask == 0
+            else ~X.parities[:, [d - 1 for d in dirs_of(mask)]].any(axis=1))
+    verts, edges = np.flatnonzero(even[X.origin(mask)]), np.flatnonzero(even[X.origin(up)])
+
+    def find(keys, cubes):
+        assert np.isin(cubes, keys).all(), "a face or a reversal lies outside the link"
+        return np.searchsorted(keys, cubes)
+
+    return SimpleNamespace(n_vertices=len(verts), edge_cubes=edges,
+                           origin=find(verts, t.bot[j][edges]),
+                           terminus=find(verts, t.top[j][edges]),
+                           opposite=find(edges, t.inv[j][edges]))
+
+
+def components_by_csgraph(n, origin, terminus):
+    """(count, labels) of the connected components of the graph on n
+    vertices with the edges origin[e] -- terminus[e], from
     ``scipy.sparse.csgraph`` on its undirected adjacency."""
-    n = link.n_vertices
-    adj = sparse.coo_matrix((np.ones(len(link.origin), dtype=np.int8),
-                             (link.origin, link.terminus)), shape=(n, n))
+    adj = sparse.coo_matrix((np.ones(len(origin), dtype=np.int8), (origin, terminus)),
+                            shape=(n, n))
     count, labels = connected_components(adj, directed=False)
     return int(count), labels
 

@@ -71,8 +71,8 @@ def test_criterion_1_lps_reproduction(lps513, lps_spectra):
     X = lps513
     assert X.g == 1 and X.regularities == (6,)
     assert X.n_vertices == 2184
-    lg = rc.link_graph(X, 1)
-    n_comp, _ = rc.connected_components(lg.n_vertices, lg.origin, lg.terminus)
+    _, top, bot = X.link_edges(1, 0)
+    n_comp, _ = rc.connected_components(X.n_vertices, top, bot)
     assert n_comp == 1
     entry = lps_spectra.entries[0]
     v = entry.verdict

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import ramcube as rc
 from ramcube.arithmetic import GeneratorSystem
-from ramcube.complexes import CubeTable, CubicalComplex, dirs_of
+from ramcube.complexes import CubeTable, CubicalComplex, dirs_of, link_dot
 from ramcube.errors import ConstructionError, InvalidModulusError
 from ramcube.quaternions import QUATERNION_ONE
 from tuple_reference import TupleGroup, reorder_tables, vertex_keys, word_product
@@ -329,20 +329,22 @@ def test_public_checks_verify_vertex_steps_changed_after_the_build():
 
 def test_vertex_labels_are_formed_on_first_read(monkeypatch):
     """Building, extracting a vertex link and the girth search form no
-    labels; the first read forms them once, and the link reads X's."""
+    labels; the first read forms them once, and the DOT of a vertex link
+    names its vertices as X's."""
     from ramcube import arithmetic
     calls = []
     honest = arithmetic._vertex_labels
     monkeypatch.setattr(arithmetic, "_vertex_labels", lambda ar: calls.append(1) or honest(ar))
     X = rc.build_complex([5, 13], 3)
-    lg = rc.link_graph(X, 1)
+    X.link_edges(1, 0)
     rc.girth(X)
     assert calls == []
     labels = X.vertex_labels
     assert calls == [1] and X.vertex_labels is labels and len(labels) == X.n_vertices
     assert labels[0] == "1,0,0,1|00"
-    assert lg.vertex_labels == [labels[v] for v in lg.vertex_cubes]
-    assert rc.link_graph(X, 1, (2,)).vertex_labels is None
+    names = [f'  v{v} [label="{label}"];' for v, label in enumerate(labels)]
+    assert link_dot(X, 1, 0).splitlines()[1:1 + len(labels)] == names
+    assert link_dot(X, 1, 0b10).splitlines()[1] == '  v0 [label="0"];'
     assert calls == [1]
 
 
@@ -356,6 +358,16 @@ def test_generator_system_validation():
     iota = gens.iota[0]
     assert all(iota[iota[i]] == i for i in range(6))
     assert all(iota[i] != i for i in range(6))
+
+
+@pytest.mark.parametrize("p", [5, 13, 17, 29, 37])
+def test_iota_is_the_conjugate_involution(p):
+    """iota points each generator at its conjugate, found by a scan of the
+    list, and is an involution."""
+    system = GeneratorSystem([p], 3)
+    gens, iota = system.gens[0], system.iota[0]
+    assert iota == [next(s for s, r in enumerate(gens) if r == q.conjugate()) for q in gens]
+    assert [iota[s] for s in iota] == list(range(p + 1))
 
 
 def test_lps_complex_counts(lps513):
@@ -409,9 +421,10 @@ def test_irreducibility_reports(lps513, cover513):
 
 def test_irreducibility_negative_control():
     two = rc.disjoint_union(rc.cycle_complex(4), rc.cycle_complex(4))
-    lg = rc.link_graph(two, 1)
-    count, _ = rc.connected_components(lg.n_vertices, lg.origin, lg.terminus)
+    _, top, bot = two.link_edges(1, 0)
+    count, _ = rc.connected_components(two.n_vertices, top, bot)
     assert count == 2
+    assert rc.irreducibility_report(two) == {(1, ()): 2}
 
 
 def test_girth_lps(lps513):

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import ramcube as rc
-from dense_reference import components_by_csgraph
+from dense_reference import components_by_csgraph, link_by_parities
 from ramcube.complexes import CubicalComplex, dirs_of, link_dot, mask_of, skeleton_dot
 from ramcube.errors import ConstructionError
 
@@ -81,26 +83,47 @@ def test_link_pairs_are_the_admissible_pairs(any_complex):
 
 
 def test_slot_matches_searchsorted(any_complex):
-    """For every mask and every dirs inside it, the slot of every cube is
-    its searchsorted position among the canonical cubes, -1 off them, also
-    for two indices past the last cube; with no direction fixed, the cube
-    itself, which passes any index on unchanged."""
+    """For every mask the slot of every cube is its searchsorted position
+    among the canonical cubes, -1 off them, also for two indices past the
+    last cube; at mask 0, the cube itself, which passes any index on
+    unchanged."""
     X = any_complex
     for mask in X.masks():
         n = X.tables[mask].n
         cubes = np.concatenate([np.arange(n)[::-1], [n, n + 1]])
-        assert np.array_equal(X.slot(mask, cubes, 0), cubes)
-        for dirs in range(mask + 1):
-            if dirs & ~mask:
-                continue
-            probe = cubes if dirs else cubes[:n]
-            keys = X.canonical_indices(mask, dirs)
-            want = np.where(np.isin(probe, keys), np.searchsorted(keys, probe), -1)
-            assert np.array_equal(X.slot(mask, probe, dirs), want)
-            if dirs == mask:
-                assert np.array_equal(X.slot(mask, probe), want)
+        keys = X.canonical_indices(mask)
+        want = cubes if mask == 0 else np.where(np.isin(cubes, keys),
+                                                np.searchsorted(keys, cubes), -1)
+        assert np.array_equal(X.slot(mask, cubes), want)
     if not X.n_vertices:  # no canonical cubes at all
         assert X.slot(1, np.array([3, 0])).tolist() == [-1, -1]
+
+
+def _orbit_leaders(X, mask):
+    """The least cube of each orientation orbit, ascending, from every
+    product of the inversions applied to every cube in turn."""
+    t, dirs = X.tables[mask], dirs_of(mask)
+    leaders = set()
+    for c in range(t.n):
+        orbit = set()
+        for k in range(len(dirs) + 1):
+            for sub in itertools.combinations(dirs, k):
+                d = c
+                for j in sub:
+                    d = int(t.inv[j][d])
+                orbit.add(d)
+        leaders.add(min(orbit))
+    return sorted(leaders)
+
+
+def test_canonical_indices_without_parities():
+    """Without parities the representatives are the least cube of each
+    orientation orbit."""
+    K4, C5 = rc.complete_graph_complex(4), rc.cycle_complex(5)
+    for X in (K4, C5, rc.product(K4, C5)):
+        assert not X.has_parities
+        for mask in X.masks():
+            assert X.canonical_indices(mask).tolist() == _orbit_leaders(X, mask)
 
 
 def test_parities_cycles():
@@ -176,72 +199,96 @@ def test_product_associative_as_labeled_complexes():
 
 
 def test_link_graph_of_graph_is_the_graph_itself():
+    """The vertex link of a graph is the graph: one canonical edge per
+    edge, read from the vertex it leaves to the one it enters."""
     X = rc.cycle_complex(4)
-    lg = rc.link_graph(X, 1)
-    assert lg.n_vertices == 4
-    assert len(lg.edge_cubes) == 8
+    cubes, top, bot = X.link_edges(1, 0)
     t = X.tables[1]
-    assert np.array_equal(lg.origin, t.bot[1])
-    assert np.array_equal(lg.terminus, t.top[1])
-    # r-regular: every vertex the terminus of exactly r oriented edges
-    assert np.all(np.bincount(lg.terminus, minlength=4) == 2)
-    # opposite is a fixed-point-free involution swapping origin/terminus
-    assert np.all(lg.opposite[lg.opposite] == np.arange(8))
-    assert np.all(lg.opposite != np.arange(8))
-    assert np.array_equal(lg.origin[lg.opposite], lg.terminus)
+    assert len(cubes) == 4 and np.all(X.parities[t.bot[1][cubes], 0] == 0)
+    assert np.array_equal(top, t.top[1][cubes])
+    assert np.array_equal(bot, t.bot[1][cubes])
+    # r-regular: every vertex on exactly r edges
+    assert np.all(np.bincount(np.concatenate([top, bot]), minlength=4) == 2)
 
 
 def test_link_graph_counts_on_square_complex(cover513):
+    """One link edge per square; every canonical edge lies on r_j of them."""
     X = cover513
-    lg = rc.link_graph(X, 1, (2,))
-    # vertices = unoriented direction-2 edges
-    assert lg.n_vertices == X.unoriented_counts()[0b10] == 336
-    assert np.all(np.bincount(lg.terminus, minlength=lg.n_vertices) == 6)
-    lg2 = rc.link_graph(X, 2, (1,))
-    assert lg2.n_vertices == X.unoriented_counts()[0b01] == 144
-    assert np.all(np.bincount(lg2.terminus, minlength=lg2.n_vertices) == 14)
+    counts = X.unoriented_counts()
+    for j, mask, r in ((1, 0b10, 6), (2, 0b01, 14)):
+        cubes, top, bot = X.link_edges(j, mask)
+        assert len(cubes) == counts[0b11] == 1008
+        assert np.all(np.bincount(np.concatenate([top, bot]), minlength=counts[mask]) == r)
+    assert counts[0b10] == 336 and counts[0b01] == 144
 
 
 def test_link_graph_requires_free_direction(cover513):
     with pytest.raises(ConstructionError):
-        rc.link_graph(cover513, 1, (1,))
+        cover513.link_edges(1, 0b01)
 
 
 def test_link_graph_requires_parities_on_positive_masks():
     K4 = rc.complete_graph_complex(4)
     P = rc.product(K4, K4)
     with pytest.raises(ConstructionError):
-        rc.link_graph(P, 1, (2,))
+        P.link_edges(1, 0b10)
 
 
-def _components(lg):
-    return rc.connected_components(lg.n_vertices, lg.origin, lg.terminus)
+def _same_link(X, j, mask):
+    """link_edges against the parity oracle: the cubes take one of the two
+    orientations of each oracle edge, and each cube's faces are its
+    oracle terminus and origin."""
+    cubes, top, bot = X.link_edges(j, mask)
+    ref = link_by_parities(X, j, mask)
+    at = np.searchsorted(ref.edge_cubes, cubes)
+    assert np.array_equal(ref.edge_cubes[at], cubes)
+    assert np.array_equal(np.sort(np.concatenate([at, ref.opposite[at]])),
+                          np.arange(len(ref.edge_cubes)))
+    assert np.array_equal(top, ref.terminus[at]) and np.array_equal(bot, ref.origin[at])
+
+
+def test_link_edges_match_the_parity_oracle(cover513, x5137, cover13373):
+    """On every link pair of complexes with parities, and on the vertex
+    links of graphs without them, one with isolated vertices."""
+    for X in (cover513, x5137, cover13373, rc.box_complex(3),
+              rc.product(rc.cycle_complex(4), rc.cycle_complex(6))):
+        for j, mask in X.link_pairs():
+            _same_link(X, j, mask)
+    C3 = rc.cycle_complex(3)
+    for X in (rc.complete_graph_complex(4), rc.cycle_complex(5), rc.disjoint_union(C3, C3),
+              rc.graph_complex(6, [(0, 1), (3, 4)], r=1)):
+        _same_link(X, 1, 0)
+
+
+def _components(X, j, mask):
+    _, top, bot = X.link_edges(j, mask)
+    return X.unoriented_counts()[mask], top, bot
 
 
 def test_connected_components():
     one = rc.cycle_complex(3)
     two = rc.disjoint_union(one, one)
-    count, labels = _components(rc.link_graph(two, 1))
+    count, labels = rc.connected_components(*_components(two, 1, 0))
     assert count == 2
     assert len(set(labels)) == 2
-    count1, _ = _components(rc.link_graph(rc.cycle_complex(5), 1))
+    count1, _ = rc.connected_components(*_components(rc.cycle_complex(5), 1, 0))
     assert count1 == 1
 
 
 def test_connected_components_match_csgraph(lps513, cover513, cover13373):
-    """Count and labels equal csgraph's on every link graph of three
-    arithmetic complexes, on a graph with isolated vertices and on a link
-    graph with no vertices."""
-    links = [rc.link_graph(X, j, mask)
+    """Count and labels equal csgraph's on every link of three arithmetic
+    complexes, on a graph with isolated vertices and on a link with no
+    vertices."""
+    links = [_components(X, j, mask)
              for X in (lps513, cover513, cover13373) for j, mask in X.link_pairs()]
     assert len(links) == 1 + 4 + 4
-    isolated = rc.link_graph(rc.graph_complex(6, [(0, 1), (3, 4)], r=1), 1)
-    empty = rc.link_graph(rc.graph_complex(0, [], r=1), 1)
-    assert _components(isolated)[0] == 4
-    assert _components(empty)[0] == 0
-    for lg in links + [isolated, empty]:
-        count, labels = _components(lg)
-        ref_count, ref_labels = components_by_csgraph(lg)
+    isolated = _components(rc.graph_complex(6, [(0, 1), (3, 4)], r=1), 1, 0)
+    empty = _components(rc.graph_complex(0, [], r=1), 1, 0)
+    assert rc.connected_components(*isolated)[0] == 4
+    assert rc.connected_components(*empty)[0] == 0
+    for link in links + [isolated, empty]:
+        count, labels = rc.connected_components(*link)
+        ref_count, ref_labels = components_by_csgraph(*link)
         assert count == ref_count
         assert np.array_equal(labels, ref_labels)
 
@@ -263,12 +310,13 @@ def test_dot_exports(tmp_path):
     text = skeleton_dot(K4)
     assert text.count(" -- ") == 6
     assert text.count("label=") == 4
-    lg = rc.link_graph(rc.cycle_complex(4), 1)
-    ltext = link_dot(lg)
+    ltext = link_dot(rc.cycle_complex(4), 1, 0)
     assert ltext.count(" -- ") == 4
     path = tmp_path / "k4.dot"
     rc.export_dot(K4, path)
     assert path.read_text().startswith("graph")
+    rc.export_dot(K4, path, (1, 0))
+    assert path.read_text() == link_dot(K4, 1, 0)
 
 
 def _dot_by_loop(name, n, labels, edges):
@@ -285,14 +333,18 @@ def _dot_by_loop(name, n, labels, edges):
 
 
 def test_dot_exports_match_edge_loop(cover513):
+    """Against every oriented edge, and against both orientations of each
+    edge of the parity oracle's link."""
     X = cover513
     assert X.vertex_labels is not None
     edges = [(X.tables[1 << (j - 1)].bot[j], X.tables[1 << (j - 1)].top[j],
               X.tables[1 << (j - 1)].inv[j], j) for j in (1, 2)]
     assert skeleton_dot(X) == _dot_by_loop("skeleton", X.n_vertices, X.vertex_labels, edges)
-    lg = rc.link_graph(X, 2, (1,))
-    assert link_dot(lg, "l") == _dot_by_loop(
-        "l", lg.n_vertices, lg.vertex_labels, [(lg.origin, lg.terminus, lg.opposite, 2)])
+    for j, mask in X.link_pairs():
+        lg = link_by_parities(X, j, mask)
+        assert link_dot(X, j, mask, "l") == _dot_by_loop(
+            "l", lg.n_vertices, None if mask else X.vertex_labels,
+            [(lg.origin, lg.terminus, lg.opposite, j)])
     K4 = rc.complete_graph_complex(4)
     t = K4.tables[1]
     assert skeleton_dot(K4) == _dot_by_loop("skeleton", 4, None, [(t.bot[1], t.top[1], t.inv[1], 1)])

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 import ramcube as rc
 from dense_reference import (coboundary_by_sum, cohomology_by_gram, cohomology_by_svd,
-                             expand_by_bfs, fourier_blocks_unfolded, total_dstar_by_sum)
+                             expand_by_bfs, fourier_blocks_unfolded, link_by_parities,
+                             total_dstar_by_sum)
 from ramcube import Harmonics, harmonics
 from ramcube.arithmetic import ArithData
 from ramcube.complexes import CubeTable, CubicalComplex, mask_of
@@ -202,9 +203,9 @@ def test_star_row_sums_for_trivial_system(cover513):
 
 
 def _star_by_edge_loop(H, j, mask):
-    """Reference star, sparse: each edge of the link graph, in both
-    orientations, adds its transition block in turn."""
-    lg = rc.link_graph(H.X, j, mask)
+    """Reference star, sparse: each edge of the link (``link_by_parities``),
+    in both orientations, adds its transition block in turn."""
+    lg = link_by_parities(H.X, j, mask)
     trans = H.L.transitions[j - 1][H.X.edge_vector(mask | (1 << (j - 1)), j)]
     m = H.m
     a, b = np.divmod(np.arange(m * m), m)
